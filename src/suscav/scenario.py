@@ -88,7 +88,6 @@ def _build_stage(entry, where):
     return Stage(
         mass=_get(entry, "mass_kg", where),
         wire_length=_get(entry, "wire_length_m", where),
-        n_wires=int(entry.get("n_wires", 2)),
         vertical_stiffness=entry.get("vertical_stiffness_n_per_m", 0.0),
         viscous_damping_to_parent=entry.get("viscous_damping_ns_per_m", 0.0),
         loss_angle=entry.get("loss_angle", 0.0),

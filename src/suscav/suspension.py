@@ -11,6 +11,15 @@ is the weight it supports divided by its length.  Vertical stiffnesses
 come from the blade springs and are configured directly.  Structural
 damping enters as a complex stiffness k*(1 + i*phi) at evaluation time;
 viscous (eddy-current) damping enters through a real damping matrix.
+
+Every response comes from one solver, `_tree_solve`.  The springs form a
+tree (one spring above each coordinate, hung from ground or a lower
+index; `LinearModel` enforces this), so the dynamic stiffness
+-omega^2 M + i omega C + K is eliminated node by node over length-n_f
+arrays, O(n_f * n) memory, rooted at the driven node: ground for the
+suspension-point transfer functions, the mirror for the force
+susceptibility.  A pivot that is exactly zero at some frequency raises
+NumericalError naming that frequency; no response returns NaN.
 """
 
 from __future__ import annotations
@@ -34,7 +43,6 @@ class Stage:
 
     mass: float                       # [kg]
     wire_length: float                # [m]
-    n_wires: int = 2
     vertical_stiffness: float = 0.0   # blade spring [N/m]
     viscous_damping_to_parent: float = 0.0  # dashpot to the stage above [N s/m]
     loss_angle: float = 0.0           # structural loss of the attachment
@@ -43,8 +51,6 @@ class Stage:
     def __post_init__(self):
         if self.mass <= 0.0 or self.wire_length <= 0.0:
             raise ConfigError("stage mass and wire length must be positive")
-        if self.n_wires < 1:
-            raise ConfigError("need at least one wire")
         if (
             self.vertical_stiffness < 0.0
             or self.viscous_damping_to_parent < 0.0
@@ -112,9 +118,19 @@ class LinearModel:
         arr = np.array(self.masses, dtype=float)
         if np.any(arr <= 0.0):
             raise ConfigError("all masses must be positive")
+        springs = tuple(self.springs)
+        # the solver eliminates a tree: one spring above each coordinate,
+        # hung from ground (-1) or from a lower-numbered coordinate
+        if sorted(s.child for s in springs) != list(range(arr.size)) or any(
+            not -1 <= s.parent < s.child for s in springs
+        ):
+            raise ConfigError(
+                "springs must form a tree: each coordinate the child of exactly "
+                "one spring whose parent index is below the child's"
+            )
         arr.setflags(write=False)
         object.__setattr__(self, "masses", arr)
-        object.__setattr__(self, "springs", tuple(self.springs))
+        object.__setattr__(self, "springs", springs)
 
     @property
     def ndof(self):
@@ -312,135 +328,109 @@ def eigenmodes(model):
     return modes
 
 
-def _spring_impedances(model, omega):
-    """Complex stiffness k*(1+i*phi) + i*omega*c per spring, (n_f,) each."""
-    return [
-        s.stiffness * (1.0 + 1j * s.loss_angle) + 1j * omega * s.damping
-        for s in model.springs
-    ]
-
-
-def _full_dynamic_matrix(model, omega):
-    """(n_f, n, n) complex dynamic stiffness -omega^2 M + i omega C + K."""
-    n = model.ndof
-    nf = omega.size
-    d = np.zeros((nf, n, n), dtype=complex)
-    for s, kap in zip(model.springs, _spring_impedances(model, omega)):
-        d[:, s.child, s.child] += kap
-        if s.parent >= 0:
-            d[:, s.parent, s.parent] += kap
-            d[:, s.parent, s.child] -= kap
-            d[:, s.child, s.parent] -= kap
-    for i in range(n):
-        d[:, i, i] -= model.masses[i] * omega ** 2
+def _nonzero_pivot(d, grid):
+    zero = np.flatnonzero(d == 0.0)
+    if zero.size:
+        raise NumericalError(
+            "zero pivot in the dynamic stiffness",
+            frequency_hz=float(grid.values[zero[0]]),
+        )
     return d
 
 
-def _solve_batched(d, b, grid):
-    try:
-        return np.linalg.solve(d, b[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        # locate the singular frequency for the error message
-        for i, f in enumerate(grid.values):
-            if abs(np.linalg.det(d[i])) == 0.0:
-                raise NumericalError("singular dynamic matrix", frequency_hz=f)
-        raise NumericalError("singular dynamic matrix on the grid")
+def _tree_solve(model, grid, force_at=None):
+    """Solve (-omega^2 M + i omega C + K) x = b on the suspension tree.
 
+    The drive is a unit displacement of the suspension point (ground) when
+    `force_at` is None, else a unit force on coordinate `force_at`.  The
+    tree is rooted at the driven node and eliminated leaf-to-root: a node's
+    impedance Z (its mass plus the branches folded into it) joins the next
+    node towards the root through its spring kappa as kappa*Z/(kappa + Z).
+    Back-substitution only multiplies gains, x = kappa*x_next/(kappa + Z),
+    and a forced root moves by 1/Z_root, so no sum can cancel the small
+    dissipative part of a response.
 
-def _chain_response(model, grid):
-    """Suspension-point unit input -> complex response of every coordinate.
-
-    The two mirror leaves (when present) are condensed exactly onto the
-    penultimate coordinate before the solve, and recovered afterwards via
-    their leaf gains; for identical final stages, the leaf gains are the
-    same floating-point expression, so the differential output cancels
-    identically at mismatch zero.
+    Returns dicts keyed by coordinate: the response x, the impedance kappa
+    of the spring above each coordinate, and the pivot kappa + Z of every
+    eliminated (non-root) coordinate.
     """
     omega = grid.angular
-    n = model.ndof
-    leaf_idx = [model.mirror_a, model.mirror_b] if model.mirror_b is not None else []
-    main = [i for i in range(n) if i not in leaf_idx]
-    main_pos = {c: j for j, c in enumerate(main)}
+    # spring c hangs coordinate c from its parent, so the spring joining
+    # two neighbouring nodes is the one of the larger index (ground is -1)
+    kap = {
+        s.child: s.stiffness * (1.0 + 1j * s.loss_angle) + 1j * omega * s.damping
+        for s in model.springs
+    }
+    z = {v: -m * omega ** 2 for v, m in enumerate(model.masses)}
+    neighbours = {v: [] for v in range(-1, model.ndof)}
+    for s in model.springs:
+        neighbours[s.parent].append(s.child)
+        neighbours[s.child].append(s.parent)
+        if s.parent == -1 and force_at is not None:
+            z[s.child] = z[s.child] + kap[s.child]   # spring to the fixed ground
 
-    kap_all = _spring_impedances(model, omega)
-    nf = omega.size
-    nm = len(main)
-    d = np.zeros((nf, nm, nm), dtype=complex)
-    b = np.zeros((nf, nm), dtype=complex)
-    leaf_gain = {}
+    root = -1 if force_at is None else force_at
+    towards = {root: None}      # node -> next node towards the root
+    order = [root]
+    for v in order:
+        for w in neighbours[v]:
+            if w != -1 and w not in towards:
+                towards[w] = v
+                order.append(w)
 
-    for s, kap in zip(model.springs, kap_all):
-        if s.child in leaf_idx:
-            gain = kap / (kap - model.masses[s.child] * omega ** 2)
-            leaf_gain[s.child] = (gain, kap, s.parent)
-            p = main_pos[s.parent]
-            # exact condensation of the leaf onto its parent
-            d[:, p, p] += kap * (-model.masses[s.child] * omega ** 2
-                                 / (kap - model.masses[s.child] * omega ** 2))
-        else:
-            c = main_pos[s.child]
-            d[:, c, c] += kap
-            if s.parent >= 0:
-                p = main_pos[s.parent]
-                d[:, p, p] += kap
-                d[:, p, c] -= kap
-                d[:, c, p] -= kap
-            else:
-                b[:, c] += kap
-    for coord, j in main_pos.items():
-        d[:, j, j] -= model.masses[coord] * omega ** 2
+    d = {}
+    for v in reversed(order[1:]):
+        q = towards[v]
+        k = kap[max(v, q)]
+        d[v] = _nonzero_pivot(k + z[v], grid)
+        if q >= 0:
+            z[q] = z[q] + k * z[v] / d[v]
 
-    x_main = _solve_batched(d, b, grid)
-    response = np.zeros((nf, n), dtype=complex)
-    for coord, j in main_pos.items():
-        response[:, coord] = x_main[:, j]
-    for coord, (gain, _, parent) in leaf_gain.items():
-        response[:, coord] = gain * response[:, main_pos[parent]]
-    return response, leaf_gain
+    if force_at is None:
+        x = {-1: 1.0}
+    else:
+        x = {root: 1.0 / _nonzero_pivot(z[root], grid)}
+    for v in order[1:]:
+        q = towards[v]
+        x[v] = kap[max(v, q)] * x[q] / d[v]
+    return x, kap, d
+
+
+def _mirror_index(model, mirror):
+    idx = model.mirror_a if mirror == "a" else model.mirror_b
+    if idx is None:
+        raise ConfigError(f"model has no mirror {mirror!r}")
+    return idx
 
 
 def tf_suspoint_to_mirror(model, grid, mirror="a"):
     """Suspension-point displacement to one mirror's displacement."""
-    idx = model.mirror_a if mirror == "a" else model.mirror_b
-    if idx is None:
-        raise ConfigError(f"model has no mirror {mirror!r}")
-    response, _ = _chain_response(model, grid)
-    return response[:, idx]
+    idx = _mirror_index(model, mirror)
+    x, _, _ = _tree_solve(model, grid)
+    return x[idx]
 
 
 def tf_suspoint_to_differential(chain, grid):
     """Suspension-point displacement to differential cavity displacement.
 
-    Computed as (g_a - g_b) * x_penultimate with the leaf-gain difference
-    expanded analytically, so equal final stages give an exactly zero
-    transfer function instead of a rounding residue.
+    Computed as (g_a - g_b) * x_penultimate, with the leaf gains
+    g = kappa / d and their difference expanded analytically, so equal
+    final stages give an exactly zero transfer function instead of a
+    rounding residue.
     """
     model = build_model(chain, HORIZONTAL)
-    omega = grid.angular
-    response, leaf_gain = _chain_response(model, grid)
-    (_, kap_a, parent) = leaf_gain[model.mirror_a]
-    (_, kap_b, _) = leaf_gain[model.mirror_b]
-    ma = model.masses[model.mirror_a]
-    mb = model.masses[model.mirror_b]
-    # g_a - g_b without catastrophic cancellation:
-    diff_gain = (
-        omega ** 2 * (ma * kap_b - mb * kap_a)
-        / ((kap_a - ma * omega ** 2) * (kap_b - mb * omega ** 2))
-    )
-    return diff_gain * response[:, parent]
+    x, kap, d = _tree_solve(model, grid)
+    a, b = model.mirror_a, model.mirror_b   # both hang from coordinate a - 1
+    ma, mb = model.masses[a], model.masses[b]
+    diff_gain = grid.angular ** 2 * (ma * kap[b] - mb * kap[a]) / (d[a] * d[b])
+    return diff_gain * x[a - 1]
 
 
 def mirror_force_susceptibility(model, grid, mirror="a"):
     """Displacement per force applied at the mirror coordinate [m/N]."""
-    idx = model.mirror_a if mirror == "a" else model.mirror_b
-    if idx is None:
-        raise ConfigError(f"model has no mirror {mirror!r}")
-    omega = grid.angular
-    d = _full_dynamic_matrix(model, omega)
-    b = np.zeros((omega.size, model.ndof), dtype=complex)
-    b[:, idx] = 1.0
-    x = _solve_batched(d, b, grid)
-    return x[:, idx]
+    idx = _mirror_index(model, mirror)
+    x, _, _ = _tree_solve(model, grid, force_at=idx)
+    return x[idx]
 
 
 def seismic_to_cavity(chain, ground, platform_tf, grid):

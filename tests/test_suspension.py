@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from suscav.cli import resolve_config
 from suscav.constants import G_STD
 from suscav.errors import ConfigError, GridError, NumericalError
 from suscav.spectra import (
@@ -13,7 +14,10 @@ from suscav.spectra import (
     make_log_grid,
     zero_spectrum,
 )
+from suscav.scenario import load_scenario
 from suscav.suspension import (
+    LinearModel,
+    SpringElement,
     Stage,
     SuspensionChain,
     build_model,
@@ -26,6 +30,7 @@ from suscav.suspension import (
     tf_suspoint_to_mirror,
     write_mode_table,
 )
+from suscav.thermal import mirror_admittance
 
 # analytic pendulum frequencies, (1/2pi)*sqrt(g/l)
 F_SINGLE_19CM = 1.1434144305348943
@@ -35,12 +40,12 @@ F_DOUBLE = (0.8751315177857356, 2.112754379098474)
 
 
 def main_stage(mass=0.8, damping=0.0, phi=1e-4, kv=500.0):
-    return Stage(mass=mass, wire_length=0.19, n_wires=4, vertical_stiffness=kv,
+    return Stage(mass=mass, wire_length=0.19, vertical_stiffness=kv,
                  viscous_damping_to_parent=damping, loss_angle=phi)
 
 
 def mirror_stage(phi=1e-4):
-    return Stage(mass=0.01, wire_length=0.02, n_wires=2, loss_angle=phi)
+    return Stage(mass=0.01, wire_length=0.02, loss_angle=phi)
 
 
 def default_chain(eps=0.01, damping=2.0, phi=1e-4):
@@ -83,6 +88,18 @@ class TestValidation:
     def test_unknown_axis(self):
         with pytest.raises(ConfigError):
             build_model(default_chain(), "diagonal")
+
+    @pytest.mark.parametrize("links", [
+        [(-1, 0), (0, 1), (0, 2), (1, 2)],   # coordinate 2 has two parents
+        [(-1, 0), (2, 1), (1, 2)],           # loop 1 <-> 2, parent above child
+        [(-1, 0), (0, 1)],                   # coordinate 2 hangs from nothing
+        [(-1, 0), (0, 1), (1, 1)],           # spring from a coordinate to itself
+    ])
+    def test_linear_model_requires_tree(self, links):
+        springs = [SpringElement(parent=p, child=c, stiffness=1.0) for p, c in links]
+        with pytest.raises(ConfigError):
+            LinearModel(masses=[1.0, 1.0, 1.0], springs=springs,
+                        coord_names=("a", "b", "c"), axis="horizontal")
 
 
 class TestEigenmodes:
@@ -193,6 +210,31 @@ class TestMirrorTransferFunction:
             tf_suspoint_to_mirror(model, grid)
         assert err.value.frequency_hz == f0
 
+    def test_zero_mirror_pivot_names_frequency(self):
+        # lossless, symmetric chain at the float where k - m*omega^2 == 0 for
+        # both mirrors: every response must raise, none may return NaN
+        chain = default_chain(eps=0.0, damping=0.0, phi=0.0)
+        model = build_model(chain, "horizontal")
+        k = model.springs[model.mirror_a].stiffness
+        m = model.masses[model.mirror_a]
+        f = np.sqrt(k / m) / (2.0 * np.pi)
+        for _ in range(100):
+            pivot = k - m * (2.0 * np.pi * f) ** 2
+            if pivot == 0.0:
+                break
+            f = np.nextafter(f, np.inf if pivot > 0.0 else -np.inf)
+        assert pivot == 0.0
+        grid = FrequencyGrid(np.array([1.0, f, 10.0]))
+        responses = (
+            lambda: tf_suspoint_to_mirror(model, grid),
+            lambda: tf_suspoint_to_differential(chain, grid),
+            lambda: mirror_force_susceptibility(model, grid),
+        )
+        for response in responses:
+            with pytest.raises(NumericalError) as err:
+                response()
+            assert err.value.frequency_hz == f
+
     def test_force_susceptibility_free_mass_limit(self):
         model = build_model(default_chain(), "horizontal")
         grid = FrequencyGrid(np.array([1000.0]))
@@ -266,3 +308,81 @@ class TestStiffnessConvention:
         assert ka == pytest.approx(kbar * 1.005, rel=1e-12)
         assert kb == pytest.approx(kbar * 0.995, rel=1e-12)
         assert (ka - kb) / kbar == pytest.approx(0.01, rel=1e-12)
+
+
+def _dense_oracle(model, omega, force_at=None):
+    """Response of every coordinate from a 40-digit dense solve.
+
+    Solves (-omega^2 M + i omega C + K) x = b exactly for the float inputs:
+    b is a unit force on `force_at`, or the suspension point moving with unit
+    amplitude when `force_at` is None.  Entries stay mpmath numbers, so
+    differences of them are formed before rounding to float.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        w = mpmath.mpf(float(omega))
+        n = model.ndof
+        dyn = mpmath.matrix(n, n)
+        rhs = mpmath.matrix(n, 1)
+        for i, m in enumerate(model.masses):
+            dyn[i, i] = -mpmath.mpf(float(m)) * w ** 2
+        for s in model.springs:
+            kap = (mpmath.mpf(s.stiffness) * mpmath.mpc(1, s.loss_angle)
+                   + mpmath.mpc(0, 1) * w * mpmath.mpf(s.damping))
+            dyn[s.child, s.child] += kap
+            if s.parent >= 0:
+                dyn[s.parent, s.parent] += kap
+                dyn[s.parent, s.child] -= kap
+                dyn[s.child, s.parent] -= kap
+            elif force_at is None:
+                rhs[s.child] += kap
+        if force_at is not None:
+            rhs[force_at] = 1
+        x = mpmath.lu_solve(dyn, rhs)
+        return [x[i] for i in range(n)]
+
+
+class TestMpmathOracle:
+    """All responses against an exact solve, including where they are hardest.
+
+    The grid adds every mode, every anti-resonance of the mirror's driving
+    point (modes with the mirror clamped), and every local minimum of
+    Re(Y), where the dissipative part is smallest relative to |Y|.
+    """
+
+    @pytest.mark.parametrize("config", ["paper_default", "cryo_projection"])
+    @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
+    def test_responses_match_dense_oracle(self, config, axis):
+        chain = load_scenario(resolve_config(config)).chain
+        model = build_model(chain, axis)
+        idx = model.mirror_a
+        clamped = [i for i in range(model.ndof) if i != idx]
+        w = 1.0 / np.sqrt(model.masses[clamped])
+        lam = np.linalg.eigvalsh(
+            w[:, None] * model.k_matrix[np.ix_(clamped, clamped)] * w[None, :]
+        )
+        fine = make_log_grid(0.5, 5.0, 4000)
+        re_y = np.real(mirror_admittance(model, fine))
+        dips = (re_y[1:-1] < re_y[:-2]) & (re_y[1:-1] < re_y[2:])
+        freqs = np.unique(np.concatenate([
+            np.geomspace(0.1, 1e4, 30),
+            [mode.frequency_hz for mode in eigenmodes(model)],
+            np.sqrt(lam) / (2.0 * np.pi),
+            fine.values[1:-1][dips],
+        ]))
+        grid = FrequencyGrid(freqs)
+
+        tf = tf_suspoint_to_mirror(model, grid)
+        chi = mirror_force_susceptibility(model, grid)
+        re_y = np.real(mirror_admittance(model, grid))
+        diff = tf_suspoint_to_differential(chain, grid) if axis == "horizontal" else None
+        for i, omega in enumerate(grid.angular):
+            x_sus = _dense_oracle(model, omega)
+            x_force = _dense_oracle(model, omega, force_at=idx)
+            exact_re_y = float((1j * omega * x_force[idx]).real)
+            assert tf[i] == pytest.approx(complex(x_sus[idx]), rel=1e-12, abs=0.0)
+            assert chi[i] == pytest.approx(complex(x_force[idx]), rel=1e-12, abs=0.0)
+            assert re_y[i] == pytest.approx(exact_re_y, rel=1e-10, abs=0.0)
+            if diff is not None:
+                exact = complex(x_sus[model.mirror_a] - x_sus[model.mirror_b])
+                assert diff[i] == pytest.approx(exact, rel=1e-12, abs=0.0)
