@@ -15,15 +15,12 @@ from .cavity import (
 from .errors import ConfigError, GridError, NumericalError, UnitError
 from .isolation import (
     ActuatorParams,
+    GeophoneParams,
     PlatformParams,
     ZPK,
-    actuator_tf,
     closed_loop,
     default_servo,
-    design_check,
     diagonalize_sensors,
-    geophone_tf,
-    platform_passive_tf,
 )
 from .quantum import (
     FreeMassValidityWarning,

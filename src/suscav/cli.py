@@ -5,7 +5,7 @@
 
 `--config` accepts a file path or the name of a shipped/installed config;
 names are resolved against $SUSCAV_CONFIG_DIR and then the packaged
-configs.  Exit codes: 0 success, 1 config error, 2 numerical error.
+configs.  Exit codes: 0 success, 1 config or I/O error, 2 numerical error.
 """
 
 from __future__ import annotations
@@ -97,6 +97,9 @@ def main(argv=None):
     except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"suscav: numerical error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"suscav: I/O error: {exc}", file=sys.stderr)
+        return 1
     print(f"suscav: {args.command} results written to {args.out}")
     return 0
 

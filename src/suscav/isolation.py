@@ -14,6 +14,7 @@ G = (force response) * s * geophone * servo * actuator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,26 @@ class ZPK:
             return tuple(complex(d.get("real", 0.0), d.get("imag", 0.0)) for d in items)
         return cls(roots(cfg.get("zeros", [])), roots(cfg.get("poles", [])), float(cfg["gain"]))
 
+    def __mul__(self, other):
+        """Series connection: roots concatenate, gains multiply."""
+        return ZPK(self.zeros + other.zeros, self.poles + other.poles, self.gain * other.gain)
+
+
+def _resonance_poles(w0, q):
+    """Roots of s^2 + (w0/q) s + w0^2.
+
+    Under-damped roots are built as one root and its exact conjugate.
+    Over-damped roots take the large root without cancellation and the
+    small one from the product of the roots, w0^2.
+    """
+    a = -w0 / (2.0 * q)
+    disc = a * a - w0 * w0
+    if disc < 0.0:
+        p = complex(a, math.sqrt(-disc))
+        return (p, p.conjugate())
+    p1 = a - math.sqrt(disc)
+    return (p1, w0 * w0 / p1)
+
 
 @dataclass(frozen=True)
 class PlatformParams:
@@ -103,6 +124,18 @@ class PlatformParams:
             return self.vertical_resonance
         raise ConfigError(f"unknown axis {axis!r}")
 
+    def passive(self, axis):
+        """Ground-to-payload transmissibility (w0^2 + w0/q s) / (s^2 + w0/q s + w0^2)."""
+        w0 = 2.0 * math.pi * self.resonance(axis)
+        q = self.quality_factor
+        return ZPK(zeros=(-w0 * q,), poles=self.force(axis).poles, gain=w0 / q)
+
+    def force(self, axis):
+        """Force-to-payload displacement response [m/N]."""
+        w0 = 2.0 * math.pi * self.resonance(axis)
+        return ZPK(zeros=(), poles=_resonance_poles(w0, self.quality_factor),
+                   gain=1.0 / self.payload_mass)
+
 
 @dataclass(frozen=True)
 class ActuatorParams:
@@ -114,42 +147,31 @@ class ActuatorParams:
         if min(self.coil_resistance, self.coil_inductance, self.force_constant) <= 0.0:
             raise ConfigError("all actuator parameters must be positive")
 
-
-def platform_passive_tf(platform, axis, grid):
-    """Ground-to-payload transmissibility (complex, dimensionless)."""
-    w0 = 2.0 * np.pi * platform.resonance(axis)
-    q = platform.quality_factor
-    s = 1j * grid.angular
-    return (w0 ** 2 + w0 / q * s) / (s ** 2 + w0 / q * s + w0 ** 2)
+    def zpk(self):
+        """Voltage-driven coil-magnet actuator, newtons per volt."""
+        return ZPK(zeros=(), poles=(-self.coil_resistance / self.coil_inductance,),
+                   gain=self.force_constant / self.coil_inductance)
 
 
-def platform_force_tf(platform, axis, grid):
-    """Force-to-payload displacement response [m/N]."""
-    m = platform.payload_mass
-    w0 = 2.0 * np.pi * platform.resonance(axis)
-    q = platform.quality_factor
-    s = 1j * grid.angular
-    return 1.0 / (m * (s ** 2 + w0 / q * s + w0 ** 2))
+@dataclass(frozen=True)
+class GeophoneParams:
+    natural_frequency: float     # [Hz]
+    generator_constant: float    # [V/(m/s)]
+    quality_factor: float = 0.3  # strongly shunt-damped instrument
 
+    def __post_init__(self):
+        if min(self.natural_frequency, self.generator_constant, self.quality_factor) <= 0.0:
+            raise ConfigError("all geophone parameters must be positive")
 
-def geophone_tf(natural_freq, generator_constant, grid, quality_factor=0.3):
-    """Geophone response, volts per unit case velocity.
+    def zpk(self):
+        """Volts per unit case velocity.
 
-    Second-order high-pass around the proof-mass resonance; in the
-    inertial regime above it the output is generator_constant * velocity.
-    The default Q corresponds to a strongly shunt-damped instrument.
-    """
-    if natural_freq <= 0.0:
-        raise ConfigError("geophone natural frequency must be positive")
-    w0 = 2.0 * np.pi * natural_freq
-    s = 1j * grid.angular
-    return generator_constant * s ** 2 / (s ** 2 + w0 / quality_factor * s + w0 ** 2)
-
-
-def actuator_tf(actuator, grid):
-    """Voltage-driven coil-magnet actuator, newtons per volt."""
-    s = 1j * grid.angular
-    return actuator.force_constant / (actuator.coil_resistance + s * actuator.coil_inductance)
+        Second-order high-pass around the proof-mass resonance; in the
+        inertial regime above it the output is generator_constant * velocity.
+        """
+        w0 = 2.0 * math.pi * self.natural_frequency
+        return ZPK(zeros=(0.0, 0.0), poles=_resonance_poles(w0, self.quality_factor),
+                   gain=self.generator_constant)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +181,13 @@ class LoopResult:
     passive: np.ndarray            # ground -> payload with the loop open
     unity_gain_hz: tuple
     phase_margins_deg: tuple
+    poles: np.ndarray              # roots of the characteristic polynomial den + num
+
+    @property
+    def stable(self):
+        """No pole right of the imaginary axis beyond 1e-9 of the largest |p|;
+        an exact root at 0 (a servo integrator) counts as stable."""
+        return bool(np.all(np.real(self.poles) < 1e-9 * np.max(np.abs(self.poles))))
 
 
 def _wrap_deg(angle):
@@ -186,16 +215,15 @@ def _crossings(grid, loop_gain):
     return tuple(crossings), tuple(margins)
 
 
-def closed_loop(platform, sensor, actuator, servo, grid, axis=HORIZONTAL):
-    """Close the inertial loop.
+def closed_loop(platform, geophone, actuator, servo, grid, axis=HORIZONTAL):
+    """Close the inertial loop of one axis.
 
-    `sensor` and `actuator` are complex responses already evaluated on the
-    grid (volts per payload velocity, newtons per volt); `servo` is a ZPK.
+    The loop gain is one ZPK; its frequency response gives the
+    suppression and margins, its polynomials the closed-loop poles.
     """
-    sensor = np.asarray(sensor)
-    actuator = np.asarray(actuator)
-    s = 1j * grid.angular
-    loop = platform_force_tf(platform, axis, grid) * s * sensor * servo.evaluate(grid) * actuator
+    velocity = ZPK(zeros=(0.0,), poles=(), gain=1.0)
+    gain = platform.force(axis) * velocity * geophone.zpk() * servo * actuator.zpk()
+    loop = gain.evaluate(grid)
     one_plus = 1.0 + loop
     small = np.abs(one_plus) < 1e-9
     if np.any(small):
@@ -203,67 +231,17 @@ def closed_loop(platform, sensor, actuator, servo, grid, axis=HORIZONTAL):
             "closed loop is ill-conditioned (|1+G| < 1e-9)",
             frequency_hz=grid.values[np.nonzero(small)[0][0]],
         )
-    passive = platform_passive_tf(platform, axis, grid)
+    passive = platform.passive(axis).evaluate(grid)
     unity, margins = _crossings(grid, loop)
+    num, den = gain.polynomials()
     return LoopResult(
         loop_gain=loop,
         suppression=passive / one_plus,
         passive=passive,
         unity_gain_hz=unity,
         phase_margins_deg=margins,
+        poles=np.roots(np.polyadd(den, num)),
     )
-
-
-def loop_polynomials(platform, geophone_natural_freq, geophone_constant,
-                     geophone_q, actuator, servo, axis=HORIZONTAL):
-    """Loop gain as a rational function (num, den), highest power first."""
-    m = platform.payload_mass
-    w0 = 2.0 * np.pi * platform.resonance(axis)
-    qp = platform.quality_factor
-    wg = 2.0 * np.pi * geophone_natural_freq
-    num = np.array([1.0, 0.0])                                  # velocity pickup s
-    den = np.array([m, m * w0 / qp, m * w0 ** 2])               # force response
-    num = np.polymul(num, [geophone_constant, 0.0, 0.0])
-    den = np.polymul(den, [1.0, wg / geophone_q, wg ** 2])
-    num = np.polymul(num, [actuator.force_constant])
-    den = np.polymul(den, [actuator.coil_inductance, actuator.coil_resistance])
-    sn, sd = servo.polynomials()
-    return np.polymul(num, sn), np.polymul(den, sd)
-
-
-def closed_loop_poles(num, den):
-    """Roots of den + num (the closed-loop characteristic polynomial)."""
-    n = max(len(num), len(den))
-    char = np.zeros(n)
-    char[n - len(num):] += num
-    char[n - len(den):] += den
-    return np.roots(char)
-
-
-def design_check(platform, geophone_natural_freq, geophone_constant, geophone_q,
-                 actuator, servo, grid, axis=HORIZONTAL, min_margin_deg=30.0):
-    """Stability and margin report for a candidate loop.
-
-    Returns a dict with closed-loop stability (from the characteristic
-    polynomial), unity-gain frequencies and phase margins; `passed` is
-    True when the loop is stable and every margin meets `min_margin_deg`.
-    """
-    sensor = geophone_tf(geophone_natural_freq, geophone_constant, grid, geophone_q)
-    act = actuator_tf(actuator, grid)
-    result = closed_loop(platform, sensor, act, servo, grid, axis=axis)
-    num, den = loop_polynomials(
-        platform, geophone_natural_freq, geophone_constant, geophone_q,
-        actuator, servo, axis=axis,
-    )
-    poles = closed_loop_poles(num, den)
-    stable = bool(np.all(np.real(poles) < 1e-9 * np.max(np.abs(poles))))
-    margins_ok = all(pm >= min_margin_deg for pm in result.phase_margins_deg)
-    return {
-        "stable": stable,
-        "unity_gain_hz": result.unity_gain_hz,
-        "phase_margins_deg": result.phase_margins_deg,
-        "passed": stable and margins_ok,
-    }
 
 
 def diagonalize_sensors(geometry, condition_limit=1e6):

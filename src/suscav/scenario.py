@@ -23,13 +23,10 @@ from .isolation import (
     HORIZONTAL,
     VERTICAL,
     ActuatorParams,
+    GeophoneParams,
     PlatformParams,
     ZPK,
-    actuator_tf,
     closed_loop,
-    design_check,
-    geophone_tf,
-    platform_passive_tf,
 )
 from .readout import (
     AcousticPeak,
@@ -105,7 +102,7 @@ class Scenario:
     thermal: ThermalConfig
     platform: PlatformParams
     actuator: ActuatorParams
-    geophone: dict
+    geophone: GeophoneParams
     servo: ZPK
     ground: Spectrum
     readout: ReadoutConfig
@@ -175,11 +172,11 @@ class Scenario:
             force_constant=_get(a, "force_constant_n_per_a", "isolation.actuator"),
         )
         geo = _get(iso, "geophone", "isolation")
-        geophone = {
-            "natural_frequency_hz": _get(geo, "natural_frequency_hz", "isolation.geophone"),
-            "generator_constant": _get(geo, "generator_constant_v_per_m_s", "isolation.geophone"),
-            "quality_factor": geo.get("quality_factor", 0.3),
-        }
+        geophone = GeophoneParams(
+            natural_frequency=_get(geo, "natural_frequency_hz", "isolation.geophone"),
+            generator_constant=_get(geo, "generator_constant_v_per_m_s", "isolation.geophone"),
+            quality_factor=geo.get("quality_factor", 0.3),
+        )
         try:
             servo = ZPK.from_config(_get(iso, "servo", "isolation"))
         except KeyError as exc:
@@ -314,18 +311,15 @@ def platform_suppression_tf(scenario, grid, axis=HORIZONTAL):
 
     The instrument runs one scalar loop per degree of freedom after
     sensor diagonalisation, so the same servo closes each axis against
-    its own platform resonance.
+    its own platform resonance.  An unstable active loop is refused:
+    its passive/(1 + G) describes no physical platform.
     """
     if not scenario.isolation_active:
-        return platform_passive_tf(scenario.platform, axis, grid)
-    sensor = geophone_tf(
-        scenario.geophone["natural_frequency_hz"],
-        scenario.geophone["generator_constant"],
-        grid,
-        scenario.geophone["quality_factor"],
-    )
-    act = actuator_tf(scenario.actuator, grid)
-    result = closed_loop(scenario.platform, sensor, act, scenario.servo, grid, axis=axis)
+        return scenario.platform.passive(axis).evaluate(grid)
+    result = closed_loop(scenario.platform, scenario.geophone, scenario.actuator,
+                         scenario.servo, grid, axis=axis)
+    if not result.stable:
+        raise ConfigError(f"the {axis} isolation loop is unstable")
     return result.suppression
 
 
@@ -519,14 +513,8 @@ def run_isolation(scenario, outdir):
     """Passive/active platform comparison with RMS summary."""
     os.makedirs(outdir, exist_ok=True)
     grid = scenario.grid
-    sensor = geophone_tf(
-        scenario.geophone["natural_frequency_hz"],
-        scenario.geophone["generator_constant"],
-        grid,
-        scenario.geophone["quality_factor"],
-    )
-    act = actuator_tf(scenario.actuator, grid)
-    result = closed_loop(scenario.platform, sensor, act, scenario.servo, grid)
+    result = closed_loop(scenario.platform, scenario.geophone, scenario.actuator,
+                         scenario.servo, grid)
 
     passive = Spectrum(grid, np.abs(result.passive) * scenario.ground.asd, UNIT_DISPLACEMENT)
     active = Spectrum(grid, np.abs(result.suppression) * scenario.ground.asd, UNIT_DISPLACEMENT)
@@ -543,22 +531,13 @@ def run_isolation(scenario, outdir):
 
     rms_passive = band_rms(passive, 0.5, 50.0)
     rms_active = band_rms(active, 0.5, 50.0)
-    check = design_check(
-        scenario.platform,
-        scenario.geophone["natural_frequency_hz"],
-        scenario.geophone["generator_constant"],
-        scenario.geophone["quality_factor"],
-        scenario.actuator,
-        scenario.servo,
-        grid,
-    )
     _write_json(os.path.join(outdir, "isolation_summary.json"), {
         "rms_passive_m_0p5_50hz": rms_passive,
         "rms_active_m_0p5_50hz": rms_active,
         "rms_reduction_ratio": rms_passive / rms_active if rms_active > 0.0 else "unbounded",
-        "unity_gain_hz": list(check["unity_gain_hz"]),
-        "phase_margins_deg": list(check["phase_margins_deg"]),
-        "closed_loop_stable": check["stable"],
+        "unity_gain_hz": list(result.unity_gain_hz),
+        "phase_margins_deg": list(result.phase_margins_deg),
+        "closed_loop_stable": result.stable,
     })
     _write_json(os.path.join(outdir, "manifest.json"), {
         "command": "isolation",

@@ -17,11 +17,10 @@ from suscav.cli import resolve_config
 from suscav.constants import C_LIGHT, K_B
 from suscav.isolation import (
     ActuatorParams,
+    GeophoneParams,
     PlatformParams,
-    actuator_tf,
     closed_loop,
     default_servo,
-    geophone_tf,
 )
 from suscav.quantum import (
     FreeMassValidityWarning,
@@ -180,8 +179,7 @@ def test_criterion_5_active_isolation():
     platform = PlatformParams(140.0, 3.9, 7.0, 10.0)
     actuator = ActuatorParams(41.4, 0.0178, 1.7)
     grid = make_log_grid(0.1, 1e4, 1000)
-    sensor = geophone_tf(1.0, 276.0, grid, 0.3)
-    result = closed_loop(platform, sensor, actuator_tf(actuator, grid),
+    result = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
                          default_servo(), grid)
 
     ground = Spectrum(grid, 1e-7 * np.minimum(1.0, (1.0 / grid.values) ** 2),

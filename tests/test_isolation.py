@@ -1,21 +1,18 @@
 import numpy as np
 import pytest
 
+from suscav.cli import resolve_config
 from suscav.errors import ConfigError, NumericalError
 from suscav.isolation import (
     ActuatorParams,
+    GeophoneParams,
     PlatformParams,
     ZPK,
-    actuator_tf,
     closed_loop,
-    closed_loop_poles,
     default_servo,
-    design_check,
     diagonalize_sensors,
-    geophone_tf,
-    loop_polynomials,
-    platform_passive_tf,
 )
+from suscav.scenario import load_scenario
 from suscav.spectra import (
     UNIT_DISPLACEMENT,
     FrequencyGrid,
@@ -49,9 +46,7 @@ def ground_model(grid):
 
 def default_loop(platform, actuator, grid, gain=None):
     servo = default_servo() if gain is None else default_servo(gain)
-    sensor = geophone_tf(1.0, 276.0, grid, 0.3)
-    act = actuator_tf(actuator, grid)
-    return closed_loop(platform, sensor, act, servo, grid)
+    return closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator, servo, grid)
 
 
 class TestZPK:
@@ -90,64 +85,71 @@ class TestZPK:
         assert num == pytest.approx([4.0, 8.0])
         assert den == pytest.approx([1.0, 8.0, 15.0])
 
+    def test_series_product(self):
+        a = ZPK(zeros=(-2.0,), poles=(complex(-1, 2), complex(-1, -2)), gain=3.0)
+        b = ZPK(zeros=(), poles=(-5.0,), gain=0.5)
+        grid = make_log_grid(0.1, 10.0, 7)
+        assert np.allclose((a * b).evaluate(grid), a.evaluate(grid) * b.evaluate(grid),
+                           rtol=1e-14, atol=0.0)
+
 
 class TestPlatform:
     def test_peak_at_resonance(self, platform):
         grid = make_log_grid(0.5, 50.0, 2000)
-        mag = np.abs(platform_passive_tf(platform, "horizontal", grid))
+        mag = np.abs(platform.passive("horizontal").evaluate(grid))
         assert grid.values[int(np.argmax(mag))] == pytest.approx(3.9, rel=2e-2)
 
     def test_transmissibility_asymptote(self):
         # Q >> 1: |H(10*f0)| ~ (f0/f)^2 = 0.01
         stiff = PlatformParams(140.0, 3.9, 7.0, 1000.0)
         grid = FrequencyGrid(np.array([39.0]))
-        mag = abs(platform_passive_tf(stiff, "horizontal", grid)[0])
+        mag = abs(stiff.passive("horizontal").evaluate(grid)[0])
         assert mag == pytest.approx(0.01, rel=2e-2)
 
     def test_dc_unity(self, platform):
         grid = FrequencyGrid(np.array([1e-3]))
-        assert abs(platform_passive_tf(platform, "horizontal", grid)[0]) == pytest.approx(
+        assert abs(platform.passive("horizontal").evaluate(grid)[0]) == pytest.approx(
             1.0, abs=1e-4
         )
 
     def test_vertical_axis_uses_vertical_resonance(self, platform):
         grid = make_log_grid(0.5, 50.0, 2000)
-        mag = np.abs(platform_passive_tf(platform, "vertical", grid))
+        mag = np.abs(platform.passive("vertical").evaluate(grid))
         assert grid.values[int(np.argmax(mag))] == pytest.approx(7.0, rel=2e-2)
 
 
 class TestGeophone:
     def test_inertial_plateau(self):
         grid = FrequencyGrid(np.array([100.0]))
-        h = geophone_tf(1.0, 276.0, grid, 0.707)
+        h = GeophoneParams(1.0, 276.0, 0.707).zpk().evaluate(grid)
         assert abs(h[0]) == pytest.approx(276.0, rel=1e-3)
 
     def test_corner_magnitude(self):
         # |H(f0)| = G*Q; at Q = 0.707 that is G/sqrt(2)
         grid = FrequencyGrid(np.array([1.0]))
-        h = geophone_tf(1.0, 276.0, grid, 1.0 / np.sqrt(2.0))
+        h = GeophoneParams(1.0, 276.0, 1.0 / np.sqrt(2.0)).zpk().evaluate(grid)
         assert abs(h[0]) == pytest.approx(276.0 / np.sqrt(2.0), rel=1e-12)
 
     def test_low_frequency_second_order(self):
         grid = FrequencyGrid(np.array([0.01, 0.02]))
-        h = np.abs(geophone_tf(1.0, 276.0, grid, 0.707))
+        h = np.abs(GeophoneParams(1.0, 276.0, 0.707).zpk().evaluate(grid))
         assert h[1] / h[0] == pytest.approx(4.0, rel=1e-3)
 
 
 class TestActuator:
     def test_dc_response(self, actuator):
         grid = FrequencyGrid(np.array([1e-3]))
-        assert abs(actuator_tf(actuator, grid)[0]) == pytest.approx(ACTUATOR_DC, rel=1e-9)
+        assert abs(actuator.zpk().evaluate(grid)[0]) == pytest.approx(ACTUATOR_DC, rel=1e-9)
 
     def test_corner_frequency(self, actuator):
         grid = FrequencyGrid(np.array([ACTUATOR_CORNER]))
-        assert abs(actuator_tf(actuator, grid)[0]) == pytest.approx(
+        assert abs(actuator.zpk().evaluate(grid)[0]) == pytest.approx(
             ACTUATOR_DC / np.sqrt(2.0), rel=1e-9
         )
 
     def test_monotone_decreasing(self, actuator):
         grid = make_log_grid(0.1, 1e4, 200)
-        mag = np.abs(actuator_tf(actuator, grid))
+        mag = np.abs(actuator.zpk().evaluate(grid))
         assert np.all(np.diff(mag) < 0.0)
 
 
@@ -185,36 +187,39 @@ class TestClosedLoop:
         assert 5.0 <= ratio <= 20.0
 
     def test_conditioning_error_named(self, platform, actuator, grid_band):
-        # force G = -1 exactly at every point through a synthetic sensor
-        from suscav.isolation import platform_force_tf
-        servo = ZPK(zeros=(), poles=(), gain=1.0)
-        act = actuator_tf(actuator, grid_band)
-        s = 1j * grid_band.angular
-        force = platform_force_tf(platform, "horizontal", grid_band)
-        sensor = -1.0 / (force * s * act)
+        # force G = -1 at every point through a servo that inverts the
+        # rest of the loop
+        geophone = GeophoneParams(1.0, 276.0, 0.3)
+        rest = platform.force("horizontal") * ZPK(zeros=(0.0,), poles=(), gain=1.0) \
+            * geophone.zpk() * actuator.zpk()
+        servo = ZPK(zeros=rest.poles, poles=rest.zeros, gain=-1.0 / rest.gain)
         with pytest.raises(NumericalError):
-            closed_loop(platform, sensor, act, servo, grid_band)
+            closed_loop(platform, geophone, actuator, servo, grid_band)
 
     def test_default_design_check(self, platform, actuator, grid_band):
-        report = design_check(platform, 1.0, 276.0, 0.3, actuator,
-                              default_servo(), grid_band)
-        assert report["stable"]
-        assert report["passed"]
-        assert len(report["unity_gain_hz"]) == 2
-        assert all(pm >= 30.0 for pm in report["phase_margins_deg"])
+        report = default_loop(platform, actuator, grid_band)
+        assert report.stable
+        assert len(report.unity_gain_hz) == 2
+        assert all(pm >= 30.0 for pm in report.phase_margins_deg)
 
     def test_vertical_axis_loop_stable(self, platform, actuator, grid_band):
-        report = design_check(platform, 1.0, 276.0, 0.3, actuator,
-                              default_servo(), grid_band, axis="vertical")
-        assert report["stable"]
+        report = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
+                             default_servo(), grid_band, axis="vertical")
+        assert report.stable
 
-    def test_closed_loop_poles_of_damped_oscillator(self, platform, actuator):
+    def test_closed_loop_poles_of_damped_oscillator(self, platform, actuator, grid_band):
         # sanity for the characteristic-polynomial path: open loop (gain 0)
         # has the platform poles, all in the left half plane
-        num, den = loop_polynomials(platform, 1.0, 276.0, 0.3, actuator,
-                                    ZPK(zeros=(), poles=(), gain=0.0))
-        poles = closed_loop_poles(num, den)
+        poles = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
+                            ZPK(zeros=(), poles=(), gain=0.0), grid_band).poles
         assert np.all(np.real(poles) < 0.0)
+
+    @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
+    def test_negated_servo_is_unstable(self, platform, actuator, grid_band, axis):
+        servo = default_servo(-default_servo().gain)
+        result = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
+                             servo, grid_band, axis=axis)
+        assert result.stable is False
 
     def test_in_loop_suppression_matches_cavity_witness(self, platform, actuator, grid_band):
         # the reduction predicted at the platform equals the reduction seen
@@ -228,6 +233,46 @@ class TestClosedLoop:
         witnessed = np.where(passive.asd > 0.0, active.asd / passive.asd, 0.0)
         ok = passive.asd > 0.0
         assert np.allclose(witnessed[ok], predicted[ok], rtol=1e-12)
+
+
+def _exact_suppression(scenario, axis, omega):
+    """passive/(1 + G) at 40 digits from the physical formulas of each element."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        s = mpmath.mpc(0, float(omega))
+        p, g, a, servo = scenario.platform, scenario.geophone, scenario.actuator, scenario.servo
+        w0 = mpmath.mpf(2.0 * np.pi * p.resonance(axis))
+        q = mpmath.mpf(p.quality_factor)
+        res = s ** 2 + w0 / q * s + w0 ** 2
+        wg = mpmath.mpf(2.0 * np.pi * g.natural_frequency)
+        geo = g.generator_constant * s ** 2 / (s ** 2 + wg / g.quality_factor * s + wg ** 2)
+        act = mpmath.mpf(a.force_constant) / (a.coil_resistance + s * a.coil_inductance)
+        h = mpmath.mpf(servo.gain)
+        for z in servo.zeros:
+            h *= s - mpmath.mpc(z.real, z.imag)
+        for pole in servo.poles:
+            h /= s - mpmath.mpc(pole.real, pole.imag)
+        loop = s * geo * h * act / (p.payload_mass * res)
+        return (w0 ** 2 + w0 / q * s) / res / (1 + loop)
+
+
+def test_suppression_matches_mpmath_oracle():
+    """Both axes of the shipped loop, at both platform resonances and every
+    unity-gain crossing, against the loop formed at 40 digits."""
+    scenario = load_scenario(resolve_config("paper_default"))
+    args = (scenario.platform, scenario.geophone, scenario.actuator, scenario.servo)
+    crossings = [f for axis in ("horizontal", "vertical")
+                 for f in closed_loop(*args, scenario.grid, axis=axis).unity_gain_hz]
+    grid = FrequencyGrid(np.unique(np.concatenate([
+        np.geomspace(0.1, 1e4, 30),
+        [scenario.platform.horizontal_resonance, scenario.platform.vertical_resonance],
+        crossings,
+    ])))
+    for axis in ("horizontal", "vertical"):
+        supp = closed_loop(*args, grid, axis=axis).suppression
+        for i, omega in enumerate(grid.angular):
+            exact = complex(_exact_suppression(scenario, axis, omega))
+            assert supp[i] == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 class TestDiagonalizeSensors:

@@ -247,3 +247,47 @@ class TestCli:
         (tmp_path / "mine.json").write_text(json.dumps(cfg))
         monkeypatch.setenv("SUSCAV_CONFIG_DIR", str(tmp_path))
         assert resolve_config("mine") == str(tmp_path / "mine.json")
+
+    @pytest.mark.parametrize("key", ["natural_frequency_hz", "generator_constant_v_per_m_s",
+                                     "quality_factor"])
+    @pytest.mark.parametrize("value", [0.0, -0.3])
+    def test_nonpositive_geophone_is_config_error(self, tmp_path, config_factory, capsys,
+                                                  key, value):
+        cfg = config_factory()
+        cfg["isolation"]["geophone"][key] = value
+        path = tmp_path / "geophone.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["isolation", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_budget_refuses_unstable_loop(self, tmp_path, config_factory, capsys):
+        cfg = config_factory()
+        cfg["isolation"]["servo"]["gain"] = -cfg["isolation"]["servo"]["gain"]
+        path = tmp_path / "unstable.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["budget", "--config", str(path), "--out", str(tmp_path / "b")])
+        assert code == 1
+        assert "horizontal isolation loop is unstable" in capsys.readouterr().err
+        code = main(["isolation", "--config", str(path), "--out", str(tmp_path / "i")])
+        assert code == 0
+        summary = json.loads((tmp_path / "i" / "isolation_summary.json").read_text())
+        assert summary["closed_loop_stable"] is False
+
+    def test_out_under_regular_file_is_io_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["quantum", "--out", str(blocker / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("suscav: ") and err.count("\n") == 1
+
+    def test_missing_ground_csv_is_io_error(self, tmp_path, config_factory, capsys):
+        cfg = config_factory()
+        cfg["isolation"]["ground"] = {"csv": str(tmp_path / "absent.csv")}
+        path = tmp_path / "ground.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["isolation", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("suscav: ") and "absent.csv" in err
