@@ -38,6 +38,9 @@ COMMANDS = {
 ENV_CONFIG_DIR = "SUSCAV_CONFIG_DIR"
 DEFAULT_CONFIG = "paper_default"
 
+# Largest `--grid` point count; checked before the grid is allocated.
+MAX_GRID_POINTS = 10_000_000
+
 
 def packaged_config_dir():
     return files("suscav").joinpath("configs")
@@ -64,7 +67,10 @@ def resolve_config(name_or_path):
 def parse_grid(text):
     try:
         fmin, fmax, n = text.split(",")
-        return make_log_grid(float(fmin), float(fmax), int(n))
+        n = int(n)
+        if n > MAX_GRID_POINTS:
+            raise ConfigError(f"n = {n} is above the limit of {MAX_GRID_POINTS} points")
+        return make_log_grid(float(fmin), float(fmax), n)
     except ValueError as exc:
         raise ConfigError(f"--grid expects fmin,fmax,n (got {text!r}): {exc}") from exc
 

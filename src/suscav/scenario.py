@@ -42,7 +42,6 @@ from .readout import (
 from .spectra import (
     UNIT_DISPLACEMENT,
     UNIT_RELATIVE,
-    CSV_FORMAT,
     NoiseBudget,
     Spectrum,
     band_rms,
@@ -51,6 +50,7 @@ from .spectra import (
     make_log_grid,
     read_asd_csv,
     write_budget_csv,
+    write_csv,
     zero_spectrum,
 )
 from .suspension import (
@@ -289,14 +289,6 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_csv(path, header, columns):
-    data = np.column_stack(columns)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in data:
-            fh.write(",".join(CSV_FORMAT % v for v in row) + "\n")
-
-
 def _quantum_config(scenario):
     return qn.QuantumConfig(
         cavity=scenario.cavity,
@@ -420,7 +412,7 @@ def run_budget(scenario, outdir):
     write_budget_csv(os.path.join(outdir, "budget.csv"), budget)
 
     rms = cumulative_rms(budget.total)
-    _write_csv(
+    write_csv(
         os.path.join(outdir, "budget_rms.csv"),
         ["frequency_hz", "rms_m"],
         [scenario.grid.values, rms.asd],
@@ -478,7 +470,7 @@ def run_suspension_tf(scenario, outdir):
         peak = mag.max()
         header.append("magnitude_normalized")
         columns.append(mag / peak if peak > 0.0 else mag)
-    _write_csv(os.path.join(outdir, "suspension_tf.csv"), header, columns)
+    write_csv(os.path.join(outdir, "suspension_tf.csv"), header, columns)
 
     modes = eigenmodes(build_model(scenario.chain, HORIZONTAL))
     write_mode_table(os.path.join(outdir, "modes.csv"), modes)
@@ -518,12 +510,12 @@ def run_isolation(scenario, outdir):
 
     passive = Spectrum(grid, np.abs(result.passive) * scenario.ground.asd, UNIT_DISPLACEMENT)
     active = Spectrum(grid, np.abs(result.suppression) * scenario.ground.asd, UNIT_DISPLACEMENT)
-    _write_csv(
+    write_csv(
         os.path.join(outdir, "isolation.csv"),
         ["frequency_hz", "ground", "payload_passive", "payload_active"],
         [grid.values, scenario.ground.asd, passive.asd, active.asd],
     )
-    _write_csv(
+    write_csv(
         os.path.join(outdir, "isolation_rms.csv"),
         ["frequency_hz", "rms_passive_m", "rms_active_m"],
         [grid.values, cumulative_rms(passive).asd, cumulative_rms(active).asd],
@@ -565,7 +557,7 @@ def run_quantum_design(scenario, outdir):
         raise ConfigError("quantum design needs a positive circulating power")
     config = _quantum_config(scenario)
     budget = qn.quantum_noise_psd(config, grid)
-    _write_csv(
+    write_csv(
         os.path.join(outdir, "quantum.csv"),
         ["frequency_hz", "shot_noise", "radiation_pressure", "sql", "total"],
         [

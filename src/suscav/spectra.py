@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import csv
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +38,11 @@ UNITS = frozenset({
 
 # 17 significant digits round-trip any IEEE double exactly.
 CSV_FORMAT = "%.17g"
+
+# Rows formatted per `%` operation in write_csv.  Blocks of 1024 rows
+# format as fast as 4096-row ones and keep a block's Python floats and
+# text well under 1 MB at 12 columns, so writing adds no peak memory.
+CSV_BLOCK_ROWS = 1024
 
 
 def _frozen_array(values, dtype=float):
@@ -225,49 +230,94 @@ class NoiseBudget:
         return self.total.unit
 
 
+def write_csv(path, header, columns):
+    """Write equal-length `columns` under `header`, one LF-ended line per row.
+
+    Numeric columns are written with CSV_FORMAT, so every double reads back
+    bit-exact; any other column (text) with %s.  Rows are formatted a block
+    of CSV_BLOCK_ROWS at a time, so the whole table is never held as
+    Python objects.
+    """
+    columns = [np.asarray(c) for c in columns]
+    row = ",".join(
+        CSV_FORMAT if np.issubdtype(c.dtype, np.number) else "%s" for c in columns
+    ) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = np.array(
+                [c[start:start + CSV_BLOCK_ROWS] for c in columns], dtype=object
+            ).T
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_budget_csv(path, budget):
     """CSV with header `frequency_hz,<component>...,total`, full precision."""
     names = list(budget.components) + list(budget.references)
     columns = [budget.components.get(n) or budget.references[n] for n in names]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz"] + names + ["total"])
-        f = budget.grid.values
-        data = np.column_stack([f] + [c.asd for c in columns] + [budget.total.asd])
-        for row in data:
-            writer.writerow([CSV_FORMAT % v for v in row])
+    write_csv(
+        path,
+        ["frequency_hz"] + names + ["total"],
+        [budget.grid.values] + [c.asd for c in columns] + [budget.total.asd],
+    )
+
+
+def _read_csv(path, usecols=None):
+    """(header names, float rows) of a CSV file with a frequency first column.
+
+    Every malformed input raises ConfigError naming the file: a cell that
+    is not a number, a row with fewer than two columns, no data rows, a
+    NaN or infinite value, or a frequency that appears twice.
+    """
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        with warnings.catch_warnings():
+            # an empty body is rejected below, with the file name
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            try:
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                  usecols=usecols)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+    if data.shape[0] == 0:
+        raise ConfigError(f"{path}: no data rows")
+    if data.shape[1] < 2:
+        raise ConfigError(f"{path}: rows need at least two columns")
+    finite = np.all(np.isfinite(data), axis=1)
+    if not np.all(finite):
+        raise ConfigError(
+            f"{path}: non-finite value in data row {np.argmin(finite) + 1}"
+        )
+    f = np.sort(data[:, 0])
+    repeated = f[1:][f[1:] == f[:-1]]
+    if repeated.size:
+        raise ConfigError(f"{path}: duplicate frequency {repeated[0]!r} Hz")
+    return header, data
 
 
 def read_budget_csv(path):
     """Inverse of `write_budget_csv`: (grid, {name: asd array})."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not header or header[0] != "frequency_hz":
+    header, data = _read_csv(path)
+    if header[0] != "frequency_hz":
         raise ConfigError(f"{path}: expected a frequency_hz leading column")
-    data = np.array(rows)
-    grid = FrequencyGrid(data[:, 0])
+    if len(header) != data.shape[1]:
+        raise ConfigError(
+            f"{path}: header names {len(header)} columns, rows have {data.shape[1]}"
+        )
+    try:
+        grid = FrequencyGrid(data[:, 0])
+    except GridError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     return grid, {name: data[:, i + 1] for i, name in enumerate(header[1:])}
 
 
-def write_spectrum_csv(path, spectrum, value_column="asd"):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz", value_column])
-        for f, a in zip(spectrum.grid.values, spectrum.asd):
-            writer.writerow([CSV_FORMAT % f, CSV_FORMAT % a])
-
-
 def read_asd_csv(path):
-    """Two-column `frequency_hz,<value>` file -> (freqs, values) arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header
-        rows = [[float(v) for v in row[:2]] for row in reader if row]
-    if not rows:
-        raise ConfigError(f"{path}: no data rows")
-    data = np.array(rows)
+    """Two-column `frequency_hz,<value>` file -> (freqs, values) arrays.
+
+    Columns past the second are ignored; rows are returned sorted by
+    frequency.
+    """
+    _, data = _read_csv(path, usecols=(0, 1))
     order = np.argsort(data[:, 0])
     return data[order, 0], data[order, 1]
 

@@ -24,14 +24,13 @@ NumericalError naming that frequency; no response returns NaN.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import G_STD
 from .errors import ConfigError, GridError, NumericalError, UnitError
-from .spectra import UNIT_DISPLACEMENT, CSV_FORMAT, Spectrum
+from .spectra import UNIT_DISPLACEMENT, Spectrum, write_csv
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -447,10 +446,9 @@ def seismic_to_cavity(chain, ground, platform_tf, grid):
 
 
 def write_mode_table(path, modes):
-    """CSV sidecar: frequency_hz, q, dominant_stage."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frequency_hz", "q", "dominant_stage"])
-        for m in modes:
-            q = CSV_FORMAT % m.q if m.q is not None else "inf"
-            writer.writerow([CSV_FORMAT % m.frequency_hz, q, m.dominant_coord])
+    """CSV sidecar: frequency_hz, q, dominant_stage (q = inf when lossless)."""
+    write_csv(path, ["frequency_hz", "q", "dominant_stage"], [
+        [m.frequency_hz for m in modes],
+        [np.inf if m.q is None else m.q for m in modes],
+        [m.dominant_coord for m in modes],
+    ])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from suscav.cli import main, resolve_config
+from suscav.cli import MAX_GRID_POINTS, main, parse_grid, resolve_config
 from suscav.errors import ConfigError
 from suscav.quantum import FreeMassValidityWarning
 from suscav.scenario import (
@@ -190,6 +190,21 @@ def test_all_emitted_csvs_reparse_losslessly(default_scenario, tmp_path):
                 assert CSV_FORMAT % float(token) == token, (name, token)
 
 
+def test_emitted_csvs_end_lines_with_lf(default_scenario, tmp_path):
+    run_budget(default_scenario, tmp_path)
+    run_isolation(default_scenario, tmp_path)
+    run_quantum_design(default_scenario, tmp_path)
+    run_suspension_tf(default_scenario, tmp_path)
+    names = [n for n in sorted(os.listdir(tmp_path)) if n.endswith(".csv")]
+    assert "budget.csv" in names and "modes.csv" in names
+    for name in names:
+        assert b"\r" not in (tmp_path / name).read_bytes(), name
+    lines = (tmp_path / "modes.csv").read_text().splitlines()
+    summary = json.loads((tmp_path / "suspension_summary.json").read_text())
+    assert lines[0] == "frequency_hz,q,dominant_stage"
+    assert len(lines) == len(summary["eigenfrequencies_hz"]) + 1
+
+
 def test_deterministic_outputs(default_scenario, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -291,3 +306,36 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("suscav: ") and "absent.csv" in err
+
+    @pytest.mark.parametrize("body", [
+        "1,abc\n",
+        "1,2e-7\n3\n",
+        "",
+        "1,2e-7\n10,3e-9\n1,4e-7\n",
+        "1,2e-7\n10,nan\n",
+        "1,2e-7\n10,inf\n",
+    ], ids=["non_numeric", "one_column", "no_rows", "duplicate_frequency", "nan", "inf"])
+    def test_rejected_ground_csv_is_config_error(self, tmp_path, config_factory, capsys,
+                                                  body):
+        csv_path = tmp_path / "bad_ground.csv"
+        csv_path.write_text("frequency_hz,asd\n" + body)
+        cfg = config_factory()
+        cfg["isolation"]["ground"] = {"csv": str(csv_path)}
+        path = tmp_path / "ground.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["isolation", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("suscav: config error: ") and err.count("\n") == 1
+        assert "bad_ground.csv" in err
+
+    def test_grid_size_bounded_before_allocation(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated before the size check")
+        monkeypatch.setattr(np, "geomspace", refuse)
+        too_many = f"0.1,1e4,{MAX_GRID_POINTS + 1}"
+        with pytest.raises(ConfigError, match=str(MAX_GRID_POINTS)):
+            parse_grid(too_many)
+        code = main(["quantum", "--grid", too_many, "--out", str(tmp_path / "q")])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err

@@ -7,6 +7,8 @@ from suscav.errors import ConfigError, GridError, UnitError
 from suscav.spectra import (
     UNIT_DISPLACEMENT,
     UNIT_FREQUENCY,
+    CSV_BLOCK_ROWS,
+    CSV_FORMAT,
     FrequencyGrid,
     NoiseBudget,
     Spectrum,
@@ -19,7 +21,7 @@ from suscav.spectra import (
     read_budget_csv,
     sum_uncorrelated,
     write_budget_csv,
-    write_spectrum_csv,
+    write_csv,
     zero_spectrum,
 )
 
@@ -215,12 +217,44 @@ class TestNoiseBudget:
         assert np.array_equal(columns["total"], budget.total.asd)
 
 
+class TestCsvWriter:
+    SPECIAL = [0.0, -0.0, np.inf, 5e-324, 1.7e308, -179.99999999999997, -1e-300]
+
+    @staticmethod
+    def reference(header, columns):
+        """Per-element formatting, the writer's definition."""
+        rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+        return ",".join(header) + "\n" + "".join(
+            ",".join(CSV_FORMAT % v for v in row) + "\n" for row in rows
+        )
+
+    @pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
+                                   CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 5])
+    def test_matches_per_element_format(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        mixed = np.resize(self.SPECIAL, n) * rng.choice([1.0, -1.0], n)
+        phase = -180.0 * rng.random(n)
+        wide = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        header = ["frequency_hz", "mixed", "phase_deg", "wide"]
+        columns = [np.arange(1, n + 1) * 0.1, mixed, phase, wide]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, columns)
+        data = path.read_bytes()
+        assert b"\r" not in data
+        assert data.decode() == self.reference(header, columns)
+
+    def test_text_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, ["f", "q", "name"], [[1.5, 2.0], [np.inf, 1e3], ["upper", "mirror_a"]])
+        assert path.read_bytes() == b"f,q,name\n1.5,inf,upper\n2,1000,mirror_a\n"
+
+
 class TestCsvIngestion:
     def test_spectrum_roundtrip(self, tmp_path):
         grid = make_log_grid(1, 100, 64)
         s = flat(grid, 3.14e-9)
         path = tmp_path / "s.csv"
-        write_spectrum_csv(path, s)
+        write_csv(path, ["frequency_hz", "asd"], [grid.values, s.asd])
         f, a = read_asd_csv(path)
         assert np.array_equal(f, grid.values)
         assert np.array_equal(a, s.asd)
@@ -236,3 +270,56 @@ class TestCsvIngestion:
         grid = make_log_grid(1, 10, 5)
         with pytest.raises(ConfigError):
             interp_loglog([1.0, 2.0], [1.0, 0.0], grid)
+
+    def test_read_is_bit_exact_against_float(self, tmp_path):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2 ** 63, size=20000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        values = values[np.isfinite(values)]
+        values = values * rng.choice([1.0, -1.0], values.size)
+        values = np.concatenate([values, [5e-324, -5e-324, 1e300, -1e300, 2.2250738585072014e-308]])
+        formats = ["%.17g", "%r", "%.6e"]
+        tokens = [formats[i % 3] % v for i, v in enumerate(values.tolist())]
+        freqs = np.arange(1, len(tokens) + 1)
+        path = tmp_path / "asd.csv"
+        with open(path, "w") as fh:
+            fh.write("frequency_hz,asd\n")
+            fh.writelines(f"{f},{t}\n" for f, t in zip(freqs, tokens))
+        f, a = read_asd_csv(path)
+        assert np.array_equal(f, freqs)
+        assert a.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    def test_read_sorts_and_ignores_extra_columns(self, tmp_path):
+        path = tmp_path / "asd.csv"
+        path.write_text("frequency_hz,asd,note\n10,2,0\n1,3,0\n\n5,4,0\n")
+        f, a = read_asd_csv(path)
+        assert f.tolist() == [1.0, 5.0, 10.0]
+        assert a.tolist() == [3.0, 4.0, 2.0]
+
+
+REJECTED_BODIES = {
+    "non_numeric": "1,abc\n",
+    "one_column": "1,2\n3\n",
+    "no_rows": "",
+    "duplicate_frequency": "1,2\n5,3\n1,4\n",
+    "nan": "1,2\n2,nan\n",
+    "inf": "1,inf\n",
+    "negative_inf": "1,2\n-inf,3\n",
+}
+
+
+@pytest.mark.parametrize("body", REJECTED_BODIES.values(), ids=REJECTED_BODIES.keys())
+def test_read_asd_csv_rejects(tmp_path, body):
+    path = tmp_path / "bad_asd.csv"
+    path.write_text("frequency_hz,asd\n" + body)
+    with pytest.raises(ConfigError, match="bad_asd.csv"):
+        read_asd_csv(path)
+
+
+@pytest.mark.parametrize("body", list(REJECTED_BODIES.values()) + ["1,2,3\n"],
+                         ids=list(REJECTED_BODIES.keys()) + ["header_mismatch"])
+def test_read_budget_csv_rejects(tmp_path, body):
+    path = tmp_path / "bad_budget.csv"
+    path.write_text("frequency_hz,total\n" + body)
+    with pytest.raises(ConfigError, match="bad_budget.csv"):
+        read_budget_csv(path)
