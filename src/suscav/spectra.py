@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,13 +38,25 @@ UNITS = frozenset({
     UNIT_RELATIVE,
 })
 
-# 17 significant digits round-trip any IEEE double exactly.
+# 17 significant digits round-trip any IEEE double exactly.  This is the
+# definition of every number written to CSV: `write_csv` produces the same
+# bytes with a vectorised kernel and formats with CSV_FORMAT itself the few
+# values that the kernel leaves out.
 CSV_FORMAT = "%.17g"
 
-# Rows formatted per `%` operation in write_csv.  Blocks of 1024 rows
-# format as fast as 4096-row ones and keep a block's Python floats and
-# text well under 1 MB at 12 columns, so writing adds no peak memory.
-CSV_BLOCK_ROWS = 1024
+# Rows formatted per block in write_csv; at 12 columns a block's working
+# arrays take a few MB.
+CSV_BLOCK_ROWS = 2048
+
+# The kernel formats 1e-279 < |x| < 1e279: there the power-of-ten table,
+# every Veltkamp split and every partial product stay clear of overflow
+# and of subnormals.  0, -0, inf, nan and anything outside take
+# CSV_FORMAT.
+_FAST_EXP = 280
+# Bytes per formatted number: a NUL-padded text of at most 30 bytes, then
+# the separator.  `bytes.translate` deletes the NULs before writing.
+_CELL = 32
+_WORD = np.dtype("<u8")
 
 
 def _frozen_array(values, dtype=float):
@@ -230,25 +244,207 @@ class NoiseBudget:
         return self.total.unit
 
 
+class _KernelTables(NamedTuple):
+    pow_hi: np.ndarray        # 10**e rounded to a double, e = 16 - k
+    pow_head: np.ndarray      # Veltkamp split of pow_hi: head + tail == pow_hi
+    pow_tail: np.ndarray
+    pow_lo: np.ndarray        # the remainder 10**e - pow_hi, rounded
+    chunk_text: np.ndarray    # ASCII digits of 0..9999, four bytes in a word
+    chunk_kept: np.ndarray    # digits of a chunk left after its trailing zeros
+    keep_int: np.ndarray      # (4 words, code): byte mask of the integer digits
+    keep_frac: np.ndarray     # byte mask of the digits after the point
+    point: np.ndarray         # the "." byte
+    exp_text: np.ndarray      # (4 words, k): "0.000" prefix or "e+NNN" suffix
+    exp_code: np.ndarray      # 18 * (digits before the point), per k
+
+
+@cache
+def _kernel_tables():
+    """The %.17g kernel's lookup tables, built on first use (a few ms).
+
+    A cell is 32 bytes; byte 0 holds the sign, bytes 1-5 the "0.000" prefix
+    of fixed notation below 1, bytes 7-23 the digits before the point
+    (digit i at 7 + i), byte 7 + alen the point, bytes 8-24 the digits after
+    it (digit i at 8 + i), bytes 25-29 the exponent and byte 31 the
+    separator.  `alen` is the number of digits before the point and `nd`
+    the number of significant digits; code = 18 * alen + nd.
+    """
+    hi, lo = [], []
+    for e in range(16 - _FAST_EXP, 17 + _FAST_EXP):
+        p = 10 ** abs(e)
+        h = float(p) if e >= 0 else 1 / p         # int / int is correctly rounded
+        num, den = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((p * den - num) / den if e >= 0 else (den - num * p) / (den * p))
+    hi = np.array(hi)
+    head, tail = _split(hi)
+
+    chunk = np.arange(10_000)
+    text = np.stack([chunk // 1000, chunk // 100 % 10, chunk // 10 % 10, chunk % 10], 1)
+    trailing = sum((chunk % 10 ** i == 0).astype(np.int64) for i in range(1, 5))
+
+    alen, nd = np.divmod(np.arange(18 * 18)[:, None], 18)
+    digit = np.arange(17)
+    keep_int = np.zeros((18 * 18, _CELL), np.uint8)
+    keep_frac = np.zeros_like(keep_int)
+    point = np.zeros_like(keep_int)
+    keep_int[:, 7:24] = np.where(digit < alen, 255, 0)
+    keep_frac[:, 8:25] = np.where((digit >= alen) & (digit < nd), 255, 0)
+    point[:, 7:25] = np.where((np.arange(18) == alen) & (alen >= 1) & (alen < nd), ord("."), 0)
+
+    k = np.arange(-_FAST_EXP, _FAST_EXP + 1)
+    sci = (k < -4) | (k >= 17)
+    exp_text = np.zeros((k.size, _CELL), np.uint8)
+    for i, c in enumerate(b"0.000"):
+        exp_text[:, 1 + i] = np.where((k < 0) & (i <= -k) & ~sci, c, 0)
+    exp_text[:, 25] = np.where(sci, ord("e"), 0)
+    exp_text[:, 26] = np.where(sci, np.where(k < 0, ord("-"), ord("+")), 0)
+    exp_text[:, 27] = np.where(sci & (abs(k) >= 100), 48 + abs(k) // 100, 0)
+    exp_text[:, 28] = np.where(sci, 48 + abs(k) // 10 % 10, 0)
+    exp_text[:, 29] = np.where(sci, 48 + abs(k) % 10, 0)
+
+    tables = _KernelTables(
+        hi, head, tail, np.array(lo),
+        (text + 48).astype(np.uint8).view("<u4").ravel().astype(_WORD),
+        np.where(chunk == 0, -100, 4 - trailing).astype(np.int8),
+        *(np.ascontiguousarray(m.view(_WORD).T) for m in (keep_int, keep_frac, point, exp_text)),
+        18 * np.where(sci, 1, np.maximum(k + 1, 0)),
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _split(x):
+    """Veltkamp's split: head + tail == x, each with at most 26 significant bits."""
+    c = x * 134217729.0                            # 2**27 + 1
+    head = c - (c - x)
+    return head, x - head
+
+
+def _scaled(a, k, t):
+    """a * 10**(16 - k) as a normalised double-double (h, r).
+
+    Dekker's exact product of a with the double nearest 10**(16 - k), plus
+    a times the table's remainder; within about 1e-14 of the exact value.
+    """
+    hi, head, tail, lo = (np.take(c, _FAST_EXP - k)
+                          for c in (t.pow_hi, t.pow_head, t.pow_tail, t.pow_lo))
+    a_head, a_tail = _split(a)
+    p = a * hi
+    r = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail + a * lo
+    h = p + r
+    return h, r - (h - p)
+
+
+def _decimal(x, t):
+    """(q, k, slow): |x| ~ q * 10**(k - 16) with q a 17-digit integer.
+
+    The decimal exponent k starts as floor(log10|x|) and moves by one when
+    |x| * 10**(16 - k) falls outside [1e16, 1e17).  That product, rounded to
+    an integer, gives the 17 significant digits; its error is far below the
+    1e-9 kept from a rounding tie, so the digits are the correctly rounded
+    ones CSV_FORMAT prints.  `slow` indexes the near-ties and the values
+    outside the kernel's range; their q and k are meaningless.
+    """
+    a = np.abs(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lg = np.log10(a)
+    fast = (lg > 1 - _FAST_EXP) & (lg < _FAST_EXP - 1)
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.where(fast, lg, 0.0)).astype(np.int64)
+    h, r = _scaled(a, k, t)
+    # compare the pair (h, r) itself: h + r would round onto the bound
+    shift = ((h > 1e17) | ((h == 1e17) & (r >= 0))).astype(np.int64) - (
+        (h < 1e16) | ((h == 1e16) & (r < 0)))
+    redo = np.flatnonzero(shift)
+    if redo.size:
+        k[redo] += shift[redo]
+        h[redo], r[redo] = _scaled(a[redo], k[redo], t)
+    # h >= 2**53 is an integer, so the rounding is all in r
+    r_int = np.rint(r)
+    slow = np.flatnonzero(~fast | (np.abs(r - r_int) > 0.5 - 1e-9))
+    q = h.astype(np.int64) + r_int.astype(np.int64)
+    carry = q == 10 ** 17
+    q[carry] = 10 ** 16
+    k += carry
+    return q, k, slow
+
+
+def _format_numbers(x):
+    """(n, 4) words: the 32-byte cell of CSV_FORMAT % v for each double of x.
+
+    Values that `_decimal` leaves out are formatted with CSV_FORMAT itself.
+    """
+    t = _kernel_tables()
+    x = np.asarray(x, dtype=float).ravel()
+    q, k, slow = _decimal(x, t)
+    # four 4-digit chunks under a leading digit; int32 division is fast
+    high = q // 10 ** 8
+    low = (q - high * 10 ** 8).astype(np.int32)
+    high = high.astype(np.int32)
+    c01, c2 = np.divmod(high, 10_000)
+    c0, c1 = np.divmod(c01, 10_000)
+    c3, c4 = np.divmod(low, 10_000)
+    nd = np.maximum.reduce([np.ones_like(c0)] + [
+        np.take(t.chunk_kept, c) + 1 + 4 * i for i, c in enumerate((c1, c2, c3, c4))
+    ])
+    row = k + _FAST_EXP
+    code = np.take(t.exp_code, row) + nd
+    w0 = (c0 + 48).astype(_WORD) << _WORD.type(56)
+    w1 = np.take(t.chunk_text, c1) | np.take(t.chunk_text, c2) << _WORD.type(32)
+    w2 = np.take(t.chunk_text, c3) | np.take(t.chunk_text, c4) << _WORD.type(32)
+    s8, s56 = _WORD.type(8), _WORD.type(56)
+    cells = np.empty((x.size, 4), _WORD)
+    cells[:, 0] = ((w0 & np.take(t.keep_int[0], code)) | np.take(t.exp_text[0], row)
+                   | (x < 0).astype(_WORD) * _WORD.type(ord("-")))
+    # the digits after the point are the same bytes moved up by one
+    cells[:, 1] = ((w1 & np.take(t.keep_int[1], code)) | np.take(t.point[1], code)
+                   | ((w1 << s8 | w0 >> s56) & np.take(t.keep_frac[1], code)))
+    cells[:, 2] = ((w2 & np.take(t.keep_int[2], code)) | np.take(t.point[2], code)
+                   | ((w2 << s8 | w1 >> s56) & np.take(t.keep_frac[2], code)))
+    cells[:, 3] = (w2 >> s56 & np.take(t.keep_frac[3], code)) | np.take(t.exp_text[3], row)
+    if slow.size:
+        text = [(CSV_FORMAT % v).encode() for v in x[slow].tolist()]
+        cells[slow] = np.array(text, dtype=f"S{_CELL}").view(_WORD).reshape(-1, 4)
+    return cells
+
+
 def write_csv(path, header, columns):
     """Write equal-length `columns` under `header`, one LF-ended line per row.
 
-    Numeric columns are written with CSV_FORMAT, so every double reads back
-    bit-exact; any other column (text) with %s.  Rows are formatted a block
-    of CSV_BLOCK_ROWS at a time, so the whole table is never held as
-    Python objects.
+    A numeric column is written as doubles, each exactly as CSV_FORMAT
+    prints it, so every value reads back bit-exact; any other column is
+    text, written as str(v).  The file is UTF-8.  Rows are laid out a block
+    of CSV_BLOCK_ROWS at a time in NUL-padded cells, which are dropped
+    before the block is written.
     """
     columns = [np.asarray(c) for c in columns]
-    row = ",".join(
-        CSV_FORMAT if np.issubdtype(c.dtype, np.number) else "%s" for c in columns
-    ) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-            block = np.array(
-                [c[start:start + CSV_BLOCK_ROWS] for c in columns], dtype=object
-            ).T
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    if len(header) != len(columns):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
+    n = len(columns[0])
+    if any(len(c) != n for c in columns):
+        raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    numeric = [j for j, c in enumerate(columns) if np.issubdtype(c.dtype, np.number)]
+    text = {j: np.array([str(v).encode() for v in c.tolist()], dtype=bytes)
+            for j, c in enumerate(columns) if j not in numeric}
+    # a cell holds the longest text and its separator, in whole 8-byte words
+    width = max([_CELL] + [-(-(t.itemsize + 1) // 8) * 8 for t in text.values()])
+    separators = np.full(len(columns), ord(","), np.uint8)
+    separators[-1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            rows = min(CSV_BLOCK_ROWS, n - start)
+            block = np.zeros((rows, len(columns), width), np.uint8)
+            if numeric:
+                x = np.stack([columns[j][start:start + rows] for j in numeric], axis=1)
+                block.view(_WORD)[:, numeric, :_CELL // 8] = (
+                    _format_numbers(x).reshape(rows, len(numeric), -1))
+            for j, t in text.items():
+                block[:, j, :t.itemsize] = t[start:start + rows].view(np.uint8).reshape(rows, -1)
+            block[:, :, -1] = separators
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def write_budget_csv(path, budget):

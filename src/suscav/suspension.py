@@ -56,6 +56,12 @@ class Stage:
             or self.loss_angle < 0.0
         ):
             raise ConfigError("stiffness, damping and loss angle must be >= 0")
+        # the name becomes a field of modes.csv
+        if not isinstance(self.name, str) or any(c in self.name for c in ",\r\n\0"):
+            raise ConfigError(
+                f"stage key 'name' must be a string without ',', CR, LF or NUL, "
+                f"got {self.name!r}"
+            )
 
 
 @dataclass(frozen=True)

@@ -276,6 +276,20 @@ class TestCli:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["mirror,test", "mirror\ntest", "mirror\rtest",
+                                      "mirror\0test", 3, None])
+    def test_bad_stage_name_is_config_error(self, tmp_path, config_factory, capsys, name):
+        cfg = config_factory()
+        cfg["suspension"]["stages"][-1]["name"] = name
+        path = tmp_path / "name.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["suspension-tf", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("suscav: config error: ") and err.count("\n") == 1
+        assert "'name'" in err
+        assert not (tmp_path / "o" / "modes.csv").exists()
+
     def test_budget_refuses_unstable_loop(self, tmp_path, config_factory, capsys):
         cfg = config_factory()
         cfg["isolation"]["servo"]["gain"] = -cfg["isolation"]["servo"]["gain"]

@@ -217,36 +217,102 @@ class TestNoiseBudget:
         assert np.array_equal(columns["total"], budget.total.asd)
 
 
+def written_tokens(path, values):
+    """The tokens write_csv writes for `values` as a one-column CSV."""
+    write_csv(path, ["v"], [np.asarray(values, dtype=float)])
+    return path.read_bytes().decode().split("\n")[1:-1]
+
+
+def bit_patterns(n, seed):
+    return np.random.default_rng(seed).integers(0, 2 ** 64, n, dtype=np.uint64).view(float)
+
+
 class TestCsvWriter:
     SPECIAL = [0.0, -0.0, np.inf, 5e-324, 1.7e308, -179.99999999999997, -1e-300]
 
     @staticmethod
     def reference(header, columns):
         """Per-element formatting, the writer's definition."""
-        rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
-        return ",".join(header) + "\n" + "".join(
-            ",".join(CSV_FORMAT % v for v in row) + "\n" for row in rows
-        )
+        cells = [[CSV_FORMAT % v for v in c.tolist()] if np.issubdtype(c.dtype, np.number)
+                 else [str(v) for v in c] for c in map(np.asarray, columns)]
+        return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
 
-    @pytest.mark.parametrize("n", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS,
-                                   CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("n", sorted({1, 1023, 1024, 1025, 3077, CSV_BLOCK_ROWS - 1,
+                                          CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                          3 * CSV_BLOCK_ROWS + 5}))
     def test_matches_per_element_format(self, tmp_path, n):
         rng = np.random.default_rng(n)
         mixed = np.resize(self.SPECIAL, n) * rng.choice([1.0, -1.0], n)
         phase = -180.0 * rng.random(n)
         wide = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
-        header = ["frequency_hz", "mixed", "phase_deg", "wide"]
-        columns = [np.arange(1, n + 1) * 0.1, mixed, phase, wide]
+        # text cells longer than a number's cell, multi-byte UTF-8 included
+        names = np.array(["stage_%d" % i + "_µ" * (i % 23) for i in range(n)])
+        header = ["frequency_hz", "mixed", "name", "phase_deg", "wide", "bits"]
+        columns = [np.arange(1, n + 1) * 0.1, mixed, names, phase, wide, bit_patterns(n, n)]
         path = tmp_path / "t.csv"
         write_csv(path, header, columns)
         data = path.read_bytes()
-        assert b"\r" not in data
-        assert data.decode() == self.reference(header, columns)
+        assert b"\r" not in data and b"\0" not in data
+        assert data.decode("utf-8") == self.reference(header, columns)
 
     def test_text_column(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, ["f", "q", "name"], [[1.5, 2.0], [np.inf, 1e3], ["upper", "mirror_a"]])
         assert path.read_bytes() == b"f,q,name\n1.5,inf,upper\n2,1000,mirror_a\n"
+
+    @pytest.mark.parametrize("header, columns", [
+        (["a", "b"], [[1.0, 2.0], [1.0]]),
+        (["a", "b"], [[1.0], [1.0, 2.0]]),
+        (["a", "b", "c"], [[1.0], [2.0]]),
+        (["a"], [[1.0], [2.0]]),
+    ], ids=["second_shorter", "second_longer", "extra_name", "missing_name"])
+    def test_rejects_malformed_table(self, tmp_path, header, columns):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            write_csv(path, header, columns)
+        assert not path.exists()
+
+    # powers of ten and their neighbours, across and past the kernel's range
+    POWERS = [v for k in range(-325, 310) for p in [10.0 ** k if k < 309 else np.inf]
+              for v in (p, np.nextafter(p, 0.0), np.nextafter(p, np.inf))]
+    BOUNDARIES = [
+        # fixed/exponent switch
+        1e-5, 1e-4, 9.9999999999999991e-5, 0.0001000000000000001, 0.00012345678901234567,
+        1e16, 1e17, 9999999999999998.0, 99999999999999984.0, 1.0000000000000002e16,
+        123456789012345678.0,
+        # 3-digit exponents and the 2-digit border
+        1e99, 1e100, 1.2345e-123, 9.87e250, 1e-99, 1e-100, 2.2250738585072014e-308,
+        # doubles just below a power of ten whose 17 digits round up to it
+        1e-14, 1e98, 1e-243,
+        # exact ties at the 17th digit, rounded half to even
+        123456789012345.625, 123456789012345.375, 3 * 2.0 ** -24,
+        # text the kernel does not make
+        0.0, np.nan, np.inf, 5e-324, 4.9406564584124654e-320,
+    ]
+
+    def test_boundary_table(self, tmp_path):
+        values = np.array(self.POWERS + self.BOUNDARIES)
+        values = np.concatenate([values, -values])
+        assert written_tokens(tmp_path / "t.csv", values) == [
+            CSV_FORMAT % v for v in values.tolist()
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(
+        st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                  st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324]),
+                  st.integers(0, 2 ** 64 - 1).map(
+                      lambda b: float(np.array(b, np.uint64).view(float)))),
+        min_size=1, max_size=200))
+    def test_matches_csv_format_property(self, tmp_path_factory, values):
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        assert written_tokens(path, values) == [CSV_FORMAT % v for v in values]
+
+    def test_random_bit_patterns(self, tmp_path):
+        values = bit_patterns(50_000, 2024)
+        assert written_tokens(tmp_path / "t.csv", values) == [
+            CSV_FORMAT % v for v in values.tolist()
+        ]
 
 
 class TestCsvIngestion:
