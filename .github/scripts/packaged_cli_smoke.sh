@@ -1,0 +1,31 @@
+#!/bin/sh
+# Smoke test of an installed (non-editable) suscav, run from a directory
+# outside the checkout: every command on every shipped config, named rather
+# than given as a path so the configs must have been packaged, twice; the
+# two output trees must be byte-identical.
+#
+#   python -m pip install . && sh .github/scripts/packaged_cli_smoke.sh
+set -eu
+checkout=$(cd "$(dirname "$0")/../.." && pwd)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+cd "$work"
+unset SUSCAV_CONFIG_DIR PYTHONPATH || true
+
+module=$(python -c 'import suscav; print(suscav.__file__)')
+case "$module" in
+  "$checkout"/*)
+    echo "suscav is imported from the checkout ($module), not installed" >&2
+    exit 1 ;;
+esac
+echo "suscav from $module"
+
+for run in 1 2; do
+  for config in paper_default cryo_projection sql_design; do
+    for command in budget suspension-tf isolation quantum; do
+      suscav "$command" --config "$config" --out "run$run/$config/$command"
+    done
+  done
+done
+diff -r run1 run2
+echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs"

@@ -12,7 +12,10 @@ import json
 import math
 import os
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,28 +69,88 @@ from .suspension import (
 )
 from .thermal import ThermalConfig, thermal_displacement
 
-BUDGET_PARTS = ("seismic", "thermal", "intensity", "adc", "pll", "acoustic", "quantum")
+ROOT2 = math.sqrt(2.0)
+
+_REQUIRED = object()
 
 
-def _section(cfg, name):
-    if name not in cfg:
-        raise ConfigError(f"config section {name!r} is missing")
-    return cfg[name]
+def _is_number(value):
+    # json reads NaN and Infinity as floats; isfinite would overflow on a huge int
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and (isinstance(value, int) or math.isfinite(value)))
 
 
-def _get(section, key, where):
+def _read(section, key, where, default, ok, what):
+    """section[key] if `ok` accepts it, `default` when absent; never coerced."""
     if key not in section:
-        raise ConfigError(f"config error in {where!r}: missing key {key!r}")
-    return section[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"config error in {where!r}: missing key {key!r}")
+        return default
+    value = section[key]
+    if not ok(value):
+        raise ConfigError(f"{where}.{key} must be {what}, got {value!r}")
+    return value
+
+
+def _number(section, key, where, default=_REQUIRED):
+    return _read(section, key, where, default, _is_number, "a finite number")
+
+
+def _integer(section, key, where):
+    return int(_read(section, key, where, _REQUIRED,
+                     lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+                     "an integer"))
+
+
+def _flag(section, key, where, default):
+    return _read(section, key, where, default, lambda v: isinstance(v, bool), "true or false")
+
+
+def _object(section, key, where, default=_REQUIRED):
+    return _read(section, key, where, default, lambda v: isinstance(v, dict), "an object")
+
+
+def _path(section, key, where):
+    return _read(section, key, where, _REQUIRED, lambda v: isinstance(v, str), "a file path")
+
+
+def _entries(section, key, where, default=_REQUIRED):
+    """The objects of a list value, each with its own `where` label."""
+    items = _read(section, key, where, default, lambda v: isinstance(v, list), "a list")
+    labelled = [(f"{where}.{key}[{i}]", item) for i, item in enumerate(items)]
+    for label, item in labelled:
+        if not isinstance(item, dict):
+            raise ConfigError(f"{label} must be an object, got {item!r}")
+    return labelled
+
+
+def _section(cfg, name, default=_REQUIRED):
+    if name not in cfg and default is _REQUIRED:
+        raise ConfigError(f"config section {name!r} is missing")
+    section = cfg.get(name, default)
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {name!r} must be an object, got {section!r}")
+    return section
+
+
+def _zpk(section, key, where):
+    cfg = _object(section, key, where)
+    where = f"{where}.{key}"
+    for name in ("zeros", "poles"):
+        for label, root in _entries(cfg, name, where, []):
+            _number(root, "real", label, 0.0)
+            _number(root, "imag", label, 0.0)
+    _number(cfg, "gain", where)
+    return ZPK.from_config(cfg)
 
 
 def _build_stage(entry, where):
     return Stage(
-        mass=_get(entry, "mass_kg", where),
-        wire_length=_get(entry, "wire_length_m", where),
-        vertical_stiffness=entry.get("vertical_stiffness_n_per_m", 0.0),
-        viscous_damping_to_parent=entry.get("viscous_damping_ns_per_m", 0.0),
-        loss_angle=entry.get("loss_angle", 0.0),
+        mass=_number(entry, "mass_kg", where),
+        wire_length=_number(entry, "wire_length_m", where),
+        vertical_stiffness=_number(entry, "vertical_stiffness_n_per_m", where, 0.0),
+        viscous_damping_to_parent=_number(entry, "viscous_damping_ns_per_m", where, 0.0),
+        loss_angle=_number(entry, "loss_angle", where, 0.0),
         name=entry.get("name", ""),
     )
 
@@ -121,125 +184,124 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, cfg, grid_override=None):
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"a config must be a JSON object, got {cfg!r}")
         if grid_override is not None:
             grid = grid_override
         else:
             g = _section(cfg, "grid")
             grid = make_log_grid(
-                _get(g, "fmin_hz", "grid"),
-                _get(g, "fmax_hz", "grid"),
-                int(_get(g, "n", "grid")),
+                _number(g, "fmin_hz", "grid"),
+                _number(g, "fmax_hz", "grid"),
+                _integer(g, "n", "grid"),
             )
 
         c = _section(cfg, "cavity")
         cav = CavityParams(
-            wavelength=_get(c, "wavelength_m", "cavity"),
-            length=_get(c, "length_m", "cavity"),
-            input_transmission=_get(c, "input_transmission", "cavity"),
-            end_transmission=c.get("end_transmission", 0.0),
-            excess_loss=c.get("excess_loss", 0.0),
-            mirror_mass=_get(c, "mirror_mass_kg", "cavity"),
-            input_power=c.get("input_power_w", 0.0),
+            wavelength=_number(c, "wavelength_m", "cavity"),
+            length=_number(c, "length_m", "cavity"),
+            input_transmission=_number(c, "input_transmission", "cavity"),
+            end_transmission=_number(c, "end_transmission", "cavity", 0.0),
+            excess_loss=_number(c, "excess_loss", "cavity", 0.0),
+            mirror_mass=_number(c, "mirror_mass_kg", "cavity"),
+            input_power=_number(c, "input_power_w", "cavity", 0.0),
         )
 
         s = _section(cfg, "suspension")
-        stages = tuple(
-            _build_stage(e, "suspension.stages") for e in _get(s, "stages", "suspension")
-        )
-        final = _build_stage(_get(s, "final_stage", "suspension"), "suspension.final_stage")
+        stages = tuple(_build_stage(e, label) for label, e in _entries(s, "stages", "suspension"))
+        final = _build_stage(_object(s, "final_stage", "suspension"), "suspension.final_stage")
         chain = SuspensionChain(
             stages=stages,
             final_stages=(final, final),
-            stiffness_mismatch=s.get("stiffness_mismatch", 0.01),
-            vertical_coupling=s.get("vertical_coupling", 1e-3),
+            stiffness_mismatch=_number(s, "stiffness_mismatch", "suspension", 0.01),
+            vertical_coupling=_number(s, "vertical_coupling", "suspension", 1e-3),
         )
 
         t = _section(cfg, "thermal")
-        thermal_cfg = ThermalConfig(temperature=_get(t, "temperature_k", "thermal"))
+        thermal_cfg = ThermalConfig(temperature=_number(t, "temperature_k", "thermal"))
 
         iso = _section(cfg, "isolation")
-        p = _get(iso, "platform", "isolation")
+        where = "isolation.platform"
+        p = _object(iso, "platform", "isolation")
         platform = PlatformParams(
-            payload_mass=_get(p, "payload_mass_kg", "isolation.platform"),
-            horizontal_resonance=_get(p, "horizontal_resonance_hz", "isolation.platform"),
-            vertical_resonance=_get(p, "vertical_resonance_hz", "isolation.platform"),
-            quality_factor=_get(p, "quality_factor", "isolation.platform"),
+            payload_mass=_number(p, "payload_mass_kg", where),
+            horizontal_resonance=_number(p, "horizontal_resonance_hz", where),
+            vertical_resonance=_number(p, "vertical_resonance_hz", where),
+            quality_factor=_number(p, "quality_factor", where),
         )
-        a = _get(iso, "actuator", "isolation")
+        where = "isolation.actuator"
+        a = _object(iso, "actuator", "isolation")
         actuator = ActuatorParams(
-            coil_resistance=_get(a, "coil_resistance_ohm", "isolation.actuator"),
-            coil_inductance=_get(a, "coil_inductance_h", "isolation.actuator"),
-            force_constant=_get(a, "force_constant_n_per_a", "isolation.actuator"),
+            coil_resistance=_number(a, "coil_resistance_ohm", where),
+            coil_inductance=_number(a, "coil_inductance_h", where),
+            force_constant=_number(a, "force_constant_n_per_a", where),
         )
-        geo = _get(iso, "geophone", "isolation")
+        where = "isolation.geophone"
+        geo = _object(iso, "geophone", "isolation")
         geophone = GeophoneParams(
-            natural_frequency=_get(geo, "natural_frequency_hz", "isolation.geophone"),
-            generator_constant=_get(geo, "generator_constant_v_per_m_s", "isolation.geophone"),
-            quality_factor=geo.get("quality_factor", 0.3),
+            natural_frequency=_number(geo, "natural_frequency_hz", where),
+            generator_constant=_number(geo, "generator_constant_v_per_m_s", where),
+            quality_factor=_number(geo, "quality_factor", where, 0.3),
         )
-        try:
-            servo = ZPK.from_config(_get(iso, "servo", "isolation"))
-        except KeyError as exc:
-            raise ConfigError(f"config error in 'isolation.servo': missing {exc}") from exc
+        servo = _zpk(iso, "servo", "isolation")
 
-        gsec = _get(iso, "ground", "isolation")
+        gsec = _object(iso, "ground", "isolation")
         if "csv" in gsec:
-            f_src, a_src = read_asd_csv(gsec["csv"])
+            f_src, a_src = read_asd_csv(_path(gsec, "csv", "isolation.ground"))
             ground_asd = interp_loglog(f_src, a_src, grid)
         else:
-            level = _get(gsec, "level_m_rthz", "isolation.ground")
-            corner = gsec.get("corner_hz", 1.0)
+            level = _number(gsec, "level_m_rthz", "isolation.ground")
+            corner = _number(gsec, "corner_hz", "isolation.ground", 1.0)
             ground_asd = level * np.minimum(1.0, (corner / grid.values) ** 2)
         ground = Spectrum(grid, ground_asd, UNIT_DISPLACEMENT)
 
         r = _section(cfg, "readout")
-        try:
-            whitening = ZPK.from_config(_get(r, "whitening", "readout"))
-        except KeyError as exc:
-            raise ConfigError(f"config error in 'readout.whitening': missing {exc}") from exc
         readout = ReadoutConfig(
-            vco_range=_get(r, "vco_range_hz", "readout"),
-            pll_noise_floor=_get(r, "pll_noise_floor_hz_rthz", "readout"),
-            adc_bits=int(_get(r, "adc_bits", "readout")),
-            adc_fullscale=_get(r, "adc_fullscale_vpp", "readout"),
-            sample_rate=_get(r, "sample_rate_hz", "readout"),
-            whitening=whitening,
-            volts_to_hz=_get(r, "volts_to_hz", "readout"),
+            vco_range=_number(r, "vco_range_hz", "readout"),
+            pll_noise_floor=_number(r, "pll_noise_floor_hz_rthz", "readout"),
+            adc_bits=_integer(r, "adc_bits", "readout"),
+            adc_fullscale=_number(r, "adc_fullscale_vpp", "readout"),
+            sample_rate=_number(r, "sample_rate_hz", "readout"),
+            whitening=_zpk(r, "whitening", "readout"),
+            volts_to_hz=_number(r, "volts_to_hz", "readout"),
         )
 
         i = _section(cfg, "intensity")
-        rin_spec = _get(i, "rin_per_rthz", "intensity")
+        rin_spec = _read(i, "rin_per_rthz", "intensity", _REQUIRED,
+                         lambda v: _is_number(v) or isinstance(v, dict),
+                         'a finite number or {"csv": path}')
         if isinstance(rin_spec, dict):
-            f_src, a_src = read_asd_csv(rin_spec["csv"])
+            f_src, a_src = read_asd_csv(_path(rin_spec, "csv", "intensity.rin_per_rthz"))
             rin_asd = interp_loglog(f_src, a_src, grid)
         else:
             rin_asd = np.full(len(grid), float(rin_spec))
-        iss = i.get("iss", {})
-        iss_enabled = bool(iss.get("enabled", True))
-        iss_peak = iss.get("peak_suppression", 5.0)
-        iss_band = tuple(iss.get("band_hz", (30.0, 100.0)))
+        iss = _object(i, "iss", "intensity", {})
+        iss_band = _read(iss, "band_hz", "intensity.iss", (30.0, 100.0),
+                         lambda v: isinstance(v, list) and len(v) == 2
+                         and all(map(_is_number, v)), "a list of two numbers")
 
-        ac = cfg.get("acoustic", {})
         peaks = tuple(
             AcousticPeak(
-                center=_get(e, "center_hz", "acoustic.peaks"),
-                width=_get(e, "width_hz", "acoustic.peaks"),
-                height=_get(e, "height_m_rthz", "acoustic.peaks"),
+                center=_number(e, "center_hz", label),
+                width=_number(e, "width_hz", label),
+                height=_number(e, "height_m_rthz", label),
             )
-            for e in ac.get("peaks", [])
+            for label, e in _entries(_section(cfg, "acoustic", {}), "peaks", "acoustic", [])
         )
 
         q = _section(cfg, "quantum")
-        target = q.get("power_for_sql_at_hz")
-        pole_model = q.get("pole_model", qn.POLE_INPUT)
+        target = _read(q, "power_for_sql_at_hz", "quantum", None,
+                       lambda v: v is None or _is_number(v), "a finite number or null")
+        pole_model = _read(q, "pole_model", "quantum", qn.POLE_INPUT,
+                           lambda v: v in (qn.POLE_INPUT, qn.POLE_TOTAL),
+                           f"{qn.POLE_INPUT!r} or {qn.POLE_TOTAL!r}")
         if target is not None:
             power = qn.power_for_sql(cav, target, pole_model=pole_model)
         else:
-            power = _get(q, "circulating_power_w", "quantum")
+            power = _number(q, "circulating_power_w", "quantum")
 
-        include = dict.fromkeys(BUDGET_PARTS, True)
-        include.update(cfg.get("budget", {}).get("include", {}))
-        unknown = set(include) - set(BUDGET_PARTS)
+        given = _object(_section(cfg, "budget", {}), "include", "budget", {})
+        unknown = set(given) - set(BUDGET_PARTS)
         if unknown:
             raise ConfigError(f"unknown budget components {sorted(unknown)}")
 
@@ -255,17 +317,18 @@ class Scenario:
             ground=ground,
             readout=readout,
             rin_asd=rin_asd,
-            iss_enabled=iss_enabled,
-            iss_peak=iss_peak,
-            iss_band=iss_band,
+            iss_enabled=_flag(iss, "enabled", "intensity.iss", True),
+            iss_peak=_number(iss, "peak_suppression", "intensity.iss", 5.0),
+            iss_band=tuple(iss_band),
             acoustic=peaks,
             quantum_power=power,
             quantum_target_hz=target,
-            validity_floor_hz=q.get("validity_floor_hz", 10.0),
+            validity_floor_hz=_number(q, "validity_floor_hz", "quantum", 10.0),
             pole_model=pole_model,
-            isolation_active=bool(iso.get("active", True)),
-            include=include,
-            tf_normalize=bool(cfg.get("suspension_tf", {}).get("normalize", False)),
+            isolation_active=_flag(iso, "active", "isolation", True),
+            include={k: _flag(given, k, "budget.include", True) for k in BUDGET_PARTS},
+            tf_normalize=_flag(_section(cfg, "suspension_tf", {}), "normalize",
+                               "suspension_tf", False),
         )
 
 
@@ -315,90 +378,88 @@ def platform_suppression_tf(scenario, grid, axis=HORIZONTAL):
     return result.suppression
 
 
+class _Shared:
+    """Responses terms share, each computed on first use; arrays only."""
+
+    def __init__(self, scenario, grid):
+        self.scenario, self.grid = scenario, grid
+
+    @cached_property
+    def horizontal(self):
+        return build_model(self.scenario.chain, HORIZONTAL)
+
+    @cached_property
+    def chi(self):
+        return mirror_force_susceptibility(self.horizontal, self.grid)
+
+    @cached_property
+    def intensity(self):
+        s, grid = self.scenario, self.grid
+        return IntensityNoiseConfig(
+            rin=Spectrum(grid, s.rin_asd, UNIT_RELATIVE),
+            iss_suppression=iss_profile(grid, s.iss_peak, s.iss_band),
+            circulating_power=s.quantum_power,
+            susceptibility=self.chi,
+        )
+
+
+def _seismic(s, grid, shared):
+    horiz = seismic_to_cavity(shared.horizontal, s.ground, platform_suppression_tf(s, grid), grid)
+    vert_tf = tf_suspoint_to_mirror(build_model(s.chain, VERTICAL), grid)
+    vert_plat = platform_suppression_tf(s, grid, axis=VERTICAL)
+    vert_asd = np.abs(vert_plat * vert_tf) * s.chain.vertical_coupling * s.ground.asd
+    return Spectrum.from_psd(grid, 2.0 * (horiz.psd + vert_asd ** 2), UNIT_DISPLACEMENT)
+
+
+def _quantum_total(s, grid, shared):
+    if s.quantum_power > 0.0:
+        return qn.quantum_noise_psd(_quantum_config(s), grid).total
+    return zero_spectrum(grid, UNIT_DISPLACEMENT)
+
+
+class Term(NamedTuple):
+    """One budget column, like a pygwinc `nb.Noise` node: `calc` gives its ASD,
+    `switch` is its `budget.include` key (None: always on), `in_total` puts
+    it in the total, else among the references."""
+
+    column: str
+    switch: str | None
+    calc: Callable
+    in_total: Callable = lambda s: True
+
+
+# Per-cavity terms enter the two-cavity beat uncorrelated, hence sqrt(2); the
+# readout (ADC, PLL) enters once; quantum traces are single-cavity references,
+# and with every switch off the total is the SQL.  Row order is column order.
+TERMS = (
+    Term("seismic", "seismic", _seismic),
+    Term("suspension_thermal", "thermal", lambda s, grid, shared: thermal_displacement(
+        s.thermal, shared.chi, grid, differential=True).scaled(ROOT2)),
+    Term("intensity_rp_iss_on", "intensity", lambda s, grid, shared: intensity_rp_displacement(
+        shared.intensity, grid, iss_on=True).scaled(ROOT2), lambda s: s.iss_enabled),
+    Term("intensity_rp_iss_off", "intensity", lambda s, grid, shared: intensity_rp_displacement(
+        shared.intensity, grid, iss_on=False).scaled(ROOT2), lambda s: not s.iss_enabled),
+    Term("adc", "adc", lambda s, grid, shared: adc_noise_asd(s.readout, s.cavity, grid)),
+    Term("pll", "pll", lambda s, grid, shared: pll_noise_asd(s.readout, s.cavity, grid)),
+    Term("acoustic", "acoustic", lambda s, grid, shared: acoustic_peaks(s.acoustic, grid)),
+    Term("quantum_total", "quantum", _quantum_total),
+    Term("sql", None, lambda s, grid, shared: qn.sql_psd(s.cavity.mirror_mass, grid)),
+)
+BUDGET_PARTS = tuple(dict.fromkeys(t.switch for t in TERMS if t.switch))
+
+
 def assemble_budget(scenario):
-    """Full displacement budget of the beat readout.
-
-    Per-cavity contributions (seismic, thermal, intensity) enter the
-    two-cavity beat as uncorrelated, hence the sqrt(2) factors; the
-    readout chain (ADC, PLL) reads the single beat note and enters once.
-    The quantum traces are single-cavity design references; the SQL curve
-    is carried as a component so a budget with everything disabled
-    reduces to it.
-    """
+    """Full displacement budget of the beat readout, one column per term.
+    A switched-off term is zeros and computes no shared response."""
     grid = scenario.grid
+    shared = _Shared(scenario, grid)
     zeros = zero_spectrum(grid, UNIT_DISPLACEMENT)
-    root2 = math.sqrt(2.0)
-
-    if scenario.include["seismic"]:
-        supp = platform_suppression_tf(scenario, grid)
-        horiz = seismic_to_cavity(scenario.chain, scenario.ground, supp, grid)
-        model_v = build_model(scenario.chain, VERTICAL)
-        vert_tf = tf_suspoint_to_mirror(model_v, grid)
-        vert_plat = platform_suppression_tf(scenario, grid, axis=VERTICAL)
-        vert_asd = (
-            np.abs(vert_plat * vert_tf)
-            * scenario.chain.vertical_coupling
-            * scenario.ground.asd
-        )
-        seismic = Spectrum.from_psd(
-            grid, 2.0 * (horiz.psd + vert_asd ** 2), UNIT_DISPLACEMENT
-        )
-    else:
-        seismic = zeros
-
-    model_h = build_model(scenario.chain, HORIZONTAL)
-
-    if scenario.include["thermal"]:
-        thermal = thermal_displacement(
-            scenario.thermal, model_h, grid, differential=True
-        ).scaled(root2)
-    else:
-        thermal = zeros
-
-    if scenario.include["intensity"]:
-        chi = mirror_force_susceptibility(model_h, grid)
-        icfg = IntensityNoiseConfig(
-            rin=Spectrum(grid, scenario.rin_asd, UNIT_RELATIVE),
-            iss_suppression=iss_profile(grid, scenario.iss_peak, scenario.iss_band),
-            circulating_power=scenario.quantum_power,
-            susceptibility=chi,
-        )
-        intensity_on = intensity_rp_displacement(icfg, grid, iss_on=True).scaled(root2)
-        intensity_off = intensity_rp_displacement(icfg, grid, iss_on=False).scaled(root2)
-    else:
-        intensity_on = intensity_off = zeros
-
-    adc = adc_noise_asd(scenario.readout, scenario.cavity, grid) \
-        if scenario.include["adc"] else zeros
-    pll = pll_noise_asd(scenario.readout, scenario.cavity, grid) \
-        if scenario.include["pll"] else zeros
-    acoustic = acoustic_peaks(scenario.acoustic, grid) \
-        if scenario.include["acoustic"] else zeros
-
-    if scenario.include["quantum"] and scenario.quantum_power > 0.0:
-        qbudget = qn.quantum_noise_psd(_quantum_config(scenario), grid)
-        quantum_total = qbudget.total
-        sql = qbudget.references["sql"]
-    else:
-        quantum_total = zeros
-        sql = qn.sql_psd(scenario.cavity.mirror_mass, grid)
-
-    active, inactive = (intensity_on, intensity_off) if scenario.iss_enabled \
-        else (intensity_off, intensity_on)
-    active_name = "intensity_rp_iss_on" if scenario.iss_enabled else "intensity_rp_iss_off"
-    inactive_name = "intensity_rp_iss_off" if scenario.iss_enabled else "intensity_rp_iss_on"
-
-    components = {
-        "seismic": seismic,
-        "suspension_thermal": thermal,
-        active_name: active,
-        "adc": adc,
-        "pll": pll,
-        "acoustic": acoustic,
-        "quantum_total": quantum_total,
-        "sql": sql,
-    }
-    return NoiseBudget.from_components(components, references={inactive_name: inactive})
+    components, references = {}, {}
+    for term in TERMS:
+        on = term.switch is None or scenario.include[term.switch]
+        target = components if term.in_total(scenario) else references
+        target[term.column] = term.calc(scenario, grid, shared) if on else zeros
+    return NoiseBudget.from_components(components, references=references)
 
 
 def _asd_at(spectrum, f):
@@ -461,7 +522,8 @@ def run_suspension_tf(scenario, outdir):
             UserWarning,
             stacklevel=2,
         )
-    h = tf_suspoint_to_differential(scenario.chain, grid)
+    model = build_model(scenario.chain, HORIZONTAL)
+    h = tf_suspoint_to_differential(model, grid)
     mag = np.abs(h)
     phase = np.degrees(np.angle(h))
     header = ["frequency_hz", "magnitude", "phase_deg"]
@@ -472,7 +534,7 @@ def run_suspension_tf(scenario, outdir):
         columns.append(mag / peak if peak > 0.0 else mag)
     write_csv(os.path.join(outdir, "suspension_tf.csv"), header, columns)
 
-    modes = eigenmodes(build_model(scenario.chain, HORIZONTAL))
+    modes = eigenmodes(model)
     write_mode_table(os.path.join(outdir, "modes.csv"), modes)
 
     f = grid.values

@@ -19,7 +19,9 @@ index; `LinearModel` enforces this), so the dynamic stiffness
 arrays, O(n_f * n) memory, rooted at the driven node: ground for the
 suspension-point transfer functions, the mirror for the force
 susceptibility.  A pivot that is exactly zero at some frequency raises
-NumericalError naming that frequency; no response returns NaN.
+NumericalError naming that frequency; no response returns NaN.  Every
+response takes a `LinearModel` from `build_model`, so a caller builds
+each axis once and shares it between responses.
 """
 
 from __future__ import annotations
@@ -415,17 +417,17 @@ def tf_suspoint_to_mirror(model, grid, mirror="a"):
     return x[idx]
 
 
-def tf_suspoint_to_differential(chain, grid):
+def tf_suspoint_to_differential(model, grid):
     """Suspension-point displacement to differential cavity displacement.
 
-    Computed as (g_a - g_b) * x_penultimate, with the leaf gains
-    g = kappa / d and their difference expanded analytically, so equal
-    final stages give an exactly zero transfer function instead of a
-    rounding residue.
+    `model` is the horizontal model, whose two mirrors hang from the
+    coordinate before mirror a.  Computed as (g_a - g_b) * x_penultimate,
+    with the leaf gains g = kappa / d and their difference expanded
+    analytically, so equal final stages give an exactly zero transfer
+    function instead of a rounding residue.
     """
-    model = build_model(chain, HORIZONTAL)
+    a, b = model.mirror_a, _mirror_index(model, "b")
     x, kap, d = _tree_solve(model, grid)
-    a, b = model.mirror_a, model.mirror_b   # both hang from coordinate a - 1
     ma, mb = model.masses[a], model.masses[b]
     diff_gain = grid.angular ** 2 * (ma * kap[b] - mb * kap[a]) / (d[a] * d[b])
     return diff_gain * x[a - 1]
@@ -438,8 +440,11 @@ def mirror_force_susceptibility(model, grid, mirror="a"):
     return x[idx]
 
 
-def seismic_to_cavity(chain, ground, platform_tf, grid):
-    """Ground ASD through platform and differential suspension TFs [m/rtHz]."""
+def seismic_to_cavity(model, ground, platform_tf, grid):
+    """Ground ASD through platform and differential suspension TFs [m/rtHz].
+
+    `model` is the horizontal model of the chain.
+    """
     if ground.unit != UNIT_DISPLACEMENT:
         raise UnitError(f"ground spectrum must be {UNIT_DISPLACEMENT!r}")
     if not ground.grid.same_as(grid):
@@ -447,7 +452,7 @@ def seismic_to_cavity(chain, ground, platform_tf, grid):
     platform_tf = np.asarray(platform_tf)
     if platform_tf.shape != grid.values.shape:
         raise GridError("platform transfer function does not match the grid")
-    h = tf_suspoint_to_differential(chain, grid)
+    h = tf_suspoint_to_differential(model, grid)
     return Spectrum(grid, np.abs(platform_tf * h) * ground.asd, UNIT_DISPLACEMENT)
 
 

@@ -1,9 +1,9 @@
 """Suspension thermal noise from the fluctuation-dissipation theorem.
 
-The displacement noise PSD is 4*kB*T*Re(Y)/omega^2 with Y the mechanical
-admittance seen by a force at the mirror.  All dissipation information
-lives in the suspension model (loss angles and dashpots); temperature is
-the only extra parameter.
+The displacement noise PSD is 4*kB*T*Re(Y)/omega^2 with Y = i*omega*chi
+the mechanical admittance seen by a force at the mirror and chi its force
+susceptibility.  All dissipation information lives in the suspension
+model (loss angles and dashpots); temperature is the only extra parameter.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import K_B
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 from .spectra import UNIT_DISPLACEMENT, Spectrum
 from .suspension import mirror_force_susceptibility
 
@@ -36,16 +36,21 @@ def mirror_admittance(model, grid, mirror="a"):
     return 1j * grid.angular * chi
 
 
-def thermal_displacement(config, model, grid, differential=False):
+def thermal_displacement(config, chi, grid, differential=False):
     """FDT displacement ASD at one mirror [m/rtHz].
 
-    With `differential=True` the two (uncorrelated) mirrors of a cavity
-    are combined, i.e. sqrt(2) times the single-mirror result; the
-    correlated path through the common penultimate mass is second order
-    in the stage mismatch and neglected.
+    `chi` is the mirror's force susceptibility x/F [m/N] on `grid` (see
+    `mirror_force_susceptibility`), so a caller that also needs chi solves
+    the model once.  With `differential=True` the two (uncorrelated)
+    mirrors of a cavity are combined, i.e. sqrt(2) times the single-mirror
+    result; the correlated path through the common penultimate mass is
+    second order in the stage mismatch and neglected.
     """
+    chi = np.asarray(chi)
+    if chi.shape != grid.values.shape:
+        raise GridError("susceptibility does not match the grid")
     omega = grid.angular
-    re_y = np.real(mirror_admittance(model, grid))
+    re_y = np.real(1j * omega * chi)
     psd = 4.0 * K_B * config.temperature * re_y / omega ** 2
     asd = np.sqrt(psd)
     if differential:

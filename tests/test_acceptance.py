@@ -43,6 +43,7 @@ from suscav.spectra import (
 from suscav.suspension import (
     build_model,
     eigenmodes,
+    mirror_force_susceptibility,
     single_oscillator,
     tf_suspoint_to_differential,
     tf_suspoint_to_mirror,
@@ -124,7 +125,7 @@ def test_criterion_3_thermal_oracle():
     c = m * (2.0 * math.pi * f0) / q
     model = single_oscillator(m, k, viscous_damping=c)
     grid = make_log_grid(f0 / 1000.0, f0 * 1000.0, 40000)
-    s = thermal_displacement(ThermalConfig(temp), model, grid)
+    s = thermal_displacement(ThermalConfig(temp), mirror_force_susceptibility(model, grid), grid)
     integral = np.trapezoid(s.psd, grid.values)
     equipartition = K_B * temp / k
     frac = abs(integral - equipartition) / equipartition
@@ -149,10 +150,11 @@ def test_criterion_4_suspension_shape():
     # first resonance is at 0.74 Hz; the +2 asymptote is measured well
     # below it (0.10-0.25 Hz) where pole corrections stay inside +/-10%
     grid_lo = make_log_grid(0.1, 0.25, 40)
-    h = tf_suspoint_to_differential(chain, grid_lo)
+    h = tf_suspoint_to_differential(build_model(chain, "horizontal"), grid_lo)
     slope_lo = np.polyfit(np.log10(grid_lo.values), np.log10(np.abs(h)), 1)[0]
 
-    h_zero = tf_suspoint_to_differential(default_chain(eps=0.0), make_log_grid(0.1, 1e4, 400))
+    h_zero = tf_suspoint_to_differential(build_model(default_chain(eps=0.0), "horizontal"),
+                                         make_log_grid(0.1, 1e4, 400))
     identically_zero = bool(np.all(h_zero == 0.0))
 
     grid_hi = make_log_grid(30.0, 100.0, 120)

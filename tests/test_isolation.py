@@ -20,7 +20,7 @@ from suscav.spectra import (
     band_rms,
     make_log_grid,
 )
-from suscav.suspension import seismic_to_cavity
+from suscav.suspension import build_model, seismic_to_cavity
 from tests.test_suspension import default_chain
 
 ACTUATOR_DC = 0.04106280193236715      # 1.7 / 41.4 [N/V]
@@ -226,9 +226,9 @@ class TestClosedLoop:
         # in the cavity-coupled seismic spectrum at every frequency
         result = default_loop(platform, actuator, grid_band)
         ground = ground_model(grid_band)
-        chain = default_chain()
-        active = seismic_to_cavity(chain, ground, result.suppression, grid_band)
-        passive = seismic_to_cavity(chain, ground, result.passive, grid_band)
+        model = build_model(default_chain(), "horizontal")
+        active = seismic_to_cavity(model, ground, result.suppression, grid_band)
+        passive = seismic_to_cavity(model, ground, result.passive, grid_band)
         predicted = np.abs(result.suppression) / np.abs(result.passive)
         witnessed = np.where(passive.asd > 0.0, active.asd / passive.asd, 0.0)
         ok = passive.asd > 0.0

@@ -18,7 +18,7 @@ from suscav.scenario import (
     run_quantum_design,
     run_suspension_tf,
 )
-from suscav.spectra import read_budget_csv
+from suscav.spectra import make_log_grid, read_budget_csv
 
 
 @pytest.fixture(autouse=True)
@@ -87,6 +87,99 @@ def test_iss_toggle_raises_band(config_factory):
     ratio = total_off.asd[band] / total_on.asd[band]
     assert 2.5 <= ratio.max() <= 6.0
     assert np.all(total_off.asd >= total_on.asd - 1e-30)
+
+
+@pytest.mark.parametrize("iss", [True, False])
+def test_iss_choice_sets_column_roles_and_order(config_factory, tmp_path, iss):
+    cfg = config_factory()
+    cfg["intensity"]["iss"]["enabled"] = iss
+    scenario = Scenario.from_dict(cfg, grid_override=make_log_grid(0.1, 1e4, 50))
+    budget = run_budget(scenario, tmp_path)
+    on, off = "intensity_rp_iss_on", "intensity_rp_iss_off"
+    active, inactive = (on, off) if iss else (off, on)
+    # the README order: the active intensity column third, the other last
+    expected = ["seismic", "suspension_thermal", active, "adc", "pll", "acoustic",
+                "quantum_total", "sql"]
+    assert list(budget.components) == expected
+    assert list(budget.references) == [inactive]
+    header = (tmp_path / "budget.csv").read_text().splitlines()[0].split(",")
+    assert header == ["frequency_hz"] + expected + [inactive, "total"]
+    traces = json.loads((tmp_path / "manifest.json").read_text())["traces"]
+    assert [(t["column"], t["in_total"]) for t in traces] == (
+        [(c, True) for c in expected] + [(inactive, False), ("total", False)])
+
+
+@pytest.mark.parametrize("part, columns", [
+    ("seismic", ["seismic"]),
+    ("thermal", ["suspension_thermal"]),
+    ("intensity", ["intensity_rp_iss_on", "intensity_rp_iss_off"]),
+    ("adc", ["adc"]),
+    ("pll", ["pll"]),
+    ("acoustic", ["acoustic"]),
+    ("quantum", ["quantum_total"]),
+])
+def test_switched_off_part_is_zero_and_leaves_the_rest(config_factory, part, columns):
+    grid = make_log_grid(0.1, 1e4, 200)
+
+    def traces(cfg):
+        budget = assemble_budget(Scenario.from_dict(cfg, grid_override=grid))
+        return {name: s.asd for name, s in {**budget.components, **budget.references}.items()}
+
+    full = traces(config_factory())
+    cfg = config_factory()
+    cfg["budget"] = {"include": {part: False}}
+    reduced = traces(cfg)
+    assert list(reduced) == list(full)
+    for name in full:
+        if name in columns:
+            assert np.all(reduced[name] == 0.0), name
+        else:
+            assert reduced[name].tobytes() == full[name].tobytes(), name
+
+
+def _counting(monkeypatch):
+    """Record every model build (axis) and tree solve (axis, forced)."""
+    import suscav.scenario
+    import suscav.suspension
+
+    builds, solves = [], []
+    build, solve = suscav.suspension.build_model, suscav.suspension._tree_solve
+
+    def counted_build(chain, axis):
+        builds.append(axis)
+        return build(chain, axis)
+
+    def counted_solve(model, grid, force_at=None):
+        solves.append((model.axis, force_at is not None))
+        return solve(model, grid, force_at=force_at)
+
+    for module in (suscav.scenario, suscav.suspension):
+        monkeypatch.setattr(module, "build_model", counted_build)
+    monkeypatch.setattr(suscav.suspension, "_tree_solve", counted_solve)
+    return builds, solves
+
+
+def test_budget_builds_and_solves_each_response_once(default_scenario, monkeypatch):
+    builds, solves = _counting(monkeypatch)
+    assemble_budget(default_scenario)
+    assert sorted(builds) == ["horizontal", "vertical"]
+    assert sorted(solves) == [("horizontal", False), ("horizontal", True), ("vertical", False)]
+
+
+def test_suspension_tf_builds_the_model_once(default_scenario, monkeypatch, tmp_path):
+    builds, solves = _counting(monkeypatch)
+    run_suspension_tf(default_scenario, tmp_path)
+    assert builds == ["horizontal"]
+    assert solves == [("horizontal", False)]
+
+
+def test_switched_off_parts_skip_their_responses(config_factory, monkeypatch):
+    cfg = config_factory()
+    cfg["budget"] = {"include": {"seismic": False, "thermal": False, "intensity": False}}
+    scenario = Scenario.from_dict(cfg)
+    builds, solves = _counting(monkeypatch)
+    assemble_budget(scenario)
+    assert builds == [] and solves == []
 
 
 def test_zero_mismatch_warns_and_zero_trace(config_factory, tmp_path):
@@ -219,6 +312,35 @@ def test_deterministic_outputs(default_scenario, tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
+MISTYPED = [
+    (("isolation", "platform", "quality_factor"), "10"),
+    (("thermal", "temperature_k"), "293"),
+    (("thermal", "temperature_k"), True),
+    (("thermal", "temperature_k"), float("nan")),
+    (("isolation", "ground", "level_m_rthz"), float("inf")),
+    (("cavity", "mirror_mass_kg"), None),
+    (("cavity", "length_m"), [0.095]),
+    (("suspension", "stiffness_mismatch"), "0.01"),
+    (("suspension", "stages"), 5),
+    (("suspension", "stages"), [5]),
+    (("acoustic", "peaks"), {"center_hz": 230.0}),
+    (("intensity", "iss", "band_hz"), "30"),
+    (("intensity", "iss", "band_hz"), [30.0]),
+    (("intensity", "iss", "band_hz"), [30.0, "100"]),
+    (("grid", "n"), "1000x"),
+    (("grid", "n"), 1000.5),
+    (("readout", "adc_bits"), 16.7),
+    (("intensity", "rin_per_rthz"), "abc"),
+    (("intensity", "rin_per_rthz", "csv"), 5),
+    (("isolation", "servo", "gain"), "1e10"),
+    (("quantum", "pole_model"), "bogus"),
+    (("intensity", "iss", "enabled"), "false"),
+    (("isolation", "active"), "false"),
+    (("budget", "include", "thermal"), "no"),
+    (("suspension_tf", "normalize"), "yes"),
+]
+
+
 class TestCli:
     def test_quantum_command(self, tmp_path, capsys):
         code = main(["quantum", "--out", str(tmp_path / "q")])
@@ -342,6 +464,35 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("suscav: config error: ") and err.count("\n") == 1
         assert "bad_ground.csv" in err
+
+    @pytest.mark.parametrize("path, value", MISTYPED, ids=[
+        ".".join(p) + "=" + json.dumps(v) for p, v in MISTYPED])
+    def test_mistyped_value_is_config_error(self, tmp_path, config_factory, capsys,
+                                            path, value):
+        cfg = config_factory()
+        section = cfg
+        for key in path[:-1]:
+            if not isinstance(section.get(key), dict):
+                section[key] = {}
+            section = section[key]
+        section[path[-1]] = value
+        config = tmp_path / "typed.json"
+        config.write_text(json.dumps(cfg))
+        code = main(["budget", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("suscav: config error: ") and err.count("\n") == 1
+        assert ".".join(path) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_integral_float_count_accepted(self, tmp_path, config_factory):
+        cfg = config_factory()
+        cfg["grid"]["n"] = 16.0
+        config = tmp_path / "n.json"
+        config.write_text(json.dumps(cfg))
+        assert main(["quantum", "--config", str(config), "--out", str(tmp_path / "q")]) == 0
+        rows = (tmp_path / "q" / "quantum.csv").read_text().splitlines()
+        assert len(rows) == 17
 
     def test_grid_size_bounded_before_allocation(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):

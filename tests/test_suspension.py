@@ -227,7 +227,7 @@ class TestMirrorTransferFunction:
         grid = FrequencyGrid(np.array([1.0, f, 10.0]))
         responses = (
             lambda: tf_suspoint_to_mirror(model, grid),
-            lambda: tf_suspoint_to_differential(chain, grid),
+            lambda: tf_suspoint_to_differential(model, grid),
             lambda: mirror_force_susceptibility(model, grid),
         )
         for response in responses:
@@ -245,19 +245,24 @@ class TestMirrorTransferFunction:
 
 class TestDifferentialTransferFunction:
     def test_zero_mismatch_identically_zero(self, grid_band):
-        h = tf_suspoint_to_differential(default_chain(eps=0.0), grid_band)
+        model = build_model(default_chain(eps=0.0), "horizontal")
+        h = tf_suspoint_to_differential(model, grid_band)
         assert np.all(h == 0.0)
+
+    def test_needs_the_two_mirror_model(self, grid_band):
+        with pytest.raises(ConfigError, match="mirror 'b'"):
+            tf_suspoint_to_differential(build_model(default_chain(), "vertical"), grid_band)
 
     def test_linear_in_mismatch_below_resonance(self):
         grid = make_log_grid(0.1, 0.5, 40)
-        h1 = tf_suspoint_to_differential(default_chain(eps=1e-3), grid)
-        h2 = tf_suspoint_to_differential(default_chain(eps=2e-3), grid)
+        h1 = tf_suspoint_to_differential(build_model(default_chain(eps=1e-3), "horizontal"), grid)
+        h2 = tf_suspoint_to_differential(build_model(default_chain(eps=2e-3), "horizontal"), grid)
         assert np.allclose(np.abs(h2) / np.abs(h1), 2.0, rtol=1e-2)
 
     def test_f_squared_slope_below_first_resonance(self):
         # first resonance sits at 0.74 Hz; measure well below it
         grid = make_log_grid(0.1, 0.25, 30)
-        h = tf_suspoint_to_differential(default_chain(), grid)
+        h = tf_suspoint_to_differential(build_model(default_chain(), "horizontal"), grid)
         slope = np.polyfit(np.log10(grid.values), np.log10(np.abs(h)), 1)[0]
         assert slope == pytest.approx(2.0, abs=0.2)
 
@@ -265,14 +270,14 @@ class TestDifferentialTransferFunction:
 class TestSeismicToCavity:
     def test_zero_ground_zero_output(self, grid_band):
         out = seismic_to_cavity(
-            default_chain(), zero_spectrum(grid_band, UNIT_DISPLACEMENT),
+            build_model(default_chain(), "horizontal"), zero_spectrum(grid_band, UNIT_DISPLACEMENT),
             np.ones(len(grid_band)), grid_band,
         )
         assert np.all(out.asd == 0.0)
 
     def test_symmetric_chain_zero_output(self, grid_band):
         ground = Spectrum(grid_band, np.full(len(grid_band), 1e-7), UNIT_DISPLACEMENT)
-        out = seismic_to_cavity(default_chain(eps=0.0), ground,
+        out = seismic_to_cavity(build_model(default_chain(eps=0.0), "horizontal"), ground,
                                 np.ones(len(grid_band)), grid_band)
         assert np.all(out.asd == 0.0)
 
@@ -280,11 +285,12 @@ class TestSeismicToCavity:
         other = make_log_grid(0.1, 1e4, 999)
         ground = zero_spectrum(other, UNIT_DISPLACEMENT)
         with pytest.raises(GridError):
-            seismic_to_cavity(default_chain(), ground, np.ones(999), grid_band)
+            seismic_to_cavity(build_model(default_chain(), "horizontal"), ground, np.ones(999),
+                              grid_band)
 
     def test_rms_dominated_by_low_frequency_resonances(self, grid_band):
         ground = Spectrum(grid_band, np.full(len(grid_band), 1e-7), UNIT_DISPLACEMENT)
-        out = seismic_to_cavity(default_chain(), ground,
+        out = seismic_to_cavity(build_model(default_chain(), "horizontal"), ground,
                                 np.ones(len(grid_band)), grid_band)
         rms = cumulative_rms(out)
         i10 = np.searchsorted(grid_band.values, 10.0)
@@ -375,7 +381,7 @@ class TestMpmathOracle:
         tf = tf_suspoint_to_mirror(model, grid)
         chi = mirror_force_susceptibility(model, grid)
         re_y = np.real(mirror_admittance(model, grid))
-        diff = tf_suspoint_to_differential(chain, grid) if axis == "horizontal" else None
+        diff = tf_suspoint_to_differential(model, grid) if axis == "horizontal" else None
         for i, omega in enumerate(grid.angular):
             x_sus = _dense_oracle(model, omega)
             x_force = _dense_oracle(model, omega, force_at=idx)

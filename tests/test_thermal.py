@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from suscav.constants import K_B
+from suscav.errors import GridError
 from suscav.spectra import FrequencyGrid, make_log_grid
-from suscav.suspension import single_oscillator
+from suscav.suspension import mirror_force_susceptibility, single_oscillator
 from suscav.thermal import ThermalConfig, mirror_admittance, thermal_displacement
 from tests.test_suspension import default_chain
 from suscav.suspension import build_model
@@ -72,7 +73,7 @@ class TestThermalDisplacement:
         model = single_oscillator(m, k, viscous_damping=c)
         grid = make_log_grid(5.0 / 1000.0, 5.0 * 1000.0, 40000)
         cfg = ThermalConfig(temperature=293.0)
-        s = thermal_displacement(cfg, model, grid)
+        s = thermal_displacement(cfg, mirror_force_susceptibility(model, grid), grid)
         integral = np.trapezoid(s.psd, grid.values)
         assert integral == pytest.approx(K_B * 293.0 / k, rel=0.05)
 
@@ -80,16 +81,18 @@ class TestThermalDisplacement:
         m, k = oscillator_params()
         model = single_oscillator(m, k, loss_angle=1e-4)
         grid = make_log_grid(1.0, 100.0, 50)
-        s1 = thermal_displacement(ThermalConfig(73.25), model, grid)
-        s4 = thermal_displacement(ThermalConfig(293.0), model, grid)
+        chi = mirror_force_susceptibility(model, grid)
+        s1 = thermal_displacement(ThermalConfig(73.25), chi, grid)
+        s4 = thermal_displacement(ThermalConfig(293.0), chi, grid)
         assert np.allclose(s4.asd, 2.0 * s1.asd, rtol=1e-12)
 
     def test_room_to_cryo_ratio(self):
         m, k = oscillator_params()
         model = single_oscillator(m, k, loss_angle=1e-4)
         grid = make_log_grid(1.0, 100.0, 50)
-        warm = thermal_displacement(ThermalConfig(293.0), model, grid)
-        cold = thermal_displacement(ThermalConfig(10.0), model, grid)
+        chi = mirror_force_susceptibility(model, grid)
+        warm = thermal_displacement(ThermalConfig(293.0), chi, grid)
+        cold = thermal_displacement(ThermalConfig(10.0), chi, grid)
         assert np.allclose(warm.asd, np.sqrt(29.3) * cold.asd, rtol=1e-12)
 
     def test_structural_high_frequency_slope(self):
@@ -97,7 +100,8 @@ class TestThermalDisplacement:
         m, k = oscillator_params()
         model = single_oscillator(m, k, loss_angle=1e-4)
         grid = make_log_grid(50.0, 500.0, 100)
-        s = thermal_displacement(ThermalConfig(293.0), model, grid)
+        chi = mirror_force_susceptibility(model, grid)
+        s = thermal_displacement(ThermalConfig(293.0), chi, grid)
         slope = np.polyfit(np.log10(grid.values), np.log10(s.asd), 1)[0]
         assert slope == pytest.approx(-2.5, abs=0.05)
 
@@ -105,8 +109,9 @@ class TestThermalDisplacement:
         model = build_model(default_chain(), "horizontal")
         grid = make_log_grid(1.0, 100.0, 30)
         cfg = ThermalConfig(293.0)
-        single = thermal_displacement(cfg, model, grid)
-        diff = thermal_displacement(cfg, model, grid, differential=True)
+        single = thermal_displacement(cfg, mirror_force_susceptibility(model, grid), grid)
+        diff = thermal_displacement(cfg, mirror_force_susceptibility(model, grid), grid,
+                                    differential=True)
         assert np.allclose(diff.asd, np.sqrt(2.0) * single.asd, rtol=1e-12)
 
     def test_point_local_evaluation(self):
@@ -114,8 +119,16 @@ class TestThermalDisplacement:
         m, k = oscillator_params()
         model = single_oscillator(m, k, loss_angle=1e-3)
         cfg = ThermalConfig(100.0)
-        full = thermal_displacement(cfg, model, make_log_grid(1.0, 100.0, 91))
-        lone = thermal_displacement(cfg, model, FrequencyGrid(np.array([10.0])))
+        fine, one = make_log_grid(1.0, 100.0, 91), FrequencyGrid(np.array([10.0]))
+        full = thermal_displacement(cfg, mirror_force_susceptibility(model, fine), fine)
+        lone = thermal_displacement(cfg, mirror_force_susceptibility(model, one), one)
         i = np.argmin(np.abs(full.grid.values - 10.0))
         assert full.grid.values[i] == pytest.approx(10.0, rel=1e-12)
         assert full.asd[i] == pytest.approx(lone.asd[0], rel=1e-12)
+
+    def test_susceptibility_on_another_grid_rejected(self):
+        m, k = oscillator_params()
+        model = single_oscillator(m, k, loss_angle=1e-3)
+        chi = mirror_force_susceptibility(model, make_log_grid(1.0, 100.0, 50))
+        with pytest.raises(GridError):
+            thermal_displacement(ThermalConfig(293.0), chi, make_log_grid(1.0, 100.0, 51))
