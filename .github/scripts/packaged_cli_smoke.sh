@@ -1,8 +1,9 @@
 #!/bin/sh
 # Smoke test of an installed (non-editable) suscav, run from a directory
 # outside the checkout: every command on every shipped config, named rather
-# than given as a path so the configs must have been packaged, twice; the
-# two output trees must be byte-identical.
+# than given as a path so the configs must have been packaged, and a budget
+# on a 1e5-point grid (above 16,384 points numpy evaluates some expressions
+# in place), twice; the two output trees must be byte-identical.
 #
 #   python -m pip install . && sh .github/scripts/packaged_cli_smoke.sh
 set -eu
@@ -26,6 +27,7 @@ for run in 1 2; do
       suscav "$command" --config "$config" --out "run$run/$config/$command"
     done
   done
+  suscav budget --grid 0.1,1e4,100000 --out "run$run/budget-1e5"
 done
 diff -r run1 run2
 echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs"

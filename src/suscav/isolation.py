@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
+from .spectra import FrequencyGrid
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -176,12 +178,24 @@ class GeophoneParams:
 
 @dataclass(frozen=True, eq=False)
 class LoopResult:
+    grid: FrequencyGrid
     loop_gain: np.ndarray
     suppression: np.ndarray        # ground -> payload with the loop closed
     passive: np.ndarray            # ground -> payload with the loop open
-    unity_gain_hz: tuple
-    phase_margins_deg: tuple
     poles: np.ndarray              # roots of the characteristic polynomial den + num
+
+    @cached_property
+    def _margins(self):
+        # only the isolation report reads these, so a budget never finds them
+        return _crossings(self.grid, self.loop_gain)
+
+    @property
+    def unity_gain_hz(self):
+        return self._margins[0]
+
+    @property
+    def phase_margins_deg(self):
+        return self._margins[1]
 
     @property
     def stable(self):
@@ -219,7 +233,8 @@ def closed_loop(platform, geophone, actuator, servo, grid, axis=HORIZONTAL):
     """Close the inertial loop of one axis.
 
     The loop gain is one ZPK; its frequency response gives the
-    suppression and margins, its polynomials the closed-loop poles.
+    suppression and, on first read, the unity-gain frequencies and phase
+    margins; its polynomials give the closed-loop poles.
     """
     velocity = ZPK(zeros=(0.0,), poles=(), gain=1.0)
     gain = platform.force(axis) * velocity * geophone.zpk() * servo * actuator.zpk()
@@ -232,14 +247,12 @@ def closed_loop(platform, geophone, actuator, servo, grid, axis=HORIZONTAL):
             frequency_hz=grid.values[np.nonzero(small)[0][0]],
         )
     passive = platform.passive(axis).evaluate(grid)
-    unity, margins = _crossings(grid, loop)
     num, den = gain.polynomials()
     return LoopResult(
+        grid=grid,
         loop_gain=loop,
         suppression=passive / one_plus,
         passive=passive,
-        unity_gain_hz=unity,
-        phase_margins_deg=margins,
         poles=np.roots(np.polyadd(den, num)),
     )
 

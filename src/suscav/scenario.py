@@ -144,6 +144,16 @@ def _zpk(section, key, where):
     return ZPK.from_config(cfg)
 
 
+def _csv_spectrum(section, where, grid):
+    """The ASD file named by section["csv"], log-log interpolated onto grid."""
+    path = _path(section, "csv", where)
+    f_src, a_src = read_asd_csv(path)
+    try:
+        return interp_loglog(f_src, a_src, grid)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.csv {path}: {exc}") from exc
+
+
 def _build_stage(entry, where):
     return Stage(
         mass=_number(entry, "mass_kg", where),
@@ -247,8 +257,7 @@ class Scenario:
 
         gsec = _object(iso, "ground", "isolation")
         if "csv" in gsec:
-            f_src, a_src = read_asd_csv(_path(gsec, "csv", "isolation.ground"))
-            ground_asd = interp_loglog(f_src, a_src, grid)
+            ground_asd = _csv_spectrum(gsec, "isolation.ground", grid)
         else:
             level = _number(gsec, "level_m_rthz", "isolation.ground")
             corner = _number(gsec, "corner_hz", "isolation.ground", 1.0)
@@ -271,8 +280,7 @@ class Scenario:
                          lambda v: _is_number(v) or isinstance(v, dict),
                          'a finite number or {"csv": path}')
         if isinstance(rin_spec, dict):
-            f_src, a_src = read_asd_csv(_path(rin_spec, "csv", "intensity.rin_per_rthz"))
-            rin_asd = interp_loglog(f_src, a_src, grid)
+            rin_asd = _csv_spectrum(rin_spec, "intensity.rin_per_rthz", grid)
         else:
             rin_asd = np.full(len(grid), float(rin_spec))
         iss = _object(i, "iss", "intensity", {})

@@ -105,12 +105,19 @@ class FrequencyGrid:
         return 2.0 * np.pi * self.values
 
 
+# Most points a grid may have, from `--grid` or a config's `grid.n`;
+# checked before the grid is allocated.
+MAX_GRID_POINTS = 10_000_000
+
+
 def make_log_grid(fmin, fmax, n):
     """Log-spaced grid of `n` points with exact endpoints."""
     if not (0.0 < fmin < fmax):
         raise GridError(f"need 0 < fmin < fmax, got ({fmin}, {fmax})")
     if n < 2:
         raise GridError(f"need at least 2 points, got {n}")
+    if n > MAX_GRID_POINTS:
+        raise GridError(f"n = {n} is above the limit of {MAX_GRID_POINTS} points")
     values = np.geomspace(fmin, fmax, int(n))
     values[0] = fmin
     values[-1] = fmax
@@ -461,20 +468,23 @@ def write_budget_csv(path, budget):
 def _read_csv(path, usecols=None):
     """(header names, float rows) of a CSV file with a frequency first column.
 
-    Every malformed input raises ConfigError naming the file: a cell that
-    is not a number, a row with fewer than two columns, no data rows, a
-    NaN or infinite value, or a frequency that appears twice.
+    Every malformed input raises ConfigError naming the file: bytes that
+    are not UTF-8, a cell that is not a number, a row with fewer than two
+    columns, no data rows, a NaN or infinite value, or a frequency that
+    appears twice.
     """
-    with open(path) as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        with warnings.catch_warnings():
-            # an empty body is rejected below, with the file name
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            try:
+    # UnicodeDecodeError is a ValueError, raised by readline for a bad byte
+    # in the first buffered chunk and by loadtxt for one further on
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split(",")
+            with warnings.catch_warnings():
+                # an empty body is rejected below, with the file name
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
                                   usecols=usecols)
-            except ValueError as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     if data.shape[0] == 0:
         raise ConfigError(f"{path}: no data rows")
     if data.shape[1] < 2:

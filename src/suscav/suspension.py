@@ -16,12 +16,15 @@ Every response comes from one solver, `_tree_solve`.  The springs form a
 tree (one spring above each coordinate, hung from ground or a lower
 index; `LinearModel` enforces this), so the dynamic stiffness
 -omega^2 M + i omega C + K is eliminated node by node over length-n_f
-arrays, O(n_f * n) memory, rooted at the driven node: ground for the
-suspension-point transfer functions, the mirror for the force
-susceptibility.  A pivot that is exactly zero at some frequency raises
-NumericalError naming that frequency; no response returns NaN.  Every
-response takes a `LinearModel` from `build_model`, so a caller builds
-each axis once and shares it between responses.
+arrays, rooted at the driven node: ground for the suspension-point
+transfer functions, the mirror for the force susceptibility.  Each
+response asks for the one coordinate it reads, and the solver holds
+arrays only along the path from the root to it (an O(path) working set,
+not O(n_f * n)); a spring without a dashpot has a frequency-independent
+impedance, held as one complex scalar.  A pivot that is exactly zero at
+some frequency raises NumericalError naming that frequency; no response
+returns NaN.  Every response takes a `LinearModel` from `build_model`,
+so a caller builds each axis once and shares it between responses.
 """
 
 from __future__ import annotations
@@ -345,7 +348,15 @@ def _nonzero_pivot(d, grid):
     return d
 
 
-def _tree_solve(model, grid, force_at=None):
+def _kappa(spring, omega):
+    """Impedance of one spring: a complex scalar unless it has a dashpot."""
+    kappa = spring.stiffness * (1.0 + 1j * spring.loss_angle)
+    if spring.damping:
+        kappa = kappa + 1j * omega * spring.damping
+    return kappa
+
+
+def _tree_solve(model, grid, output, force_at=None, leaves=()):
     """Solve (-omega^2 M + i omega C + K) x = b on the suspension tree.
 
     The drive is a unit displacement of the suspension point (ground) when
@@ -357,24 +368,22 @@ def _tree_solve(model, grid, force_at=None):
     and a forced root moves by 1/Z_root, so no sum can cancel the small
     dissipative part of a response.
 
-    Returns dicts keyed by coordinate: the response x, the impedance kappa
-    of the spring above each coordinate, and the pivot kappa + Z of every
-    eliminated (non-root) coordinate.
+    Only what the caller reads is held: a node's Z lives from its first
+    use until it is folded into the next node, and kappa and the pivot
+    kappa + Z are kept for the nodes between the root and `output` (the
+    back-substitution path) and for `leaves`.  Returns the response of
+    coordinate `output` and a (kappa, pivot) pair per coordinate in
+    `leaves`, each kappa being the spring towards the root.
     """
     omega = grid.angular
+    omega2 = omega ** 2
     # spring c hangs coordinate c from its parent, so the spring joining
     # two neighbouring nodes is the one of the larger index (ground is -1)
-    kap = {
-        s.child: s.stiffness * (1.0 + 1j * s.loss_angle) + 1j * omega * s.damping
-        for s in model.springs
-    }
-    z = {v: -m * omega ** 2 for v, m in enumerate(model.masses)}
+    spring = {s.child: s for s in model.springs}
     neighbours = {v: [] for v in range(-1, model.ndof)}
     for s in model.springs:
         neighbours[s.parent].append(s.child)
         neighbours[s.child].append(s.parent)
-        if s.parent == -1 and force_at is not None:
-            z[s.child] = z[s.child] + kap[s.child]   # spring to the fixed ground
 
     root = -1 if force_at is None else force_at
     towards = {root: None}      # node -> next node towards the root
@@ -385,22 +394,45 @@ def _tree_solve(model, grid, force_at=None):
                 towards[w] = v
                 order.append(w)
 
-    d = {}
+    path = []                   # root side first, ending at `output`
+    v = output
+    while v != root:
+        path.append(v)
+        v = towards[v]
+    path.reverse()
+    held_nodes = set(path) | set(leaves)
+
+    z = {}
+
+    def take(v):
+        """Z of node v, removed from `z`; a fresh node is its mass term."""
+        if v in z:
+            return z.pop(v)
+        zv = -model.masses[v] * omega2
+        if force_at is not None and spring[v].parent == -1:
+            zv = zv + _kappa(spring[v], omega)   # spring to the fixed ground
+        return zv
+
+    held = {}
     for v in reversed(order[1:]):
         q = towards[v]
-        k = kap[max(v, q)]
-        d[v] = _nonzero_pivot(k + z[v], grid)
+        k = _kappa(spring[max(v, q)], omega)
+        zv = take(v)
+        d = _nonzero_pivot(k + zv, grid)
         if q >= 0:
-            z[q] = z[q] + k * z[v] / d[v]
+            z[q] = take(q) + k * zv / d
+        if v in held_nodes:
+            held[v] = k, d
+        del k, zv, d      # freed before the next node allocates
 
     if force_at is None:
-        x = {-1: 1.0}
+        x = 1.0
     else:
-        x = {root: 1.0 / _nonzero_pivot(z[root], grid)}
-    for v in order[1:]:
-        q = towards[v]
-        x[v] = kap[max(v, q)] * x[q] / d[v]
-    return x, kap, d
+        x = 1.0 / _nonzero_pivot(take(root), grid)
+    for v in path:
+        k, d = held[v] if v in leaves else held.pop(v)
+        x = k * x / d
+    return x, [held[v] for v in leaves]
 
 
 def _mirror_index(model, mirror):
@@ -412,9 +444,8 @@ def _mirror_index(model, mirror):
 
 def tf_suspoint_to_mirror(model, grid, mirror="a"):
     """Suspension-point displacement to one mirror's displacement."""
-    idx = _mirror_index(model, mirror)
-    x, _, _ = _tree_solve(model, grid)
-    return x[idx]
+    x, _ = _tree_solve(model, grid, _mirror_index(model, mirror))
+    return x
 
 
 def tf_suspoint_to_differential(model, grid):
@@ -427,17 +458,17 @@ def tf_suspoint_to_differential(model, grid):
     function instead of a rounding residue.
     """
     a, b = model.mirror_a, _mirror_index(model, "b")
-    x, kap, d = _tree_solve(model, grid)
+    x, ((kap_a, d_a), (kap_b, d_b)) = _tree_solve(model, grid, a - 1, leaves=(a, b))
     ma, mb = model.masses[a], model.masses[b]
-    diff_gain = grid.angular ** 2 * (ma * kap[b] - mb * kap[a]) / (d[a] * d[b])
-    return diff_gain * x[a - 1]
+    diff_gain = grid.angular ** 2 * (ma * kap_b - mb * kap_a) / (d_a * d_b)
+    return diff_gain * x
 
 
 def mirror_force_susceptibility(model, grid, mirror="a"):
     """Displacement per force applied at the mirror coordinate [m/N]."""
     idx = _mirror_index(model, mirror)
-    x, _, _ = _tree_solve(model, grid, force_at=idx)
-    return x[idx]
+    x, _ = _tree_solve(model, grid, idx, force_at=idx)
+    return x
 
 
 def seismic_to_cavity(model, ground, platform_tf, grid):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from suscav.cli import MAX_GRID_POINTS, main, parse_grid, resolve_config
+from suscav.cli import main, parse_grid, resolve_config
 from suscav.errors import ConfigError
 from suscav.quantum import FreeMassValidityWarning
 from suscav.scenario import (
@@ -18,7 +18,7 @@ from suscav.scenario import (
     run_quantum_design,
     run_suspension_tf,
 )
-from suscav.spectra import make_log_grid, read_budget_csv
+from suscav.spectra import MAX_GRID_POINTS, make_log_grid, read_budget_csv
 
 
 @pytest.fixture(autouse=True)
@@ -149,9 +149,9 @@ def _counting(monkeypatch):
         builds.append(axis)
         return build(chain, axis)
 
-    def counted_solve(model, grid, force_at=None):
-        solves.append((model.axis, force_at is not None))
-        return solve(model, grid, force_at=force_at)
+    def counted_solve(model, grid, *args, **kwargs):
+        solves.append((model.axis, kwargs.get("force_at") is not None))
+        return solve(model, grid, *args, **kwargs)
 
     for module in (suscav.scenario, suscav.suspension):
         monkeypatch.setattr(module, "build_model", counted_build)
@@ -171,6 +171,17 @@ def test_suspension_tf_builds_the_model_once(default_scenario, monkeypatch, tmp_
     run_suspension_tf(default_scenario, tmp_path)
     assert builds == ["horizontal"]
     assert solves == [("horizontal", False)]
+
+
+def test_budget_never_finds_loop_crossings(default_scenario, monkeypatch, tmp_path):
+    import suscav.isolation
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("unity-gain crossings computed")
+    monkeypatch.setattr(suscav.isolation, "_crossings", refuse)
+    assemble_budget(default_scenario)
+    with pytest.raises(AssertionError, match="crossings"):
+        run_isolation(default_scenario, tmp_path)
 
 
 def test_switched_off_parts_skip_their_responses(config_factory, monkeypatch):
@@ -504,3 +515,58 @@ class TestCli:
         code = main(["quantum", "--grid", too_many, "--out", str(tmp_path / "q")])
         assert code == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_config_grid_size_bounded_before_allocation(self, tmp_path, config_factory,
+                                                        capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid allocated before the size check")
+        monkeypatch.setattr(np, "geomspace", refuse)
+        cfg = config_factory()
+        cfg["grid"]["n"] = 10 ** 12
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["quantum", "--config", str(path), "--out", str(tmp_path / "q")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("suscav: config error: ") and err.count("\n") == 1
+        assert str(MAX_GRID_POINTS) in err
+        assert not (tmp_path / "q").exists()
+
+    @pytest.mark.parametrize("rows_before", [1, 2000], ids=["first_chunk", "later"])
+    def test_non_utf8_ground_csv_is_config_error(self, tmp_path, config_factory, capsys,
+                                                 rows_before):
+        # readline decodes the first 8 KiB at once; loadtxt decodes the rest
+        rows = [b"%d,2e-7" % (i + 1) for i in range(rows_before)]
+        body = b"\n".join([b"frequency_hz,asd", *rows, b"5000,3\xb5e-9", b"6000,4e-9", b""])
+        csv_path = tmp_path / "latin1_ground.csv"
+        csv_path.write_bytes(body)
+        assert (len(body) > 8192) == (rows_before > 1)
+        cfg = config_factory()
+        cfg["isolation"]["ground"] = {"csv": str(csv_path)}
+        path = tmp_path / "ground.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["isolation", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("suscav: config error: ") and err.count("\n") == 1
+        assert "latin1_ground.csv" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("isolation.ground", "0.0"),
+        ("isolation.ground", "-2e-7"),
+        ("intensity.rin_per_rthz", "-1e-4"),
+    ])
+    def test_nonpositive_ingested_value_names_key_and_file(self, tmp_path, config_factory,
+                                                           capsys, key, value):
+        csv_path = tmp_path / "spectrum.csv"
+        csv_path.write_text(f"frequency_hz,asd\n1,2e-7\n10,{value}\n100,2e-9\n")
+        cfg = config_factory()
+        section, name = key.split(".")
+        cfg[section][name] = {"csv": str(csv_path)}
+        path = tmp_path / "ingest.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["budget", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("suscav: config error: ") and err.count("\n") == 1
+        assert f"{key}.csv" in err and str(csv_path) in err and "positive" in err

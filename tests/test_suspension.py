@@ -392,3 +392,33 @@ class TestMpmathOracle:
             if diff is not None:
                 exact = complex(x_sus[model.mirror_a] - x_sus[model.mirror_b])
                 assert diff[i] == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+class TestWorkingSet:
+    """Each response holds O(path) arrays, not every node's.
+
+    Peak traced allocation of one call, in units of one complex array on
+    the grid, the returned response included.  A solver that keeps every
+    node's impedance, kappa and pivot needs 12 to 19.5 units here.
+    """
+
+    N_POINTS = 200_000    # above numpy's in-place threshold of 16,384 complex points
+
+    @pytest.mark.parametrize("response, axis, bound", [
+        (tf_suspoint_to_differential, "horizontal", 10.0),
+        (mirror_force_susceptibility, "horizontal", 8.0),
+        (tf_suspoint_to_mirror, "vertical", 8.0),
+        (tf_suspoint_to_mirror, "horizontal", 9.0),
+    ])
+    def test_peak_allocation_bounded(self, response, axis, bound):
+        import tracemalloc
+
+        model = build_model(default_chain(), axis)
+        grid = make_log_grid(0.1, 1e4, self.N_POINTS)
+        tracemalloc.start()
+        try:
+            response(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (16 * self.N_POINTS) <= bound
