@@ -3,7 +3,8 @@
 # outside the checkout: every command on every shipped config, named rather
 # than given as a path so the configs must have been packaged, and a budget
 # on a 1e5-point grid (above 16,384 points numpy evaluates some expressions
-# in place), twice; the two output trees must be byte-identical.
+# in place), twice; the two output trees must be byte-identical.  A copy of
+# paper_default with a misspelled key must fail with one hinted line.
 #
 #   python -m pip install . && sh .github/scripts/packaged_cli_smoke.sh
 set -eu
@@ -30,4 +31,23 @@ for run in 1 2; do
   suscav budget --grid 0.1,1e4,100000 --out "run$run/budget-1e5"
 done
 diff -r run1 run2
-echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs"
+
+# a copy of paper_default with one misspelled key: exit 1, one hinted line
+python - misspelled.json <<'PY'
+import json, sys
+from importlib.resources import files
+cfg = json.loads(files("suscav").joinpath("configs", "paper_default.json").read_text())
+cfg["thermal"]["temprature_k"] = cfg["thermal"].pop("temperature_k")
+with open(sys.argv[1], "w") as fh:
+    json.dump(cfg, fh)
+PY
+code=0
+suscav budget --config misspelled.json --out misspelled 2>misspelled.err || code=$?
+if [ "$code" != 1 ] || [ "$(wc -l <misspelled.err)" -ne 1 ] \
+    || ! grep -q "did you mean" misspelled.err; then
+  echo "misspelled key: want exit 1 and one 'did you mean' line, got exit $code:" >&2
+  cat misspelled.err >&2
+  exit 1
+fi
+echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs;" \
+  "a misspelled key exits 1 with a hint"

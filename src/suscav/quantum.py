@@ -12,6 +12,7 @@ emits `FreeMassValidityWarning`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -96,11 +97,17 @@ def power_for_sql(cavity, f_target, pole_model=POLE_INPUT):
         raise ConfigError("target frequency must be positive")
     omega = 2.0 * np.pi * f_target
     gamma = _cavity_pole(cavity, pole_model)
-    return (
-        cavity.mirror_mass * cavity.length ** 2 * omega ** 2
-        * (omega ** 2 + gamma ** 2)
-        / (cavity.omega0 * cavity.input_transmission)
-    )
+    try:
+        power = (
+            cavity.mirror_mass * cavity.length ** 2 * omega ** 2
+            * (omega ** 2 + gamma ** 2)
+            / (cavity.omega0 * cavity.input_transmission)
+        )
+    except OverflowError:    # a float ** raises where * gives inf
+        power = math.inf
+    if not math.isfinite(power):
+        raise ConfigError(f"the power for the SQL at {f_target:.6g} Hz overflows")
+    return power
 
 
 def kappa_unity_frequency(config):

@@ -8,9 +8,11 @@ config produces bit-identical output files.
 
 from __future__ import annotations
 
+import difflib
 import json
 import math
 import os
+import sys
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -71,303 +73,6 @@ from .thermal import ThermalConfig, thermal_displacement
 
 ROOT2 = math.sqrt(2.0)
 
-_REQUIRED = object()
-
-
-def _is_number(value):
-    # json reads NaN and Infinity as floats; isfinite would overflow on a huge int
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and (isinstance(value, int) or math.isfinite(value)))
-
-
-def _read(section, key, where, default, ok, what):
-    """section[key] if `ok` accepts it, `default` when absent; never coerced."""
-    if key not in section:
-        if default is _REQUIRED:
-            raise ConfigError(f"config error in {where!r}: missing key {key!r}")
-        return default
-    value = section[key]
-    if not ok(value):
-        raise ConfigError(f"{where}.{key} must be {what}, got {value!r}")
-    return value
-
-
-def _number(section, key, where, default=_REQUIRED):
-    return _read(section, key, where, default, _is_number, "a finite number")
-
-
-def _integer(section, key, where):
-    return int(_read(section, key, where, _REQUIRED,
-                     lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
-                     "an integer"))
-
-
-def _flag(section, key, where, default):
-    return _read(section, key, where, default, lambda v: isinstance(v, bool), "true or false")
-
-
-def _object(section, key, where, default=_REQUIRED):
-    return _read(section, key, where, default, lambda v: isinstance(v, dict), "an object")
-
-
-def _path(section, key, where):
-    return _read(section, key, where, _REQUIRED, lambda v: isinstance(v, str), "a file path")
-
-
-def _entries(section, key, where, default=_REQUIRED):
-    """The objects of a list value, each with its own `where` label."""
-    items = _read(section, key, where, default, lambda v: isinstance(v, list), "a list")
-    labelled = [(f"{where}.{key}[{i}]", item) for i, item in enumerate(items)]
-    for label, item in labelled:
-        if not isinstance(item, dict):
-            raise ConfigError(f"{label} must be an object, got {item!r}")
-    return labelled
-
-
-def _section(cfg, name, default=_REQUIRED):
-    if name not in cfg and default is _REQUIRED:
-        raise ConfigError(f"config section {name!r} is missing")
-    section = cfg.get(name, default)
-    if not isinstance(section, dict):
-        raise ConfigError(f"config section {name!r} must be an object, got {section!r}")
-    return section
-
-
-def _zpk(section, key, where):
-    cfg = _object(section, key, where)
-    where = f"{where}.{key}"
-    for name in ("zeros", "poles"):
-        for label, root in _entries(cfg, name, where, []):
-            _number(root, "real", label, 0.0)
-            _number(root, "imag", label, 0.0)
-    _number(cfg, "gain", where)
-    return ZPK.from_config(cfg)
-
-
-def _csv_spectrum(section, where, grid):
-    """The ASD file named by section["csv"], log-log interpolated onto grid."""
-    path = _path(section, "csv", where)
-    f_src, a_src = read_asd_csv(path)
-    try:
-        return interp_loglog(f_src, a_src, grid)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}.csv {path}: {exc}") from exc
-
-
-def _build_stage(entry, where):
-    return Stage(
-        mass=_number(entry, "mass_kg", where),
-        wire_length=_number(entry, "wire_length_m", where),
-        vertical_stiffness=_number(entry, "vertical_stiffness_n_per_m", where, 0.0),
-        viscous_damping_to_parent=_number(entry, "viscous_damping_ns_per_m", where, 0.0),
-        loss_angle=_number(entry, "loss_angle", where, 0.0),
-        name=entry.get("name", ""),
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class Scenario:
-    """All parameter objects of one configured scenario."""
-
-    grid: "FrequencyGrid"
-    cavity: CavityParams
-    chain: SuspensionChain
-    thermal: ThermalConfig
-    platform: PlatformParams
-    actuator: ActuatorParams
-    geophone: GeophoneParams
-    servo: ZPK
-    ground: Spectrum
-    readout: ReadoutConfig
-    rin_asd: np.ndarray
-    iss_enabled: bool
-    iss_peak: float
-    iss_band: tuple
-    acoustic: tuple
-    quantum_power: float          # [W]; 0 disables the quantum traces
-    quantum_target_hz: float | None
-    validity_floor_hz: float
-    pole_model: str
-    isolation_active: bool
-    include: dict
-    tf_normalize: bool
-
-    @classmethod
-    def from_dict(cls, cfg, grid_override=None):
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"a config must be a JSON object, got {cfg!r}")
-        if grid_override is not None:
-            grid = grid_override
-        else:
-            g = _section(cfg, "grid")
-            grid = make_log_grid(
-                _number(g, "fmin_hz", "grid"),
-                _number(g, "fmax_hz", "grid"),
-                _integer(g, "n", "grid"),
-            )
-
-        c = _section(cfg, "cavity")
-        cav = CavityParams(
-            wavelength=_number(c, "wavelength_m", "cavity"),
-            length=_number(c, "length_m", "cavity"),
-            input_transmission=_number(c, "input_transmission", "cavity"),
-            end_transmission=_number(c, "end_transmission", "cavity", 0.0),
-            excess_loss=_number(c, "excess_loss", "cavity", 0.0),
-            mirror_mass=_number(c, "mirror_mass_kg", "cavity"),
-            input_power=_number(c, "input_power_w", "cavity", 0.0),
-        )
-
-        s = _section(cfg, "suspension")
-        stages = tuple(_build_stage(e, label) for label, e in _entries(s, "stages", "suspension"))
-        final = _build_stage(_object(s, "final_stage", "suspension"), "suspension.final_stage")
-        chain = SuspensionChain(
-            stages=stages,
-            final_stages=(final, final),
-            stiffness_mismatch=_number(s, "stiffness_mismatch", "suspension", 0.01),
-            vertical_coupling=_number(s, "vertical_coupling", "suspension", 1e-3),
-        )
-
-        t = _section(cfg, "thermal")
-        thermal_cfg = ThermalConfig(temperature=_number(t, "temperature_k", "thermal"))
-
-        iso = _section(cfg, "isolation")
-        where = "isolation.platform"
-        p = _object(iso, "platform", "isolation")
-        platform = PlatformParams(
-            payload_mass=_number(p, "payload_mass_kg", where),
-            horizontal_resonance=_number(p, "horizontal_resonance_hz", where),
-            vertical_resonance=_number(p, "vertical_resonance_hz", where),
-            quality_factor=_number(p, "quality_factor", where),
-        )
-        where = "isolation.actuator"
-        a = _object(iso, "actuator", "isolation")
-        actuator = ActuatorParams(
-            coil_resistance=_number(a, "coil_resistance_ohm", where),
-            coil_inductance=_number(a, "coil_inductance_h", where),
-            force_constant=_number(a, "force_constant_n_per_a", where),
-        )
-        where = "isolation.geophone"
-        geo = _object(iso, "geophone", "isolation")
-        geophone = GeophoneParams(
-            natural_frequency=_number(geo, "natural_frequency_hz", where),
-            generator_constant=_number(geo, "generator_constant_v_per_m_s", where),
-            quality_factor=_number(geo, "quality_factor", where, 0.3),
-        )
-        servo = _zpk(iso, "servo", "isolation")
-
-        gsec = _object(iso, "ground", "isolation")
-        if "csv" in gsec:
-            ground_asd = _csv_spectrum(gsec, "isolation.ground", grid)
-        else:
-            level = _number(gsec, "level_m_rthz", "isolation.ground")
-            corner = _number(gsec, "corner_hz", "isolation.ground", 1.0)
-            ground_asd = level * np.minimum(1.0, (corner / grid.values) ** 2)
-        ground = Spectrum(grid, ground_asd, UNIT_DISPLACEMENT)
-
-        r = _section(cfg, "readout")
-        readout = ReadoutConfig(
-            vco_range=_number(r, "vco_range_hz", "readout"),
-            pll_noise_floor=_number(r, "pll_noise_floor_hz_rthz", "readout"),
-            adc_bits=_integer(r, "adc_bits", "readout"),
-            adc_fullscale=_number(r, "adc_fullscale_vpp", "readout"),
-            sample_rate=_number(r, "sample_rate_hz", "readout"),
-            whitening=_zpk(r, "whitening", "readout"),
-            volts_to_hz=_number(r, "volts_to_hz", "readout"),
-        )
-
-        i = _section(cfg, "intensity")
-        rin_spec = _read(i, "rin_per_rthz", "intensity", _REQUIRED,
-                         lambda v: _is_number(v) or isinstance(v, dict),
-                         'a finite number or {"csv": path}')
-        if isinstance(rin_spec, dict):
-            rin_asd = _csv_spectrum(rin_spec, "intensity.rin_per_rthz", grid)
-        else:
-            rin_asd = np.full(len(grid), float(rin_spec))
-        iss = _object(i, "iss", "intensity", {})
-        iss_band = _read(iss, "band_hz", "intensity.iss", (30.0, 100.0),
-                         lambda v: isinstance(v, list) and len(v) == 2
-                         and all(map(_is_number, v)), "a list of two numbers")
-
-        peaks = tuple(
-            AcousticPeak(
-                center=_number(e, "center_hz", label),
-                width=_number(e, "width_hz", label),
-                height=_number(e, "height_m_rthz", label),
-            )
-            for label, e in _entries(_section(cfg, "acoustic", {}), "peaks", "acoustic", [])
-        )
-
-        q = _section(cfg, "quantum")
-        target = _read(q, "power_for_sql_at_hz", "quantum", None,
-                       lambda v: v is None or _is_number(v), "a finite number or null")
-        pole_model = _read(q, "pole_model", "quantum", qn.POLE_INPUT,
-                           lambda v: v in (qn.POLE_INPUT, qn.POLE_TOTAL),
-                           f"{qn.POLE_INPUT!r} or {qn.POLE_TOTAL!r}")
-        if target is not None:
-            power = qn.power_for_sql(cav, target, pole_model=pole_model)
-        else:
-            power = _number(q, "circulating_power_w", "quantum")
-
-        given = _object(_section(cfg, "budget", {}), "include", "budget", {})
-        unknown = set(given) - set(BUDGET_PARTS)
-        if unknown:
-            raise ConfigError(f"unknown budget components {sorted(unknown)}")
-
-        return cls(
-            grid=grid,
-            cavity=cav,
-            chain=chain,
-            thermal=thermal_cfg,
-            platform=platform,
-            actuator=actuator,
-            geophone=geophone,
-            servo=servo,
-            ground=ground,
-            readout=readout,
-            rin_asd=rin_asd,
-            iss_enabled=_flag(iss, "enabled", "intensity.iss", True),
-            iss_peak=_number(iss, "peak_suppression", "intensity.iss", 5.0),
-            iss_band=tuple(iss_band),
-            acoustic=peaks,
-            quantum_power=power,
-            quantum_target_hz=target,
-            validity_floor_hz=_number(q, "validity_floor_hz", "quantum", 10.0),
-            pole_model=pole_model,
-            isolation_active=_flag(iso, "active", "isolation", True),
-            include={k: _flag(given, k, "budget.include", True) for k in BUDGET_PARTS},
-            tf_normalize=_flag(_section(cfg, "suspension_tf", {}), "normalize",
-                               "suspension_tf", False),
-        )
-
-
-def load_config(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-
-
-def load_scenario(path, grid_override=None):
-    return Scenario.from_dict(load_config(path), grid_override=grid_override)
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _quantum_config(scenario):
-    return qn.QuantumConfig(
-        cavity=scenario.cavity,
-        circulating_power=scenario.quantum_power,
-        validity_floor_hz=scenario.validity_floor_hz,
-        pole_model=scenario.pole_model,
-    )
-
 
 def platform_suppression_tf(scenario, grid, axis=HORIZONTAL):
     """Ground-to-payload TF of one axis, active loop closed if enabled.
@@ -377,7 +82,7 @@ def platform_suppression_tf(scenario, grid, axis=HORIZONTAL):
     its own platform resonance.  An unstable active loop is refused:
     its passive/(1 + G) describes no physical platform.
     """
-    if not scenario.isolation_active:
+    if not scenario.config["isolation"]["active"]:
         return scenario.platform.passive(axis).evaluate(grid)
     result = closed_loop(scenario.platform, scenario.geophone, scenario.actuator,
                          scenario.servo, grid, axis=axis)
@@ -403,10 +108,11 @@ class _Shared:
     @cached_property
     def intensity(self):
         s, grid = self.scenario, self.grid
+        iss = s.config["intensity"]["iss"]
         return IntensityNoiseConfig(
             rin=Spectrum(grid, s.rin_asd, UNIT_RELATIVE),
-            iss_suppression=iss_profile(grid, s.iss_peak, s.iss_band),
-            circulating_power=s.quantum_power,
+            iss_suppression=iss_profile(grid, iss["peak_suppression"], iss["band_hz"]),
+            circulating_power=s.quantum.circulating_power,
             susceptibility=self.chi,
         )
 
@@ -420,9 +126,13 @@ def _seismic(s, grid, shared):
 
 
 def _quantum_total(s, grid, shared):
-    if s.quantum_power > 0.0:
-        return qn.quantum_noise_psd(_quantum_config(s), grid).total
+    if s.quantum.circulating_power > 0.0:
+        return qn.quantum_noise_psd(s.quantum, grid).total
     return zero_spectrum(grid, UNIT_DISPLACEMENT)
+
+
+def _iss_on(s):
+    return s.config["intensity"]["iss"]["enabled"]
 
 
 class Term(NamedTuple):
@@ -444,9 +154,9 @@ TERMS = (
     Term("suspension_thermal", "thermal", lambda s, grid, shared: thermal_displacement(
         s.thermal, shared.chi, grid, differential=True).scaled(ROOT2)),
     Term("intensity_rp_iss_on", "intensity", lambda s, grid, shared: intensity_rp_displacement(
-        shared.intensity, grid, iss_on=True).scaled(ROOT2), lambda s: s.iss_enabled),
+        shared.intensity, grid, iss_on=True).scaled(ROOT2), _iss_on),
     Term("intensity_rp_iss_off", "intensity", lambda s, grid, shared: intensity_rp_displacement(
-        shared.intensity, grid, iss_on=False).scaled(ROOT2), lambda s: not s.iss_enabled),
+        shared.intensity, grid, iss_on=False).scaled(ROOT2), lambda s: not _iss_on(s)),
     Term("adc", "adc", lambda s, grid, shared: adc_noise_asd(s.readout, s.cavity, grid)),
     Term("pll", "pll", lambda s, grid, shared: pll_noise_asd(s.readout, s.cavity, grid)),
     Term("acoustic", "acoustic", lambda s, grid, shared: acoustic_peaks(s.acoustic, grid)),
@@ -456,15 +166,291 @@ TERMS = (
 BUDGET_PARTS = tuple(dict.fromkeys(t.switch for t in TERMS if t.switch))
 
 
+def _is_number(value):
+    # json reads NaN and Infinity as floats, and an integer of any size as an int
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+# Kinds of leaf value: (accepts, description).
+NUMBER = (_is_number, "a finite number")
+INTEGER = (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), "an integer")
+FLAG = (lambda v: isinstance(v, bool), "true or false")
+PATH = (lambda v: isinstance(v, str), "a file path")
+PAIR = (lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)),
+        "a list of two numbers")
+POLE_MODEL = (lambda v: v in (qn.POLE_INPUT, qn.POLE_TOTAL),
+              f"{qn.POLE_INPUT!r} or {qn.POLE_TOTAL!r}")
+ANY = (lambda v: True, "any value")
+_REQUIRED = object()     # the default of a key that must be given
+
+
+class Key(NamedTuple):
+    """A leaf of SCHEMA: accepted values, default, parameter-object argument."""
+
+    kind: tuple
+    default: object = _REQUIRED
+    arg: str | None = None
+
+
+class Choice(tuple):
+    """A value written in one of these alternatives, sections or leaves."""
+
+
+_STAGE = {
+    "name": Key(ANY, "", "name"),   # Stage checks it: it becomes a field of modes.csv
+    "mass_kg": Key(NUMBER, arg="mass"),
+    "wire_length_m": Key(NUMBER, arg="wire_length"),
+    "vertical_stiffness_n_per_m": Key(NUMBER, 0.0, "vertical_stiffness"),
+    "viscous_damping_ns_per_m": Key(NUMBER, 0.0, "viscous_damping_to_parent"),
+    "loss_angle": Key(NUMBER, 0.0, "loss_angle"),
+}
+_ROOTS = [{"real": Key(NUMBER, 0.0), "imag": Key(NUMBER, 0.0)}]     # rad/s
+_ZPK = {"zeros": _ROOTS, "poles": _ROOTS, "gain": Key(NUMBER)}
+_CSV = {"csv": Key(PATH)}
+
+# The config in the shape of the JSON.  A section is a dict and may be left
+# out when every key in it has a default; [section] is a list of objects,
+# empty by default.  Range checks are the parameter objects' own.
+SCHEMA = {
+    "grid": {"fmin_hz": Key(NUMBER, arg="fmin"), "fmax_hz": Key(NUMBER, arg="fmax"),
+             "n": Key(INTEGER, arg="n")},
+    "cavity": {
+        "wavelength_m": Key(NUMBER, arg="wavelength"),
+        "length_m": Key(NUMBER, arg="length"),
+        "input_transmission": Key(NUMBER, arg="input_transmission"),
+        "end_transmission": Key(NUMBER, 0.0, "end_transmission"),
+        "excess_loss": Key(NUMBER, 0.0, "excess_loss"),
+        "mirror_mass_kg": Key(NUMBER, arg="mirror_mass"),
+        "input_power_w": Key(NUMBER, 0.0, "input_power"),
+    },
+    "quantum": {    # exactly one of the first two
+        "circulating_power_w": Key(NUMBER, None),
+        "power_for_sql_at_hz": Key(NUMBER, None),
+        "validity_floor_hz": Key(NUMBER, 10.0, "validity_floor_hz"),
+        "pole_model": Key(POLE_MODEL, qn.POLE_INPUT, "pole_model"),
+    },
+    "suspension": {
+        "stages": [_STAGE],
+        "final_stage": _STAGE,
+        "stiffness_mismatch": Key(NUMBER, 0.01, "stiffness_mismatch"),
+        "vertical_coupling": Key(NUMBER, 1e-3, "vertical_coupling"),
+    },
+    "thermal": {"temperature_k": Key(NUMBER, arg="temperature")},
+    "isolation": {
+        "platform": {
+            "payload_mass_kg": Key(NUMBER, arg="payload_mass"),
+            "horizontal_resonance_hz": Key(NUMBER, arg="horizontal_resonance"),
+            "vertical_resonance_hz": Key(NUMBER, arg="vertical_resonance"),
+            "quality_factor": Key(NUMBER, arg="quality_factor"),
+        },
+        "actuator": {
+            "coil_resistance_ohm": Key(NUMBER, arg="coil_resistance"),
+            "coil_inductance_h": Key(NUMBER, arg="coil_inductance"),
+            "force_constant_n_per_a": Key(NUMBER, arg="force_constant"),
+        },
+        "geophone": {
+            "natural_frequency_hz": Key(NUMBER, arg="natural_frequency"),
+            "generator_constant_v_per_m_s": Key(NUMBER, arg="generator_constant"),
+            "quality_factor": Key(NUMBER, 0.3, "quality_factor"),
+        },
+        "servo": _ZPK,
+        "ground": Choice(({"level_m_rthz": Key(NUMBER), "corner_hz": Key(NUMBER, 1.0)}, _CSV)),
+        "active": Key(FLAG, True),
+    },
+    "readout": {
+        "vco_range_hz": Key(NUMBER, arg="vco_range"),
+        "pll_noise_floor_hz_rthz": Key(NUMBER, arg="pll_noise_floor"),
+        "adc_bits": Key(INTEGER, arg="adc_bits"),
+        "adc_fullscale_vpp": Key(NUMBER, arg="adc_fullscale"),
+        "sample_rate_hz": Key(NUMBER, arg="sample_rate"),
+        "volts_to_hz": Key(NUMBER, arg="volts_to_hz"),
+        "whitening": _ZPK,
+    },
+    "intensity": {
+        "rin_per_rthz": Choice((_CSV, Key(NUMBER))),
+        "iss": {"enabled": Key(FLAG, True), "peak_suppression": Key(NUMBER, 5.0),
+                "band_hz": Key(PAIR, (30.0, 100.0))},
+    },
+    "acoustic": {"peaks": [{
+        "center_hz": Key(NUMBER, arg="center"),
+        "width_hz": Key(NUMBER, arg="width"),
+        "height_m_rthz": Key(NUMBER, arg="height"),
+    }]},
+    "budget": {"include": {part: Key(FLAG, True) for part in BUDGET_PARTS}},
+    "suspension_tf": {"normalize": Key(FLAG, False)},
+}
+
+
+def _default(node):
+    """What an absent node resolves to; _REQUIRED if it must be given."""
+    if isinstance(node, dict):
+        filled = {key: _default(sub) for key, sub in node.items()}
+        return _REQUIRED if _REQUIRED in filled.values() else filled
+    return () if isinstance(node, list) else getattr(node, "default", _REQUIRED)
+
+
+def _known(value, keys, where):
+    for key in value:
+        if key not in keys:
+            close = difflib.get_close_matches(str(key), keys, 1)
+            hint = f" (did you mean {close[0]!r}?)" if close else ""
+            raise ConfigError(f"{where or 'top level'}: unknown key {key!r}{hint}")
+
+
+def _choose(choice, value, where):
+    """The alternative `value` is written in: for an object, the first
+    section holding all its keys; else the first leaf accepting it."""
+    if isinstance(value, dict):
+        sections = [alt for alt in choice if isinstance(alt, dict)]
+        _known(value, [key for section in sections for key in section], where)
+        fits = [alt for alt in sections if value.keys() <= alt.keys()]
+    else:
+        fits = [alt for alt in choice if isinstance(alt, Key) and alt.kind[0](value)]
+    if not fits:
+        what = [a.kind[1] if isinstance(a, Key) else "{" + ", ".join(a) + "}" for a in choice]
+        raise ConfigError(f"{where} must be {' or '.join(what)}, got {value!r}")
+    return fits[0]
+
+
+def _resolve(node, value, where=""):
+    """`value` checked against the SCHEMA node, defaults filled in.
+
+    Values are never coerced.  The first fault raises a one-line
+    ConfigError naming its dotted key, e.g. isolation.servo.zeros[0].
+    """
+    if isinstance(node, Choice):
+        node = _choose(node, value, where)
+    if isinstance(node, Key):
+        if not node.kind[0](value):
+            raise ConfigError(f"{where} must be {node.kind[1]}, got {value!r}")
+        return value
+    if not isinstance(value, type(node)):
+        what = "an object" if isinstance(node, dict) else "a list"
+        raise ConfigError(f"{where or 'a config'} must be {what}, got {value!r}")
+    if isinstance(node, list):
+        return [_resolve(node[0], item, f"{where}[{i}]") for i, item in enumerate(value)]
+    _known(value, node, where)
+    resolved = {}
+    for key, sub in node.items():
+        path = f"{where}.{key}" if where else key
+        resolved[key] = _resolve(sub, value[key], path) if key in value else _default(sub)
+        if resolved[key] is _REQUIRED:
+            raise ConfigError(f"missing key {path!r}")
+    return resolved
+
+
+def _args(section, values):
+    """The parameter-object arguments of a resolved `section`."""
+    return {node.arg: values[key] for key, node in section.items()
+            if isinstance(node, Key) and node.arg}
+
+
+def _csv_spectrum(path, where, grid):
+    """The ASD file at `path`, log-log interpolated onto grid."""
+    f_src, a_src = read_asd_csv(path)
+    try:
+        return interp_loglog(f_src, a_src, grid)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.csv {path}: {exc}") from exc
+
+
+@dataclass(frozen=True, eq=False)
+class Scenario:
+    """The parameter objects of one configured scenario, and `config`: the
+    config resolved against SCHEMA, defaults filled in."""
+
+    grid: "FrequencyGrid"
+    cavity: CavityParams
+    chain: SuspensionChain
+    thermal: ThermalConfig
+    platform: PlatformParams
+    actuator: ActuatorParams
+    geophone: GeophoneParams
+    servo: ZPK
+    ground: Spectrum
+    readout: ReadoutConfig
+    rin_asd: np.ndarray
+    acoustic: tuple
+    quantum: qn.QuantumConfig     # circulating power 0 disables the quantum traces
+    config: dict
+
+    @classmethod
+    def from_dict(cls, cfg, grid_override=None):
+        schema = SCHEMA
+        if grid_override is not None and isinstance(cfg, dict) and "grid" not in cfg:
+            schema = {key: node for key, node in SCHEMA.items() if key != "grid"}
+        config = _resolve(schema, cfg)
+        grid = grid_override if grid_override is not None else make_log_grid(
+            **_args(SCHEMA["grid"], config["grid"]))
+        cavity = CavityParams(**_args(SCHEMA["cavity"], config["cavity"]))
+        s = config["suspension"]
+        final = Stage(**_args(_STAGE, s["final_stage"]))
+        chain = SuspensionChain(stages=tuple(Stage(**_args(_STAGE, e)) for e in s["stages"]),
+                                final_stages=(final, final), **_args(SCHEMA["suspension"], s))
+
+        iso, isolation = config["isolation"], SCHEMA["isolation"]
+        g, rin = iso["ground"], config["intensity"]["rin_per_rthz"]
+        ground_asd = (_csv_spectrum(g["csv"], "isolation.ground", grid) if "csv" in g else
+                      g["level_m_rthz"] * np.minimum(1.0, (g["corner_hz"] / grid.values) ** 2))
+        rin_asd = (_csv_spectrum(rin["csv"], "intensity.rin_per_rthz", grid)
+                   if isinstance(rin, dict) else np.full(len(grid), float(rin)))
+
+        q = config["quantum"]
+        power, target = q["circulating_power_w"], q["power_for_sql_at_hz"]
+        if (power is None) == (target is None):
+            raise ConfigError("quantum: give exactly one of 'circulating_power_w' "
+                              "and 'power_for_sql_at_hz'")
+        if target is not None:
+            power = qn.power_for_sql(cavity, target, pole_model=q["pole_model"])
+
+        return cls(
+            grid=grid, cavity=cavity, chain=chain, rin_asd=rin_asd, config=config,
+            thermal=ThermalConfig(**_args(SCHEMA["thermal"], config["thermal"])),
+            platform=PlatformParams(**_args(isolation["platform"], iso["platform"])),
+            actuator=ActuatorParams(**_args(isolation["actuator"], iso["actuator"])),
+            geophone=GeophoneParams(**_args(isolation["geophone"], iso["geophone"])),
+            servo=ZPK.from_config(iso["servo"]),
+            ground=Spectrum(grid, ground_asd, UNIT_DISPLACEMENT),
+            readout=ReadoutConfig(whitening=ZPK.from_config(config["readout"]["whitening"]),
+                                  **_args(SCHEMA["readout"], config["readout"])),
+            acoustic=tuple(AcousticPeak(**_args(SCHEMA["acoustic"]["peaks"][0], e))
+                           for e in config["acoustic"]["peaks"]),
+            quantum=qn.QuantumConfig(cavity=cavity, circulating_power=power,
+                                     **_args(SCHEMA["quantum"], q)),
+        )
+
+
+def load_config(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+
+
+def load_scenario(path, grid_override=None):
+    return Scenario.from_dict(load_config(path), grid_override=grid_override)
+
+
+def _write_json(path, payload):
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def assemble_budget(scenario):
     """Full displacement budget of the beat readout, one column per term.
     A switched-off term is zeros and computes no shared response."""
     grid = scenario.grid
     shared = _Shared(scenario, grid)
     zeros = zero_spectrum(grid, UNIT_DISPLACEMENT)
+    include = scenario.config["budget"]["include"]
     components, references = {}, {}
     for term in TERMS:
-        on = term.switch is None or scenario.include[term.switch]
+        on = term.switch is None or include[term.switch]
         target = components if term.in_total(scenario) else references
         target[term.column] = term.calc(scenario, grid, shared) if on else zeros
     return NoiseBudget.from_components(components, references=references)
@@ -493,7 +479,7 @@ def run_budget(scenario, outdir):
         "rms_m": report.rms_m,
         "rms_hz": report.rms_hz,
         "vco_margin_ratio": report.margin_ratio if np.isfinite(report.margin_ratio) else "unbounded",
-        "iss_enabled": scenario.iss_enabled,
+        "iss_enabled": _iss_on(scenario),
     }
     sel = (scenario.grid.values >= 100.0) & (scenario.grid.values <= 1000.0)
     if np.any(sel):
@@ -536,7 +522,7 @@ def run_suspension_tf(scenario, outdir):
     phase = np.degrees(np.angle(h))
     header = ["frequency_hz", "magnitude", "phase_deg"]
     columns = [grid.values, mag, phase]
-    if scenario.tf_normalize:
+    if scenario.config["suspension_tf"]["normalize"]:
         peak = mag.max()
         header.append("magnitude_normalized")
         columns.append(mag / peak if peak > 0.0 else mag)
@@ -623,9 +609,9 @@ def run_quantum_design(scenario, outdir):
     """Quantum design curves and the kappa = 1 operating report."""
     os.makedirs(outdir, exist_ok=True)
     grid = scenario.grid
-    if scenario.quantum_power <= 0.0:
+    config = scenario.quantum
+    if config.circulating_power <= 0.0:
         raise ConfigError("quantum design needs a positive circulating power")
-    config = _quantum_config(scenario)
     budget = qn.quantum_noise_psd(config, grid)
     write_csv(
         os.path.join(outdir, "quantum.csv"),
@@ -639,17 +625,16 @@ def run_quantum_design(scenario, outdir):
         ],
     )
     summary = {
-        "circulating_power_w": scenario.quantum_power,
+        "circulating_power_w": config.circulating_power,
         "kappa_unity_hz": qn.kappa_unity_frequency(config),
-        "free_mass_floor_hz": scenario.validity_floor_hz,
-        "grid_extends_below_floor": grid.fmin < scenario.validity_floor_hz,
+        "free_mass_floor_hz": config.validity_floor_hz,
+        "grid_extends_below_floor": grid.fmin < config.validity_floor_hz,
         "sql_asd_at_100_hz_m_rthz": _asd_at(budget.references["sql"], 100.0),
     }
-    if scenario.quantum_target_hz is not None:
-        summary["sql_target_hz"] = scenario.quantum_target_hz
-        summary["power_for_sql_w"] = qn.power_for_sql(
-            scenario.cavity, scenario.quantum_target_hz, pole_model=scenario.pole_model
-        )
+    target = scenario.config["quantum"]["power_for_sql_at_hz"]
+    if target is not None:
+        summary["sql_target_hz"] = target
+        summary["power_for_sql_w"] = config.circulating_power
     _write_json(os.path.join(outdir, "quantum_summary.json"), summary)
     _write_json(os.path.join(outdir, "manifest.json"), {
         "command": "quantum",

@@ -143,8 +143,11 @@ class Spectrum:
         arr = _frozen_array(self.asd)
         if arr.shape != self.grid.values.shape:
             raise GridError("asd length does not match grid length")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError("asd contains non-finite values")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            i = np.argmin(finite)
+            raise ConfigError(f"asd contains non-finite values: {arr[i]} {self.unit} "
+                              f"at {self.grid.values[i]:.6g} Hz")
         if np.any(arr < 0.0):
             raise ConfigError("asd must be non-negative")
         object.__setattr__(self, "asd", arr)

@@ -22,8 +22,9 @@ response asks for the one coordinate it reads, and the solver holds
 arrays only along the path from the root to it (an O(path) working set,
 not O(n_f * n)); a spring without a dashpot has a frequency-independent
 impedance, held as one complex scalar.  A pivot that is exactly zero at
-some frequency raises NumericalError naming that frequency; no response
-returns NaN.  Every response takes a `LinearModel` from `build_model`,
+some frequency, or a response that is not finite there (it overflows far
+above any mode), raises NumericalError naming that frequency; no response
+returns NaN or inf.  Every response takes a `LinearModel` from `build_model`,
 so a caller builds each axis once and shares it between responses.
 """
 
@@ -348,6 +349,15 @@ def _nonzero_pivot(d, grid):
     return d
 
 
+def _finite(x, grid):
+    """The response `x`, refused at its first non-finite frequency."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        raise NumericalError("suspension response is not finite",
+                             frequency_hz=float(grid.values[np.argmin(finite)]))
+    return x
+
+
 def _kappa(spring, omega):
     """Impedance of one spring: a complex scalar unless it has a dashpot."""
     kappa = spring.stiffness * (1.0 + 1j * spring.loss_angle)
@@ -445,7 +455,7 @@ def _mirror_index(model, mirror):
 def tf_suspoint_to_mirror(model, grid, mirror="a"):
     """Suspension-point displacement to one mirror's displacement."""
     x, _ = _tree_solve(model, grid, _mirror_index(model, mirror))
-    return x
+    return _finite(x, grid)
 
 
 def tf_suspoint_to_differential(model, grid):
@@ -461,14 +471,14 @@ def tf_suspoint_to_differential(model, grid):
     x, ((kap_a, d_a), (kap_b, d_b)) = _tree_solve(model, grid, a - 1, leaves=(a, b))
     ma, mb = model.masses[a], model.masses[b]
     diff_gain = grid.angular ** 2 * (ma * kap_b - mb * kap_a) / (d_a * d_b)
-    return diff_gain * x
+    return _finite(diff_gain * x, grid)
 
 
 def mirror_force_susceptibility(model, grid, mirror="a"):
     """Displacement per force applied at the mirror coordinate [m/N]."""
     idx = _mirror_index(model, mirror)
     x, _ = _tree_solve(model, grid, idx, force_at=idx)
-    return x
+    return _finite(x, grid)
 
 
 def seismic_to_cavity(model, ground, platform_tf, grid):

@@ -1,0 +1,275 @@
+"""The config table: unknown keys, exclusive alternatives, defaults, docs."""
+
+import copy
+import difflib
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from suscav.cli import main, resolve_config
+from suscav.errors import ConfigError
+from suscav.scenario import (
+    FLAG,
+    INTEGER,
+    NUMBER,
+    PAIR,
+    PATH,
+    POLE_MODEL,
+    SCHEMA,
+    Choice,
+    Key,
+    Scenario,
+    load_config,
+)
+from suscav.spectra import make_log_grid
+
+SHIPPED = {name: load_config(resolve_config(name))
+           for name in ("paper_default", "sql_design", "cryo_projection")}
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run_cli(tmp_path, capsys, cfg, *args, command="budget"):
+    """Exit code and stderr lines of one command on `cfg`."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main([command, "--config", str(path), "--out", str(tmp_path / "o"), *args])
+    return code, capsys.readouterr().err.splitlines()
+
+
+def config_error(tmp_path, capsys, cfg, *args):
+    """The one `suscav: config error:` line `cfg` fails with; no output written."""
+    code, err = run_cli(tmp_path, capsys, cfg, *args)
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith("suscav: config error: ")
+    assert not (tmp_path / "o").exists()
+    return err[0]
+
+
+@pytest.mark.parametrize("path, key, hint", [
+    ((), "cavty", "cavity"),
+    (("thermal",), "temprature_k", "temperature_k"),
+    (("suspension",), "stiffness_mismatc", "stiffness_mismatch"),
+    (("isolation", "servo", "zeros", 0), "rael", "real"),
+    (("isolation", "ground"), "cvs", "csv"),
+    (("budget", "include"), "thermall", "thermal"),
+    ((), "notes", None),
+])
+def test_unknown_key_is_refused_with_a_hint(tmp_path, capsys, config_factory, path, key, hint):
+    cfg = config_factory()
+    section = cfg
+    for part in path:
+        section = section.setdefault(part, {}) if isinstance(part, str) else section[part]
+    if hint in section:
+        section[key] = section.pop(hint)
+    else:
+        section[key] = 1.0
+    err = config_error(tmp_path, capsys, cfg)
+    where = re.sub(r"\.(\d+)", r"[\1]", ".".join(map(str, path))) or "top level"
+    assert f"{where}: unknown key {key!r}" in err
+    assert ("did you mean" in err) == (hint is not None)
+    if hint:
+        assert f"did you mean {hint!r}?" in err
+
+
+@pytest.mark.parametrize("power, target", [(15.0, 100.0), (None, None)])
+def test_quantum_needs_exactly_one_power_source(tmp_path, capsys, config_factory,
+                                                power, target):
+    cfg = config_factory()
+    cfg["quantum"].pop("circulating_power_w")
+    for key, value in (("circulating_power_w", power), ("power_for_sql_at_hz", target)):
+        if value is not None:
+            cfg["quantum"][key] = value
+    err = config_error(tmp_path, capsys, cfg)
+    assert "exactly one of 'circulating_power_w' and 'power_for_sql_at_hz'" in err
+
+
+@pytest.mark.parametrize("section, key, extra", [
+    ("isolation", "ground", {"level_m_rthz": 1e-7}),
+    ("isolation", "ground", {"corner_hz": 1.0}),
+    ("intensity", "rin_per_rthz", {"level": 1e-4}),
+])
+def test_csv_spectrum_excludes_other_keys(tmp_path, capsys, config_factory,
+                                          section, key, extra):
+    csv_path = tmp_path / "spectrum.csv"
+    csv_path.write_text("frequency_hz,asd\n0.01,1e-7\n2e4,1e-7\n")
+    cfg = config_factory()
+    cfg[section][key] = {"csv": str(csv_path), **extra}
+    err = config_error(tmp_path, capsys, cfg)
+    assert f"{section}.{key}" in err
+
+
+def test_present_grid_is_checked_under_grid_option(tmp_path, capsys, config_factory):
+    cfg = config_factory()
+    cfg["grid"]["n"] = "1000x"
+    err = config_error(tmp_path, capsys, cfg, "--grid", "0.1,1e4,50")
+    assert "grid.n must be an integer" in err
+    del cfg["grid"]
+    code, err = run_cli(tmp_path, capsys, cfg, "--grid", "0.1,1e4,50", command="quantum")
+    assert code == 0 and err == []
+    with pytest.raises(ConfigError, match="missing key 'grid'"):
+        Scenario.from_dict(cfg)
+
+
+def test_resolved_config_fills_defaults(config_factory):
+    cfg = config_factory()
+    del cfg["isolation"]["geophone"]["quality_factor"]
+    del cfg["intensity"]["iss"]
+    scenario = Scenario.from_dict(cfg, grid_override=make_log_grid(1.0, 10.0, 4))
+    resolved = scenario.config
+    assert resolved["isolation"]["geophone"]["quality_factor"] == 0.3
+    assert resolved["intensity"]["iss"] == {"enabled": True, "peak_suppression": 5.0,
+                                            "band_hz": (30.0, 100.0)}
+    assert resolved["budget"]["include"] == dict.fromkeys(resolved["budget"]["include"], True)
+    assert resolved["acoustic"]["peaks"] == cfg["acoustic"]["peaks"]
+    assert resolved["quantum"]["power_for_sql_at_hz"] is None
+    assert scenario.geophone.quality_factor == 0.3
+
+
+def test_huge_integer_is_not_a_number(config_factory):
+    cfg = config_factory()
+    cfg["cavity"]["length_m"] = 10 ** 400
+    with pytest.raises(ConfigError, match="cavity.length_m must be a finite number"):
+        Scenario.from_dict(cfg)
+
+
+# -- property tests over the whole table ------------------------------------
+
+REQUIRED = Key(NUMBER).default   # the default of a key that must be given
+NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                    st.integers(-10 ** 6, 10 ** 6),
+                    st.sampled_from([0, -1.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]))
+IN_TYPE = {
+    NUMBER: NUMBERS,
+    INTEGER: st.integers(-3, 3000),     # grid.n: a larger grid is slow, not wrong
+    FLAG: st.booleans(),
+    PAIR: st.lists(NUMBERS, min_size=2, max_size=2),
+    POLE_MODEL: st.sampled_from(["input_transmission", "total_loss"]),
+}
+
+
+@st.composite
+def _variant(draw, node, value, odds):
+    """`value` with optional keys dropped or added and leaves redrawn in type,
+    each with chance 1/odds."""
+    if isinstance(node, Key):
+        # file paths are kept: a missing file is an I/O error, not a config error
+        drawn = IN_TYPE.get(node.kind, st.text(max_size=8) if node.kind != PATH else None)
+        return value if drawn is None or draw(st.integers(1, odds)) > 1 else draw(drawn)
+    if isinstance(node, Choice):
+        picked = next(alt for alt in node if isinstance(value, dict) == isinstance(alt, dict))
+        return draw(_variant(picked, value, odds))
+    if isinstance(node, list):
+        items = draw(st.lists(st.sampled_from(value), max_size=4)) if value else []
+        return [draw(_variant(node[0], copy.deepcopy(item), odds)) for item in items]
+    out = {}
+    for key, sub in node.items():
+        optional = not isinstance(sub, Key) or sub.default is not REQUIRED
+        if key in value:
+            if not optional or draw(st.integers(1, odds)) > 1:
+                out[key] = draw(_variant(sub, value[key], odds))
+        elif optional and draw(st.integers(1, odds)) == 1:
+            out[key] = draw(_variant(sub, {} if isinstance(sub, dict) else sub.default, odds))
+    return out
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(name=st.sampled_from(sorted(SHIPPED)), data=st.data())
+def test_random_valid_config_parses_or_raises_config_error(name, data):
+    odds = data.draw(st.sampled_from([2, 8, 64]))   # from many changes to about one
+    cfg = data.draw(_variant(SCHEMA, copy.deepcopy(SHIPPED[name]), odds))
+    try:
+        Scenario.from_dict(cfg)
+    except ConfigError:
+        pass
+
+
+def _leaf_paths(node, path=""):
+    """The dotted path of every leaf of `node`; `[]` marks a list item."""
+    if isinstance(node, Key):
+        yield path
+    elif isinstance(node, Choice):
+        for alt in node:
+            yield from _leaf_paths(alt, path)
+    elif isinstance(node, list):
+        yield from _leaf_paths(node[0], path + "[]")
+    else:
+        for key, sub in node.items():
+            yield from _leaf_paths(sub, f"{path}.{key}" if path else key)
+
+
+def _key_paths(value, path=()):
+    """(path to the containing section, key) for every key at any depth."""
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield path, key
+            yield from _key_paths(sub, path + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _key_paths(item, path + (i,))
+
+
+def _section_keys(path):
+    """The keys the table allows in the section at `path` (all alternatives)."""
+    nodes = [SCHEMA]
+    for part in path:
+        nodes = [n[0] if isinstance(n, list) else n[part] for n in nodes]
+        nodes = [alt for n in nodes for alt in (n if isinstance(n, Choice) else (n,))
+                 if isinstance(alt, (dict, list))]
+    return [key for n in nodes for key in n]
+
+
+SCHEMA_KEYS = {part.removesuffix("[]") for path in _leaf_paths(SCHEMA)
+               for part in path.split(".")}
+_LETTERS = "abcdefghijklmnopqrstuvwxyz_0123456789"
+
+
+@st.composite
+def _one_char_edit(draw, key):
+    i = draw(st.integers(0, len(key)))
+    c = draw(st.sampled_from(_LETTERS))
+    op = draw(st.sampled_from(["insert", "delete", "replace"] if i < len(key) else ["insert"]))
+    if op == "insert":
+        return key[:i] + c + key[i:]
+    return key[:i] + ("" if op == "delete" else c) + key[i + 1:]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(SHIPPED)), data=st.data())
+def test_one_character_key_edit_is_named_with_a_hint(tmp_path, capsys, name, data):
+    cfg = copy.deepcopy(SHIPPED[name])
+    path, key = data.draw(st.sampled_from(list(_key_paths(cfg))))
+    edited = data.draw(_one_char_edit(key))
+    assume(edited not in SCHEMA_KEYS)
+    section = cfg
+    for part in path:
+        section = section[part]
+    section[edited] = section.pop(key)
+
+    code, err = run_cli(tmp_path, capsys, cfg)
+    assert code == 1 and len(err) == 1, err
+    where = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
+    assert err[0].startswith(f"suscav: config error: {where or 'top level'}: "
+                             f"unknown key {edited!r}"), err
+    close = difflib.get_close_matches(edited, _section_keys(path), 1)
+    assert ("did you mean" in err[0]) == bool(close)
+    if close:
+        assert err[0].endswith(f"(did you mean {close[0]!r}?)")
+
+
+# -- the README key reference -----------------------------------------------
+
+def test_readme_lists_every_config_key():
+    text = README.read_text()
+    section = text[text.index("## Configuration"):]
+    section = section[:section.index("\n## ", 1)]
+    rows = set(re.findall(r"^\| `([^`]+)` \|", section, flags=re.M))
+    leaves = set(_leaf_paths(SCHEMA))
+    assert len(leaves) > 70
+    assert leaves <= rows, sorted(leaves - rows)
+    assert rows <= leaves, sorted(rows - leaves)

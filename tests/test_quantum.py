@@ -81,6 +81,11 @@ class TestPowerForSql:
         pc = power_for_sql(paper_cavity, 37.0)
         assert kappa(config(paper_cavity, pc), grid)[0] == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("f_target", [1e100, 1e200, 1.7e308])
+    def test_overflow_is_config_error(self, paper_cavity, f_target):
+        with pytest.raises(ConfigError, match="overflows"):
+            power_for_sql(paper_cavity, f_target)
+
     def test_low_frequency_quadratic(self, paper_cavity):
         # well below the cavity pole the required power scales as f**2
         ratio = power_for_sql(paper_cavity, 2.0) / power_for_sql(paper_cavity, 1.0)

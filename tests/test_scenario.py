@@ -570,3 +570,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("suscav: config error: ") and err.count("\n") == 1
         assert f"{key}.csv" in err and str(csv_path) in err and "positive" in err
+
+    @pytest.mark.parametrize("grid", ["0.1,1e308,100", "0.1,1e120,100"])
+    def test_overflowing_suspension_response_is_numerical_error(self, tmp_path, capsys, grid):
+        code = main(["suspension-tf", "--grid", grid, "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("suscav: numerical error: ") and err.count("\n") == 1
+        assert "suspension response is not finite (at " in err
+        assert not (tmp_path / "o" / "suspension_tf.csv").exists()
+
+    def test_non_finite_spectrum_names_frequency_and_unit(self, tmp_path, capsys):
+        code = main(["budget", "--grid", "1e-320,1e4,100", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("suscav: config error: ") and err.count("\n") == 1
+        assert f"m/rtHz at {1e-320:.6g} Hz" in err

@@ -235,6 +235,22 @@ class TestMirrorTransferFunction:
                 response()
             assert err.value.frequency_hz == f
 
+    @pytest.mark.parametrize("fmax", [1e120, 1e308])
+    def test_overflowing_response_names_first_bad_frequency(self, fmax):
+        # far above every mode the dynamic stiffness overflows: each response
+        # raises at its first non-finite frequency and is finite below it
+        model = build_model(default_chain(), "horizontal")
+        grid = make_log_grid(0.1, fmax, 100)
+        for response in (tf_suspoint_to_mirror, tf_suspoint_to_differential,
+                         mirror_force_susceptibility):
+            with np.errstate(all="ignore"), pytest.raises(NumericalError) as err:
+                response(model, grid)
+            first = int(np.searchsorted(grid.values, err.value.frequency_hz))
+            assert grid.values[first] == err.value.frequency_hz and first > 0
+            with np.errstate(all="ignore"):
+                below = response(model, FrequencyGrid(grid.values[:first]))
+            assert np.all(np.isfinite(below))
+
     def test_force_susceptibility_free_mass_limit(self):
         model = build_model(default_chain(), "horizontal")
         grid = FrequencyGrid(np.array([1000.0]))
