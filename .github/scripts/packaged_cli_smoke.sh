@@ -3,8 +3,10 @@
 # outside the checkout: every command on every shipped config, named rather
 # than given as a path so the configs must have been packaged, and a budget
 # on a 1e5-point grid (above 16,384 points numpy evaluates some expressions
-# in place), twice; the two output trees must be byte-identical.  A copy of
-# paper_default with a misspelled key must fail with one hinted line.
+# in place), twice; the two output trees must be byte-identical, and each
+# run's manifest.json must list exactly the other files of its directory.  A
+# copy of paper_default with a misspelled key must fail with one hinted line,
+# and a budget that fails must leave no output directory.
 #
 #   python -m pip install . && sh .github/scripts/packaged_cli_smoke.sh
 set -eu
@@ -32,6 +34,17 @@ for run in 1 2; do
 done
 diff -r run1 run2
 
+# every run's manifest lists exactly the other files of its directory
+python - run1 <<'PY'
+import json, os, sys
+for top, _, names in os.walk(sys.argv[1]):
+    if names:
+        with open(os.path.join(top, "manifest.json")) as fh:
+            listed = sorted(json.load(fh)["files"].values())
+        if listed != sorted(set(names) - {"manifest.json"}):
+            sys.exit(f"{top}: manifest lists {listed}, the directory holds {sorted(names)}")
+PY
+
 # a copy of paper_default with one misspelled key: exit 1, one hinted line
 python - misspelled.json <<'PY'
 import json, sys
@@ -49,5 +62,15 @@ if [ "$code" != 1 ] || [ "$(wc -l <misspelled.err)" -ne 1 ] \
   cat misspelled.err >&2
   exit 1
 fi
-echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs;" \
-  "a misspelled key exits 1 with a hint"
+
+# a budget whose grid stops above 0.5 Hz fails after parsing: exit 1, no output
+code=0
+suscav budget --grid 1,1e4,100 --out failed 2>failed.err || code=$?
+if [ "$code" != 1 ] || [ -e failed ]; then
+  echo "failing budget: want exit 1 and no 'failed' directory, got exit $code:" >&2
+  cat failed.err >&2
+  exit 1
+fi
+echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs" \
+  "and listed by their manifests; a misspelled key exits 1 with a hint;" \
+  "a failing command writes nothing"

@@ -89,8 +89,11 @@ def main(argv=None):
     try:
         grid = parse_grid(args.grid) if args.grid else None
         cfg = load_config(resolve_config(args.config))
-        scenario = Scenario.from_dict(cfg, grid_override=grid)
-        COMMANDS[args.command](scenario, args.out)
+        # every non-finite value is refused by a check that names it, so
+        # numpy's overflow and invalid-value warnings would only be noise
+        with np.errstate(all="ignore"):
+            scenario = Scenario.from_dict(cfg, grid_override=grid)
+            COMMANDS[args.command](scenario, args.out)
     except ConfigError as exc:
         print(f"suscav: config error: {exc}", file=sys.stderr)
         return 1

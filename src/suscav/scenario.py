@@ -50,6 +50,7 @@ from .spectra import (
     NoiseBudget,
     Spectrum,
     band_rms,
+    check_log_grid,
     cumulative_rms,
     interp_loglog,
     make_log_grid,
@@ -381,11 +382,16 @@ class Scenario:
         if grid_override is not None and isinstance(cfg, dict) and "grid" not in cfg:
             schema = {key: node for key, node in SCHEMA.items() if key != "grid"}
         config = _resolve(schema, cfg)
+        if "grid" in config:     # checked under --grid too
+            check_log_grid(**_args(SCHEMA["grid"], config["grid"]))
         grid = grid_override if grid_override is not None else make_log_grid(
             **_args(SCHEMA["grid"], config["grid"]))
         cavity = CavityParams(**_args(SCHEMA["cavity"], config["cavity"]))
         s = config["suspension"]
         final = Stage(**_args(_STAGE, s["final_stage"]))
+        if final.mass != cavity.mirror_mass:
+            raise ConfigError(f"cavity.mirror_mass_kg = {cavity.mirror_mass} differs from "
+                              f"suspension.final_stage.mass_kg = {final.mass}, the same mirror's")
         chain = SuspensionChain(stages=tuple(Stage(**_args(_STAGE, e)) for e in s["stages"]),
                                 final_stages=(final, final), **_args(SCHEMA["suspension"], s))
 
@@ -435,12 +441,6 @@ def load_scenario(path, grid_override=None):
     return Scenario.from_dict(load_config(path), grid_override=grid_override)
 
 
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def assemble_budget(scenario):
     """Full displacement budget of the beat readout, one column per term.
     A switched-off term is zeros and computes no shared response."""
@@ -460,19 +460,36 @@ def _asd_at(spectrum, f):
     return float(np.interp(f, spectrum.grid.values, spectrum.asd))
 
 
+def _emit(outdir, command, files, summary, traces, unit=UNIT_DISPLACEMENT):
+    """Write one command's output directory, once everything is computed.
+
+    `files` maps each manifest role to (file name, writer, writer arguments
+    after the path).  Beside them go `<command stem>_summary.json` and
+    `manifest.json`, which lists every file by role.  A command that fails
+    before this call has written nothing.
+    """
+    names = {role: name for role, (name, *_) in files.items()}
+    names["summary"] = f"{command.split('-')[0]}_summary.json"
+    manifest = {
+        "command": command,
+        "files": names,
+        "x_axis": {"column": "frequency_hz", "log": True, "unit": "Hz"},
+        "y_axis": {"log": True, "unit": unit},
+        "traces": traces,
+    }
+    os.makedirs(outdir, exist_ok=True)
+    for name, writer, *args in files.values():
+        writer(os.path.join(outdir, name), *args)
+    for name, payload in ((names["summary"], summary), ("manifest.json", manifest)):
+        with open(os.path.join(outdir, name), "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
 def run_budget(scenario, outdir):
     """Assemble the full budget and write CSVs plus manifest/summary."""
-    os.makedirs(outdir, exist_ok=True)
     budget = assemble_budget(scenario)
-    write_budget_csv(os.path.join(outdir, "budget.csv"), budget)
-
     rms = cumulative_rms(budget.total)
-    write_csv(
-        os.path.join(outdir, "budget_rms.csv"),
-        ["frequency_hz", "rms_m"],
-        [scenario.grid.values, rms.asd],
-    )
-
     report = saturation_margin(budget, scenario.readout, scenario.cavity)
     summary = {
         "asd_at_100_hz_m_rthz": _asd_at(budget.total, 100.0),
@@ -484,38 +501,21 @@ def run_budget(scenario, outdir):
     sel = (scenario.grid.values >= 100.0) & (scenario.grid.values <= 1000.0)
     if np.any(sel):
         summary["min_asd_100_1000_hz_m_rthz"] = float(np.min(budget.total.asd[sel]))
-    _write_json(os.path.join(outdir, "budget_summary.json"), summary)
-
-    manifest = {
-        "command": "budget",
-        "files": {
-            "budget": "budget.csv",
-            "cumulative_rms": "budget_rms.csv",
-            "summary": "budget_summary.json",
-        },
-        "x_axis": {"column": "frequency_hz", "log": True, "unit": "Hz"},
-        "y_axis": {"log": True, "unit": UNIT_DISPLACEMENT},
-        "traces": [
-            {"column": name, "in_total": True} for name in budget.components
-        ] + [
-            {"column": name, "in_total": False} for name in budget.references
-        ] + [{"column": "total", "in_total": False}],
-    }
-    _write_json(os.path.join(outdir, "manifest.json"), manifest)
+    _emit(outdir, "budget", {
+        "budget": ("budget.csv", write_budget_csv, budget),
+        "cumulative_rms": ("budget_rms.csv", write_csv, ["frequency_hz", "rms_m"],
+                           [scenario.grid.values, rms.asd]),
+    }, summary, [{"column": name, "in_total": True} for name in budget.components]
+        + [{"column": name, "in_total": False} for name in (*budget.references, "total")])
     return budget
 
 
 def run_suspension_tf(scenario, outdir):
     """Differential suspension transfer function and mode table."""
-    os.makedirs(outdir, exist_ok=True)
     grid = scenario.grid
     if scenario.chain.stiffness_mismatch == 0.0:
-        warnings.warn(
-            "stiffness mismatch is zero: the differential transfer "
-            "function vanishes identically",
-            UserWarning,
-            stacklevel=2,
-        )
+        warnings.warn("stiffness mismatch is zero: the differential transfer "
+                      "function vanishes identically", UserWarning, stacklevel=2)
     model = build_model(scenario.chain, HORIZONTAL)
     h = tf_suspoint_to_differential(model, grid)
     mag = np.abs(h)
@@ -526,104 +526,59 @@ def run_suspension_tf(scenario, outdir):
         peak = mag.max()
         header.append("magnitude_normalized")
         columns.append(mag / peak if peak > 0.0 else mag)
-    write_csv(os.path.join(outdir, "suspension_tf.csv"), header, columns)
-
     modes = eigenmodes(model)
-    write_mode_table(os.path.join(outdir, "modes.csv"), modes)
 
     f = grid.values
     i0, i1 = np.searchsorted(f, 0.1), np.searchsorted(f, 0.25)
     slope = None
     if i1 > i0 and mag[i0] > 0.0 and mag[i1] > 0.0:
-        slope = float(
-            (np.log10(mag[i1]) - np.log10(mag[i0])) / (np.log10(f[i1]) - np.log10(f[i0]))
-        )
-    _write_json(os.path.join(outdir, "suspension_summary.json"), {
+        slope = float((np.log10(mag[i1]) - np.log10(mag[i0]))
+                      / (np.log10(f[i1]) - np.log10(f[i0])))
+    _emit(outdir, "suspension-tf", {
+        "transfer_function": ("suspension_tf.csv", write_csv, header, columns),
+        "modes": ("modes.csv", write_mode_table, modes),
+    }, {
         "eigenfrequencies_hz": [m.frequency_hz for m in modes],
         "low_frequency_slope": slope,
         "stiffness_mismatch": scenario.chain.stiffness_mismatch,
-    })
-    _write_json(os.path.join(outdir, "manifest.json"), {
-        "command": "suspension-tf",
-        "files": {
-            "transfer_function": "suspension_tf.csv",
-            "modes": "modes.csv",
-            "summary": "suspension_summary.json",
-        },
-        "x_axis": {"column": "frequency_hz", "log": True, "unit": "Hz"},
-        "y_axis": {"log": True, "unit": "m/m"},
-        "traces": [{"column": "magnitude"}, {"column": "phase_deg", "unit": "deg"}],
-    })
+    }, [{"column": "magnitude"}, {"column": "phase_deg", "unit": "deg"}], unit="m/m")
     return h
 
 
 def run_isolation(scenario, outdir):
     """Passive/active platform comparison with RMS summary."""
-    os.makedirs(outdir, exist_ok=True)
     grid = scenario.grid
     result = closed_loop(scenario.platform, scenario.geophone, scenario.actuator,
                          scenario.servo, grid)
-
     passive = Spectrum(grid, np.abs(result.passive) * scenario.ground.asd, UNIT_DISPLACEMENT)
     active = Spectrum(grid, np.abs(result.suppression) * scenario.ground.asd, UNIT_DISPLACEMENT)
-    write_csv(
-        os.path.join(outdir, "isolation.csv"),
-        ["frequency_hz", "ground", "payload_passive", "payload_active"],
-        [grid.values, scenario.ground.asd, passive.asd, active.asd],
-    )
-    write_csv(
-        os.path.join(outdir, "isolation_rms.csv"),
-        ["frequency_hz", "rms_passive_m", "rms_active_m"],
-        [grid.values, cumulative_rms(passive).asd, cumulative_rms(active).asd],
-    )
-
     rms_passive = band_rms(passive, 0.5, 50.0)
     rms_active = band_rms(active, 0.5, 50.0)
-    _write_json(os.path.join(outdir, "isolation_summary.json"), {
+    spectra = ["ground", "payload_passive", "payload_active"]
+    _emit(outdir, "isolation", {
+        "spectra": ("isolation.csv", write_csv, ["frequency_hz", *spectra],
+                    [grid.values, scenario.ground.asd, passive.asd, active.asd]),
+        "cumulative_rms": ("isolation_rms.csv", write_csv,
+                           ["frequency_hz", "rms_passive_m", "rms_active_m"],
+                           [grid.values, cumulative_rms(passive).asd, cumulative_rms(active).asd]),
+    }, {
         "rms_passive_m_0p5_50hz": rms_passive,
         "rms_active_m_0p5_50hz": rms_active,
         "rms_reduction_ratio": rms_passive / rms_active if rms_active > 0.0 else "unbounded",
         "unity_gain_hz": list(result.unity_gain_hz),
         "phase_margins_deg": list(result.phase_margins_deg),
         "closed_loop_stable": result.stable,
-    })
-    _write_json(os.path.join(outdir, "manifest.json"), {
-        "command": "isolation",
-        "files": {
-            "spectra": "isolation.csv",
-            "cumulative_rms": "isolation_rms.csv",
-            "summary": "isolation_summary.json",
-        },
-        "x_axis": {"column": "frequency_hz", "log": True, "unit": "Hz"},
-        "y_axis": {"log": True, "unit": UNIT_DISPLACEMENT},
-        "traces": [
-            {"column": "ground"},
-            {"column": "payload_passive"},
-            {"column": "payload_active"},
-        ],
-    })
+    }, [{"column": name} for name in spectra])
     return result
 
 
 def run_quantum_design(scenario, outdir):
     """Quantum design curves and the kappa = 1 operating report."""
-    os.makedirs(outdir, exist_ok=True)
     grid = scenario.grid
     config = scenario.quantum
     if config.circulating_power <= 0.0:
         raise ConfigError("quantum design needs a positive circulating power")
     budget = qn.quantum_noise_psd(config, grid)
-    write_csv(
-        os.path.join(outdir, "quantum.csv"),
-        ["frequency_hz", "shot_noise", "radiation_pressure", "sql", "total"],
-        [
-            grid.values,
-            budget.components["shot_noise"].asd,
-            budget.components["radiation_pressure"].asd,
-            budget.references["sql"].asd,
-            budget.total.asd,
-        ],
-    )
     summary = {
         "circulating_power_w": config.circulating_power,
         "kappa_unity_hz": qn.kappa_unity_frequency(config),
@@ -635,17 +590,8 @@ def run_quantum_design(scenario, outdir):
     if target is not None:
         summary["sql_target_hz"] = target
         summary["power_for_sql_w"] = config.circulating_power
-    _write_json(os.path.join(outdir, "quantum_summary.json"), summary)
-    _write_json(os.path.join(outdir, "manifest.json"), {
-        "command": "quantum",
-        "files": {"spectra": "quantum.csv", "summary": "quantum_summary.json"},
-        "x_axis": {"column": "frequency_hz", "log": True, "unit": "Hz"},
-        "y_axis": {"log": True, "unit": UNIT_DISPLACEMENT},
-        "traces": [
-            {"column": "shot_noise"},
-            {"column": "radiation_pressure"},
-            {"column": "sql"},
-            {"column": "total"},
-        ],
-    })
+    curves = {**budget.components, **budget.references, "total": budget.total}
+    _emit(outdir, "quantum", {"spectra": ("quantum.csv", write_csv, ["frequency_hz", *curves],
+                                          [grid.values, *(c.asd for c in curves.values())])},
+          summary, [{"column": name} for name in curves])
     return budget

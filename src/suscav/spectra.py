@@ -110,14 +110,19 @@ class FrequencyGrid:
 MAX_GRID_POINTS = 10_000_000
 
 
-def make_log_grid(fmin, fmax, n):
-    """Log-spaced grid of `n` points with exact endpoints."""
+def check_log_grid(fmin, fmax, n):
+    """Refuse what make_log_grid(fmin, fmax, n) refuses, allocating nothing."""
     if not (0.0 < fmin < fmax):
         raise GridError(f"need 0 < fmin < fmax, got ({fmin}, {fmax})")
     if n < 2:
         raise GridError(f"need at least 2 points, got {n}")
     if n > MAX_GRID_POINTS:
         raise GridError(f"n = {n} is above the limit of {MAX_GRID_POINTS} points")
+
+
+def make_log_grid(fmin, fmax, n):
+    """Log-spaced grid of `n` points with exact endpoints."""
+    check_log_grid(fmin, fmax, n)
     values = np.geomspace(fmin, fmax, int(n))
     values[0] = fmin
     values[-1] = fmax

@@ -6,6 +6,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from suscav.scenario import (
     Scenario,
     load_config,
 )
-from suscav.spectra import make_log_grid
+from suscav.spectra import MAX_GRID_POINTS, make_log_grid
 
 SHIPPED = {name: load_config(resolve_config(name))
            for name in ("paper_default", "sql_design", "cryo_projection")}
@@ -102,16 +103,34 @@ def test_csv_spectrum_excludes_other_keys(tmp_path, capsys, config_factory,
     assert f"{section}.{key}" in err
 
 
-def test_present_grid_is_checked_under_grid_option(tmp_path, capsys, config_factory):
+def test_present_grid_is_checked_under_grid_option(tmp_path, capsys, config_factory,
+                                                   monkeypatch):
     cfg = config_factory()
     cfg["grid"]["n"] = "1000x"
     err = config_error(tmp_path, capsys, cfg, "--grid", "0.1,1e4,50")
     assert "grid.n must be an integer" in err
+    cfg["grid"] = {"fmin_hz": 10, "fmax_hz": 1, "n": 1}
+    err = config_error(tmp_path, capsys, cfg, "--grid", "0.1,1e4,50")
+    assert "need 0 < fmin < fmax, got (10, 1)" in err
+    cfg["grid"] = {"fmin_hz": 0.1, "fmax_hz": 1e4, "n": 10 ** 12}
+    grid = make_log_grid(0.1, 1e4, 50)
+    monkeypatch.setattr(np, "geomspace", None)     # the range check allocates nothing
+    with pytest.raises(ConfigError, match=str(MAX_GRID_POINTS)):
+        Scenario.from_dict(cfg, grid_override=grid)
+    monkeypatch.undo()
     del cfg["grid"]
     code, err = run_cli(tmp_path, capsys, cfg, "--grid", "0.1,1e4,50", command="quantum")
     assert code == 0 and err == []
     with pytest.raises(ConfigError, match="missing key 'grid'"):
         Scenario.from_dict(cfg)
+
+
+def test_two_mirror_masses_are_refused(tmp_path, capsys, config_factory):
+    cfg = config_factory()
+    cfg["cavity"]["mirror_mass_kg"] = 0.5
+    err = config_error(tmp_path, capsys, cfg)
+    assert "cavity.mirror_mass_kg = 0.5" in err
+    assert "suspension.final_stage.mass_kg = 0.01" in err
 
 
 def test_resolved_config_fills_defaults(config_factory):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from suscav.cli import main, parse_grid, resolve_config
+from suscav.cli import COMMANDS, main, parse_grid, resolve_config
 from suscav.errors import ConfigError
 from suscav.quantum import FreeMassValidityWarning
 from suscav.scenario import (
@@ -323,6 +323,38 @@ def test_deterministic_outputs(default_scenario, tmp_path):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_manifest_lists_every_other_file(tmp_path, command):
+    out = tmp_path / "o"
+    assert main([command, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert sorted(manifest["files"].values()) == sorted(set(os.listdir(out)) - {"manifest.json"})
+
+
+# a grid on which each command fails inside its pipeline, and the exit code
+FAILING_GRIDS = {
+    "budget": ("1,1e4,100", 1),     # the saturation report needs 0.5 Hz
+    "suspension-tf": ("0.1,1e308,100", 2),
+    "isolation": ("0.1,1e308,100", 1),
+    "quantum": ("0.1,1e308,100", 1),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILING_GRIDS))
+def test_failing_command_writes_nothing(tmp_path, capsys, command):
+    grid, code = FAILING_GRIDS[command]
+    out = tmp_path / "o"
+    assert main([command, "--grid", grid, "--out", str(out)]) == code
+    assert not out.exists()
+    assert main([command, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main([command, "--grid", grid, "--out", str(out)]) == code
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 2 and all(e.startswith("suscav: ") for e in errors)
+
+
 MISTYPED = [
     (("isolation", "platform", "quality_factor"), "10"),
     (("thermal", "temperature_k"), "293"),
@@ -579,6 +611,14 @@ class TestCli:
         assert err.startswith("suscav: numerical error: ") and err.count("\n") == 1
         assert "suspension response is not finite (at " in err
         assert not (tmp_path / "o" / "suspension_tf.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("grid", ["0.1,1e308,100", "1e-320,1e4,100"])
+    def test_extreme_grid_raises_no_runtime_warning(self, tmp_path, capsys, command, grid):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            main([command, "--grid", grid, "--out", str(tmp_path / "o")])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     def test_non_finite_spectrum_names_frequency_and_unit(self, tmp_path, capsys):
         code = main(["budget", "--grid", "1e-320,1e4,100", "--out", str(tmp_path / "o")])
