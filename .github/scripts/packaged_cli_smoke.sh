@@ -1,12 +1,13 @@
 #!/bin/sh
 # Smoke test of an installed (non-editable) suscav, run from a directory
 # outside the checkout: every command on every shipped config, named rather
-# than given as a path so the configs must have been packaged, and a budget
-# on a 1e5-point grid (above 16,384 points numpy evaluates some expressions
-# in place), twice; the two output trees must be byte-identical, and each
+# than given as a path so the configs must have been packaged, a budget on a
+# 1e5-point grid (above 16,384 points numpy evaluates some expressions in
+# place) and one on 20001 points (not a whole number of the budget's
+# blocks), twice; the two output trees must be byte-identical, and each
 # run's manifest.json must list exactly the other files of its directory.  A
 # copy of paper_default with a misspelled key must fail with one hinted line,
-# and a budget that fails must leave no output directory.
+# and a budget that fails must leave no output directory and no staging file.
 #
 #   python -m pip install . && sh .github/scripts/packaged_cli_smoke.sh
 set -eu
@@ -31,6 +32,7 @@ for run in 1 2; do
     done
   done
   suscav budget --grid 0.1,1e4,100000 --out "run$run/budget-1e5"
+  suscav budget --grid 0.1,1e4,20001 --out "run$run/budget-20001"
 done
 diff -r run1 run2
 
@@ -63,11 +65,14 @@ if [ "$code" != 1 ] || [ "$(wc -l <misspelled.err)" -ne 1 ] \
   exit 1
 fi
 
-# a budget whose grid stops above 0.5 Hz fails after parsing: exit 1, no output
+# a budget whose grid stops above 0.5 Hz fails after its last block: exit 1,
+# no output and no staging file
 code=0
 suscav budget --grid 1,1e4,100 --out failed 2>failed.err || code=$?
-if [ "$code" != 1 ] || [ -e failed ]; then
-  echo "failing budget: want exit 1 and no 'failed' directory, got exit $code:" >&2
+staged=$(find . -name '.suscav-staging-*')
+if [ "$code" != 1 ] || [ -e failed ] || [ -n "$staged" ]; then
+  echo "failing budget: want exit 1, no 'failed' directory and no staging file," \
+    "got exit $code and staging '$staged':" >&2
   cat failed.err >&2
   exit 1
 fi

@@ -61,7 +61,10 @@ class ZPK:
         s = 1j * grid.angular
         h = np.full(s.shape, self.gain, dtype=complex)
         for z in self.zeros:
-            h = h * (s - z)
+            # the temporary on the left: where numpy reuses it in place
+            # (above 16,384 points) the product keeps its operand order, so
+            # H at one frequency has the same bits on any grid
+            h = (s - z) * h
         for p in self.poles:
             d = s - p
             bad = np.nonzero(d == 0.0)[0]
@@ -182,7 +185,13 @@ class LoopResult:
     loop_gain: np.ndarray
     suppression: np.ndarray        # ground -> payload with the loop closed
     passive: np.ndarray            # ground -> payload with the loop open
-    poles: np.ndarray              # roots of the characteristic polynomial den + num
+    gain: ZPK                      # the loop gain G
+
+    @cached_property
+    def poles(self):
+        """Roots of the characteristic polynomial den + num, found on first read."""
+        num, den = self.gain.polynomials()
+        return np.roots(np.polyadd(den, num))
 
     @cached_property
     def _margins(self):
@@ -234,7 +243,8 @@ def closed_loop(platform, geophone, actuator, servo, grid, axis=HORIZONTAL):
 
     The loop gain is one ZPK; its frequency response gives the
     suppression and, on first read, the unity-gain frequencies and phase
-    margins; its polynomials give the closed-loop poles.
+    margins; its polynomials give the closed-loop poles, also on first
+    read.
     """
     velocity = ZPK(zeros=(0.0,), poles=(), gain=1.0)
     gain = platform.force(axis) * velocity * geophone.zpk() * servo * actuator.zpk()
@@ -247,13 +257,12 @@ def closed_loop(platform, geophone, actuator, servo, grid, axis=HORIZONTAL):
             frequency_hz=grid.values[np.nonzero(small)[0][0]],
         )
     passive = platform.passive(axis).evaluate(grid)
-    num, den = gain.polynomials()
     return LoopResult(
         grid=grid,
         loop_gain=loop,
         suppression=passive / one_plus,
         passive=passive,
-        poles=np.roots(np.polyadd(den, num)),
+        gain=gain,
     )
 
 

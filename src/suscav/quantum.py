@@ -79,9 +79,14 @@ def sql_psd(mirror_mass, grid):
     return Spectrum(grid, np.sqrt(8.0 * HBAR / mirror_mass) / omega, UNIT_DISPLACEMENT)
 
 
-def kappa(config, grid):
-    """Frequency-dependent opto-mechanical coupling (dimensionless array)."""
-    _check_validity(grid, config.validity_floor_hz)
+def kappa(config, grid, check=True):
+    """Frequency-dependent opto-mechanical coupling (dimensionless array).
+
+    Warns when `grid` starts below the free-mass validity floor, unless
+    `check` is false: a caller evaluating a grid piece by piece warns once.
+    """
+    if check:
+        _check_validity(grid, config.validity_floor_hz)
     cav = config.cavity
     omega = grid.angular
     gamma = _cavity_pole(cav, config.pole_model)
@@ -124,17 +129,17 @@ def kappa_unity_frequency(config):
     return float(np.sqrt(omega_sq) / (2.0 * np.pi))
 
 
-def quantum_noise_psd(config, grid):
+def quantum_noise_psd(config, grid, check=True):
     """Shot-noise / radiation-pressure decomposition as a `NoiseBudget`.
 
     Components "shot_noise" and "radiation_pressure" sum (in PSD) to the
     total quantum noise; the SQL curve rides along as a reference that is
-    not part of the total.
+    not part of the total.  `check` is kappa's.
     """
     if config.circulating_power <= 0.0:
         raise ConfigError("circulating power must be positive (shot noise diverges)")
     sql = sql_psd(config.cavity.mirror_mass, grid)
-    k = kappa(config, grid)
+    k = kappa(config, grid, check)
     qsn = Spectrum.from_psd(grid, sql.psd / (2.0 * k), UNIT_DISPLACEMENT)
     qrpn = Spectrum.from_psd(grid, sql.psd * k / 2.0, UNIT_DISPLACEMENT)
     return NoiseBudget.from_components(

@@ -175,9 +175,14 @@ def saturation_margin(budget, config, cav):
     """
     if budget.unit != UNIT_DISPLACEMENT:
         raise UnitError("saturation margin needs a displacement budget")
-    if budget.grid.fmin > 0.5:
+    return rms_saturation_margin(cumulative_rms(budget.total), config, cav)
+
+
+def rms_saturation_margin(rms, config, cav):
+    """`saturation_margin` of the budget whose total has cumulative RMS `rms`."""
+    if rms.grid.fmin > 0.5:
         raise GridError("budget grid must extend down to 0.5 Hz or lower")
-    rms_m = float(cumulative_rms(budget.total).asd[0])
+    rms_m = float(rms.asd[0])
     if rms_m == 0.0:
         return SaturationReport(rms_m=0.0, rms_hz=0.0,
                                 margin_ratio=np.inf, unbounded=True)

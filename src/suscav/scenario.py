@@ -12,7 +12,9 @@ import difflib
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import quantum as qn
 from .cavity import CavityParams
-from .errors import ConfigError
+from .errors import ConfigError, GridError
 from .isolation import (
     HORIZONTAL,
     VERTICAL,
@@ -42,11 +44,13 @@ from .readout import (
     intensity_rp_displacement,
     iss_profile,
     pll_noise_asd,
-    saturation_margin,
+    rms_saturation_margin,
 )
 from .spectra import (
+    CSV_BLOCK_ROWS,
     UNIT_DISPLACEMENT,
     UNIT_RELATIVE,
+    FrequencyGrid,
     NoiseBudget,
     Spectrum,
     band_rms,
@@ -75,43 +79,65 @@ from .thermal import ThermalConfig, thermal_displacement
 ROOT2 = math.sqrt(2.0)
 
 
-def platform_suppression_tf(scenario, grid, axis=HORIZONTAL):
-    """Ground-to-payload TF of one axis, active loop closed if enabled.
+class _Models:
+    """What a budget's terms share that no grid enters, each made on first
+    use and kept for every block of a run: the two suspension models and
+    each isolation loop's stability."""
 
-    The instrument runs one scalar loop per degree of freedom after
-    sensor diagonalisation, so the same servo closes each axis against
-    its own platform resonance.  An unstable active loop is refused:
-    its passive/(1 + G) describes no physical platform.
-    """
-    if not scenario.config["isolation"]["active"]:
-        return scenario.platform.passive(axis).evaluate(grid)
-    result = closed_loop(scenario.platform, scenario.geophone, scenario.actuator,
-                         scenario.servo, grid, axis=axis)
-    if not result.stable:
-        raise ConfigError(f"the {axis} isolation loop is unstable")
-    return result.suppression
-
-
-class _Shared:
-    """Responses terms share, each computed on first use; arrays only."""
-
-    def __init__(self, scenario, grid):
-        self.scenario, self.grid = scenario, grid
+    def __init__(self, scenario):
+        self.scenario = scenario
+        self.stable_axes = set()
 
     @cached_property
     def horizontal(self):
         return build_model(self.scenario.chain, HORIZONTAL)
 
     @cached_property
+    def vertical(self):
+        return build_model(self.scenario.chain, VERTICAL)
+
+    def platform_suppression(self, grid, axis):
+        """Ground-to-payload TF of one axis, active loop closed if enabled.
+
+        The instrument runs one scalar loop per degree of freedom after
+        sensor diagonalisation, so the same servo closes each axis against
+        its own platform resonance.  An unstable active loop is refused:
+        its passive/(1 + G) describes no physical platform.  Stability is
+        grid-free, so it is tested on the first grid only.
+        """
+        s = self.scenario
+        if not s.config["isolation"]["active"]:
+            return s.platform.passive(axis).evaluate(grid)
+        result = closed_loop(s.platform, s.geophone, s.actuator, s.servo, grid, axis=axis)
+        if axis not in self.stable_axes:
+            if not result.stable:
+                raise ConfigError(f"the {axis} isolation loop is unstable")
+            self.stable_axes.add(axis)
+        return result.suppression
+
+
+class _Shared:
+    """Responses terms share on `rows` of the scenario's grid, each computed
+    on first use; arrays only.  `grid`, `ground` and `rin` are those rows
+    of the scenario's grid and input spectra."""
+
+    def __init__(self, models, rows):
+        s = models.scenario
+        self.scenario, self.models = s, models
+        self.grid = FrequencyGrid(s.grid.values[rows])
+        self.ground = Spectrum(self.grid, s.ground.asd[rows], UNIT_DISPLACEMENT)
+        self.rin = s.rin_asd[rows]
+
+    @cached_property
     def chi(self):
-        return mirror_force_susceptibility(self.horizontal, self.grid)
+        return mirror_force_susceptibility(self.models.horizontal, self.grid)
 
     @cached_property
     def intensity(self):
         s, grid = self.scenario, self.grid
         iss = s.config["intensity"]["iss"]
         return IntensityNoiseConfig(
-            rin=Spectrum(grid, s.rin_asd, UNIT_RELATIVE),
+            rin=Spectrum(grid, self.rin, UNIT_RELATIVE),
             iss_suppression=iss_profile(grid, iss["peak_suppression"], iss["band_hz"]),
             circulating_power=s.quantum.circulating_power,
             susceptibility=self.chi,
@@ -119,16 +145,20 @@ class _Shared:
 
 
 def _seismic(s, grid, shared):
-    horiz = seismic_to_cavity(shared.horizontal, s.ground, platform_suppression_tf(s, grid), grid)
-    vert_tf = tf_suspoint_to_mirror(build_model(s.chain, VERTICAL), grid)
-    vert_plat = platform_suppression_tf(s, grid, axis=VERTICAL)
-    vert_asd = np.abs(vert_plat * vert_tf) * s.chain.vertical_coupling * s.ground.asd
+    models = shared.models
+    horiz = seismic_to_cavity(models.horizontal, shared.ground,
+                              models.platform_suppression(grid, HORIZONTAL), grid)
+    vert_tf = tf_suspoint_to_mirror(models.vertical, grid)
+    vert_plat = models.platform_suppression(grid, VERTICAL)
+    vert_asd = np.abs(vert_plat * vert_tf) * s.chain.vertical_coupling * shared.ground.asd
     return Spectrum.from_psd(grid, 2.0 * (horiz.psd + vert_asd ** 2), UNIT_DISPLACEMENT)
 
 
 def _quantum_total(s, grid, shared):
     if s.quantum.circulating_power > 0.0:
-        return qn.quantum_noise_psd(s.quantum, grid).total
+        # the free-mass warning names the scenario grid's fmin, so only the
+        # rows that hold it check
+        return qn.quantum_noise_psd(s.quantum, grid, check=grid.fmin == s.grid.fmin).total
     return zero_spectrum(grid, UNIT_DISPLACEMENT)
 
 
@@ -361,7 +391,7 @@ class Scenario:
     """The parameter objects of one configured scenario, and `config`: the
     config resolved against SCHEMA, defaults filled in."""
 
-    grid: "FrequencyGrid"
+    grid: FrequencyGrid
     cavity: CavityParams
     chain: SuspensionChain
     thermal: ThermalConfig
@@ -383,7 +413,10 @@ class Scenario:
             schema = {key: node for key, node in SCHEMA.items() if key != "grid"}
         config = _resolve(schema, cfg)
         if "grid" in config:     # checked under --grid too
-            check_log_grid(**_args(SCHEMA["grid"], config["grid"]))
+            try:
+                check_log_grid(**_args(SCHEMA["grid"], config["grid"]))
+            except GridError as exc:
+                raise GridError(f"grid: {exc}") from exc
         grid = grid_override if grid_override is not None else make_log_grid(
             **_args(SCHEMA["grid"], config["grid"]))
         cavity = CavityParams(**_args(SCHEMA["cavity"], config["cavity"]))
@@ -441,11 +474,15 @@ def load_scenario(path, grid_override=None):
     return Scenario.from_dict(load_config(path), grid_override=grid_override)
 
 
-def assemble_budget(scenario):
-    """Full displacement budget of the beat readout, one column per term.
+def assemble_budget(scenario, rows=slice(None), models=None):
+    """Displacement budget of the beat readout, one column per term, on
+    `rows` of the scenario's grid (a slice or a sorted index array; all of
+    it by default).  Every term is pointwise in frequency, so each value
+    has the bits of the whole-grid budget's.  `models`, a `_Models` of
+    the scenario, carries the grid-free work from one call to the next.
     A switched-off term is zeros and computes no shared response."""
-    grid = scenario.grid
-    shared = _Shared(scenario, grid)
+    shared = _Shared(models or _Models(scenario), rows)
+    grid = shared.grid
     zeros = zero_spectrum(grid, UNIT_DISPLACEMENT)
     include = scenario.config["budget"]["include"]
     components, references = {}, {}
@@ -456,17 +493,22 @@ def assemble_budget(scenario):
     return NoiseBudget.from_components(components, references=references)
 
 
-def _asd_at(spectrum, f):
-    return float(np.interp(f, spectrum.grid.values, spectrum.asd))
+def _asd_at(grid, asd, f):
+    # np.interp copies a read-only array, so it gets the two points around f
+    i = min(max(np.searchsorted(grid.values, f, side="right") - 1, 0), max(len(grid) - 2, 0))
+    return float(np.interp(f, grid.values[i:i + 2], asd[i:i + 2]))
 
 
 def _emit(outdir, command, files, summary, traces, unit=UNIT_DISPLACEMENT):
-    """Write one command's output directory, once everything is computed.
+    """Write one command's output directory.
 
     `files` maps each manifest role to (file name, writer, writer arguments
-    after the path).  Beside them go `<command stem>_summary.json` and
-    `manifest.json`, which lists every file by role.  A command that fails
-    before this call has written nothing.
+    after the path).  The writers run in that order, then
+    `<command stem>_summary.json` is written from `summary`, which a writer
+    may fill in, and `manifest.json`, which lists every file by role.  All
+    of it goes to a staging directory and moves into `outdir` only when
+    everything is written, so a command that fails, before or during this
+    call, leaves `outdir` as it was and no staging file behind.
     """
     names = {role: name for role, (name, *_) in files.items()}
     names["summary"] = f"{command.split('-')[0]}_summary.json"
@@ -477,37 +519,76 @@ def _emit(outdir, command, files, summary, traces, unit=UNIT_DISPLACEMENT):
         "y_axis": {"log": True, "unit": unit},
         "traces": traces,
     }
-    os.makedirs(outdir, exist_ok=True)
-    for name, writer, *args in files.values():
-        writer(os.path.join(outdir, name), *args)
-    for name, payload in ((names["summary"], summary), ("manifest.json", manifest)):
-        with open(os.path.join(outdir, name), "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    # inside outdir if it exists, else in its nearest existing ancestor:
+    # either way on outdir's file system, and no directory is made early
+    near = os.path.abspath(outdir)
+    while not os.path.isdir(near):
+        near = os.path.dirname(near)
+    stage = tempfile.mkdtemp(prefix=".suscav-staging-", dir=near)
+    try:
+        for name, writer, *args in files.values():
+            writer(os.path.join(stage, name), *args)
+        for name, payload in ((names["summary"], summary), ("manifest.json", manifest)):
+            with open(os.path.join(stage, name), "w") as fh:
+                json.dump(payload, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        os.makedirs(outdir, exist_ok=True)
+        for name in [*names.values(), "manifest.json"]:
+            os.replace(os.path.join(stage, name), os.path.join(outdir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
+# Grid points per block of `run_budget`: a block's working arrays take a
+# few MB, and only the total ASD is kept from one block to the next.
+BUDGET_BLOCK_ROWS = 4 * CSV_BLOCK_ROWS
 
 
 def run_budget(scenario, outdir):
-    """Assemble the full budget and write CSVs plus manifest/summary."""
-    budget = assemble_budget(scenario)
-    rms = cumulative_rms(budget.total)
-    report = saturation_margin(budget, scenario.readout, scenario.cavity)
-    summary = {
-        "asd_at_100_hz_m_rthz": _asd_at(budget.total, 100.0),
-        "rms_m": report.rms_m,
-        "rms_hz": report.rms_hz,
-        "vco_margin_ratio": report.margin_ratio if np.isfinite(report.margin_ratio) else "unbounded",
-        "iss_enabled": _iss_on(scenario),
-    }
-    sel = (scenario.grid.values >= 100.0) & (scenario.grid.values <= 1000.0)
-    if np.any(sel):
-        summary["min_asd_100_1000_hz_m_rthz"] = float(np.min(budget.total.asd[sel]))
+    """Write the budget CSVs, summary and manifest; return the summary.
+
+    The budget is assembled and written a block of BUDGET_BLOCK_ROWS grid
+    points at a time, holding only the total ASD from block to block; the
+    cumulative RMS and the summary are computed from it once the last
+    block is written.  `assemble_budget(scenario)` gives the whole budget.
+    """
+    grid, models = scenario.grid, _Models(scenario)
+    total = np.empty(len(grid))
+    summary = {}
+
+    def blocks():
+        for start in range(0, len(grid), BUDGET_BLOCK_ROWS):
+            rows = slice(start, start + BUDGET_BLOCK_ROWS)
+            block = assemble_budget(scenario, rows, models)
+            total[rows] = block.total.asd
+            yield block
+
+    def write_rms(path):
+        total.setflags(write=False)
+        rms = cumulative_rms(Spectrum(grid, total, UNIT_DISPLACEMENT))
+        report = rms_saturation_margin(rms, scenario.readout, scenario.cavity)
+        summary.update({
+            "asd_at_100_hz_m_rthz": _asd_at(grid, total, 100.0),
+            "rms_m": report.rms_m,
+            "rms_hz": report.rms_hz,
+            "vco_margin_ratio": (report.margin_ratio if np.isfinite(report.margin_ratio)
+                                 else "unbounded"),
+            "iss_enabled": _iss_on(scenario),
+        })
+        lo = np.searchsorted(grid.values, 100.0, side="left")
+        hi = np.searchsorted(grid.values, 1000.0, side="right")
+        if hi > lo:
+            summary["min_asd_100_1000_hz_m_rthz"] = float(np.min(total[lo:hi]))
+        write_csv(path, ["frequency_hz", "rms_m"], [grid.values, rms.asd])
+
+    in_total = [t.column for t in TERMS if t.in_total(scenario)]
+    references = [t.column for t in TERMS if not t.in_total(scenario)]
     _emit(outdir, "budget", {
-        "budget": ("budget.csv", write_budget_csv, budget),
-        "cumulative_rms": ("budget_rms.csv", write_csv, ["frequency_hz", "rms_m"],
-                           [scenario.grid.values, rms.asd]),
-    }, summary, [{"column": name, "in_total": True} for name in budget.components]
-        + [{"column": name, "in_total": False} for name in (*budget.references, "total")])
-    return budget
+        "budget": ("budget.csv", write_budget_csv, blocks()),
+        "cumulative_rms": ("budget_rms.csv", write_rms),
+    }, summary, [{"column": name, "in_total": True} for name in in_total]
+        + [{"column": name, "in_total": False} for name in (*references, "total")])
+    return summary
 
 
 def run_suspension_tf(scenario, outdir):
@@ -584,7 +665,7 @@ def run_quantum_design(scenario, outdir):
         "kappa_unity_hz": qn.kappa_unity_frequency(config),
         "free_mass_floor_hz": config.validity_floor_hz,
         "grid_extends_below_floor": grid.fmin < config.validity_floor_hz,
-        "sql_asd_at_100_hz_m_rthz": _asd_at(budget.references["sql"], 100.0),
+        "sql_asd_at_100_hz_m_rthz": _asd_at(grid, budget.references["sql"].asd, 100.0),
     }
     target = scenario.config["quantum"]["power_for_sql_at_hz"]
     if target is not None:

@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
@@ -44,9 +45,13 @@ UNITS = frozenset({
 # values that the kernel leaves out.
 CSV_FORMAT = "%.17g"
 
-# Rows formatted per block in write_csv; at 12 columns a block's working
-# arrays take a few MB.
+# Rows per block of write_csv's formatting and of cumulative_rms's sum.  A
+# table wider than four columns takes fewer rows a block, CSV_BLOCK_CELLS
+# cells at most: a block's working arrays, about 200 B a cell, then stay
+# near 1.6 MB, small enough for the C allocator to keep reusing rather
+# than return to the system after each block and fault back in.
 CSV_BLOCK_ROWS = 2048
+CSV_BLOCK_CELLS = 4 * CSV_BLOCK_ROWS
 
 # The kernel formats 1e-279 < |x| < 1e279: there the power-of-ten table,
 # every Veltkamp split and every partial product stay clear of overflow
@@ -60,6 +65,9 @@ _WORD = np.dtype("<u8")
 
 
 def _frozen_array(values, dtype=float):
+    """`values` as a read-only array: shared if it is one already, else a copy."""
+    if isinstance(values, np.ndarray) and values.dtype == dtype and not values.flags.writeable:
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -148,12 +156,13 @@ class Spectrum:
         arr = _frozen_array(self.asd)
         if arr.shape != self.grid.values.shape:
             raise GridError("asd length does not match grid length")
-        finite = np.isfinite(arr)
-        if not finite.all():
-            i = np.argmin(finite)
-            raise ConfigError(f"asd contains non-finite values: {arr[i]} {self.unit} "
-                              f"at {self.grid.values[i]:.6g} Hz")
-        if np.any(arr < 0.0):
+        # NaN and inf show in the extremes, so a valid array costs no mask
+        if not (np.isfinite(arr.max()) and arr.min() >= 0.0):
+            finite = np.isfinite(arr)
+            if not finite.all():
+                i = np.argmin(finite)
+                raise ConfigError(f"asd contains non-finite values: {arr[i]} {self.unit} "
+                                  f"at {self.grid.values[i]:.6g} Hz")
             raise ConfigError("asd must be non-negative")
         object.__setattr__(self, "asd", arr)
 
@@ -199,12 +208,25 @@ def cumulative_rms(spectrum):
     non-increasing and reaches zero at the top of the grid.  The result
     keeps the input unit tag; values are in the unit's numerator (the
     usual convention when an RMS curve is overlaid on an ASD plot).
+
+    The segments are summed top-down in blocks of CSV_BLOCK_ROWS, each
+    block's cumulative sum seeded with the sum above it: the additions of
+    one sequential sum, in its order, with O(block) working arrays.
     """
-    f = spectrum.grid.values
-    psd = spectrum.psd
-    segments = 0.5 * (psd[1:] + psd[:-1]) * np.diff(f)
-    tail = np.concatenate([np.cumsum(segments[::-1])[::-1], [0.0]])
-    return Spectrum(spectrum.grid, np.sqrt(tail), spectrum.unit)
+    f, asd = spectrum.grid.values, spectrum.asd
+    rms = np.empty(f.size)
+    rms[-1] = 0.0
+    carry = 0.0
+    for hi in range(f.size - 1, 0, -CSV_BLOCK_ROWS):
+        lo = max(hi - CSV_BLOCK_ROWS, 0)
+        psd = asd[lo:hi + 1] ** 2
+        segments = (0.5 * (psd[1:] + psd[:-1]) * np.diff(f[lo:hi + 1]))[::-1]
+        segments[0] += carry
+        tail = np.cumsum(segments)
+        carry = tail[-1]
+        rms[lo:hi] = np.sqrt(tail[::-1])
+    rms.setflags(write=False)
+    return Spectrum(spectrum.grid, rms, spectrum.unit)
 
 
 def band_rms(spectrum, fmin, fmax):
@@ -431,15 +453,39 @@ def write_csv(path, header, columns):
     A numeric column is written as doubles, each exactly as CSV_FORMAT
     prints it, so every value reads back bit-exact; any other column is
     text, written as str(v).  The file is UTF-8.  Rows are laid out a block
-    of CSV_BLOCK_ROWS at a time in NUL-padded cells, which are dropped
-    before the block is written.
+    of CSV_BLOCK_ROWS, or of CSV_BLOCK_CELLS cells, at a time in NUL-padded
+    cells, which are dropped before the block is written.
     """
+    _write_csv_blocks(path, header, [columns])
+
+
+def _table(header, columns):
+    """`columns` as arrays, refused unless there is one per name of `header`
+    and all have one length."""
     columns = [np.asarray(c) for c in columns]
     if len(header) != len(columns):
         raise ValueError(f"{len(header)} header names for {len(columns)} columns")
-    n = len(columns[0])
-    if any(len(c) != n for c in columns):
+    if any(len(c) != len(columns[0]) for c in columns):
         raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+    return columns
+
+
+def _write_csv_blocks(path, header, blocks):
+    """`write_csv` of a table given as consecutive blocks of rows, each a
+    list of columns, so that no more than a block need exist at a time.
+    A malformed first block is refused before the file is created."""
+    blocks = iter(blocks)
+    first = _table(header, next(blocks))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        _write_rows(fh, first)
+        for columns in blocks:
+            _write_rows(fh, _table(header, columns))
+
+
+def _write_rows(fh, columns):
+    """Append the rows of `_table`-checked `columns` to the binary file `fh`."""
+    n = len(columns[0])
     numeric = [j for j, c in enumerate(columns) if np.issubdtype(c.dtype, np.number)]
     text = {j: np.array([str(v).encode() for v in c.tolist()], dtype=bytes)
             for j, c in enumerate(columns) if j not in numeric}
@@ -447,30 +493,32 @@ def write_csv(path, header, columns):
     width = max([_CELL] + [-(-(t.itemsize + 1) // 8) * 8 for t in text.values()])
     separators = np.full(len(columns), ord(","), np.uint8)
     separators[-1] = ord("\n")
-    with open(path, "wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            rows = min(CSV_BLOCK_ROWS, n - start)
-            block = np.zeros((rows, len(columns), width), np.uint8)
-            if numeric:
-                x = np.stack([columns[j][start:start + rows] for j in numeric], axis=1)
-                block.view(_WORD)[:, numeric, :_CELL // 8] = (
-                    _format_numbers(x).reshape(rows, len(numeric), -1))
-            for j, t in text.items():
-                block[:, j, :t.itemsize] = t[start:start + rows].view(np.uint8).reshape(rows, -1)
-            block[:, :, -1] = separators
-            fh.write(block.tobytes().translate(None, b"\0"))
+    step = min(CSV_BLOCK_ROWS, CSV_BLOCK_CELLS // len(columns))
+    for start in range(0, n, step):
+        rows = min(step, n - start)
+        block = np.zeros((rows, len(columns), width), np.uint8)
+        if numeric:
+            x = np.stack([columns[j][start:start + rows] for j in numeric], axis=1)
+            block.view(_WORD)[:, numeric, :_CELL // 8] = (
+                _format_numbers(x).reshape(rows, len(numeric), -1))
+        for j, t in text.items():
+            block[:, j, :t.itemsize] = t[start:start + rows].view(np.uint8).reshape(rows, -1)
+        block[:, :, -1] = separators
+        fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def write_budget_csv(path, budget):
-    """CSV with header `frequency_hz,<component>...,total`, full precision."""
-    names = list(budget.components) + list(budget.references)
-    columns = [budget.components.get(n) or budget.references[n] for n in names]
-    write_csv(
-        path,
-        ["frequency_hz"] + names + ["total"],
-        [budget.grid.values] + [c.asd for c in columns] + [budget.total.asd],
-    )
+    """CSV with header `frequency_hz,<component>...,total`, full precision.
+
+    `budget` is one NoiseBudget, or an iterable of budgets on consecutive
+    pieces of one grid, written one after another as they come.
+    """
+    blocks = iter([budget] if isinstance(budget, NoiseBudget) else budget)
+    first = next(blocks)
+    names = list(first.components) + list(first.references)
+    _write_csv_blocks(path, ["frequency_hz"] + names + ["total"], (
+        [b.grid.values] + [(b.components.get(n) or b.references[n]).asd for n in names]
+        + [b.total.asd] for b in itertools.chain([first], blocks)))
 
 
 def _read_csv(path, usecols=None):

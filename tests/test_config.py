@@ -125,6 +125,17 @@ def test_present_grid_is_checked_under_grid_option(tmp_path, capsys, config_fact
         Scenario.from_dict(cfg)
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"fmin_hz": 10, "fmax_hz": 1, "n": 1}, "grid: need 0 < fmin < fmax, got (10, 1)"),
+    ({"fmin_hz": 0.1, "fmax_hz": 1e4, "n": 1}, "grid: need at least 2 points, got 1"),
+], ids=["reversed_range", "one_point"])
+@pytest.mark.parametrize("args", [(), ("--grid", "0.1,1e4,50")], ids=["config", "grid_option"])
+def test_grid_range_error_names_its_key(tmp_path, capsys, config_factory, grid, message, args):
+    cfg = config_factory()
+    cfg["grid"] = grid
+    assert config_error(tmp_path, capsys, cfg, *args) == "suscav: config error: " + message
+
+
 def test_two_mirror_masses_are_refused(tmp_path, capsys, config_factory):
     cfg = config_factory()
     cfg["cavity"]["mirror_mass_kg"] = 0.5

@@ -92,6 +92,17 @@ class TestZPK:
         assert np.allclose((a * b).evaluate(grid), a.evaluate(grid) * b.evaluate(grid),
                            rtol=1e-14, atol=0.0)
 
+    def test_same_bits_on_any_grid_length(self):
+        # above 16,384 complex points numpy reuses temporaries in place; the
+        # response at a frequency must not depend on that
+        tp = 2.0 * np.pi
+        z = ZPK(zeros=(-tp * 3.0, complex(-tp * 20.0, tp * 90.0), complex(-tp * 20.0, -tp * 90.0)),
+                poles=(-tp * 0.5, -tp * 700.0, -tp * 900.0), gain=3.7)
+        grid = make_log_grid(0.1, 1e4, 20_000)
+        pieces = [z.evaluate(FrequencyGrid(grid.values[i:i + 2048]))
+                  for i in range(0, len(grid), 2048)]
+        assert np.concatenate(pieces).tobytes() == z.evaluate(grid).tobytes()
+
 
 class TestPlatform:
     def test_peak_at_resonance(self, platform):

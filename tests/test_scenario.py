@@ -1,15 +1,19 @@
 import filecmp
+import functools
 import json
 import os
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from suscav.cli import COMMANDS, main, parse_grid, resolve_config
 from suscav.errors import ConfigError
 from suscav.quantum import FreeMassValidityWarning
 from suscav.scenario import (
+    BUDGET_BLOCK_ROWS,
     Scenario,
     assemble_budget,
     load_scenario,
@@ -48,7 +52,8 @@ def test_missing_key_reported(config_factory):
 
 
 def test_budget_csv_roundtrip_exact(default_scenario, tmp_path):
-    budget = run_budget(default_scenario, tmp_path)
+    run_budget(default_scenario, tmp_path)
+    budget = assemble_budget(default_scenario)
     grid, columns = read_budget_csv(tmp_path / "budget.csv")
     assert np.array_equal(grid.values, default_scenario.grid.values)
     for name, s in budget.components.items():
@@ -57,7 +62,8 @@ def test_budget_csv_roundtrip_exact(default_scenario, tmp_path):
 
 
 def test_budget_components_present(default_scenario, tmp_path):
-    budget = run_budget(default_scenario, tmp_path)
+    run_budget(default_scenario, tmp_path)
+    budget = assemble_budget(default_scenario)
     assert set(budget.components) == {
         "seismic", "suspension_thermal", "intensity_rp_iss_on", "adc", "pll",
         "acoustic", "quantum_total", "sql",
@@ -94,7 +100,8 @@ def test_iss_choice_sets_column_roles_and_order(config_factory, tmp_path, iss):
     cfg = config_factory()
     cfg["intensity"]["iss"]["enabled"] = iss
     scenario = Scenario.from_dict(cfg, grid_override=make_log_grid(0.1, 1e4, 50))
-    budget = run_budget(scenario, tmp_path)
+    run_budget(scenario, tmp_path)
+    budget = assemble_budget(scenario)
     on, off = "intensity_rp_iss_on", "intensity_rp_iss_off"
     active, inactive = (on, off) if iss else (off, on)
     # the README order: the active intensity column third, the other last
@@ -171,6 +178,19 @@ def test_suspension_tf_builds_the_model_once(default_scenario, monkeypatch, tmp_
     run_suspension_tf(default_scenario, tmp_path)
     assert builds == ["horizontal"]
     assert solves == [("horizontal", False)]
+
+
+def test_streamed_budget_builds_the_grid_free_parts_once(config_factory, monkeypatch,
+                                                         tmp_path):
+    n = 100_000
+    scenario = Scenario.from_dict(config_factory(), grid_override=make_log_grid(0.1, 1e4, n))
+    builds, solves = _counting(monkeypatch)
+    roots, find_roots = [], np.roots
+    monkeypatch.setattr(np, "roots", lambda p: roots.append(p) or find_roots(p))
+    run_budget(scenario, tmp_path)
+    assert sorted(builds) == ["horizontal", "vertical"]
+    assert len(solves) == 3 * -(-n // BUDGET_BLOCK_ROWS)
+    assert len(roots) == 2      # each isolation loop's stability, once
 
 
 def test_budget_never_finds_loop_crossings(default_scenario, monkeypatch, tmp_path):
@@ -353,6 +373,109 @@ def test_failing_command_writes_nothing(tmp_path, capsys, command):
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     errors = capsys.readouterr().err.splitlines()
     assert len(errors) == 2 and all(e.startswith("suscav: ") for e in errors)
+
+
+def _columns(budget):
+    return {name: s.asd for name, s in
+            {**budget.components, **budget.references, "total": budget.total}.items()}
+
+
+@functools.cache
+def _whole_grid_budget(name, n):
+    scenario = load_scenario(resolve_config(name), grid_override=make_log_grid(0.1, 1e4, n))
+    return scenario, _columns(assemble_budget(scenario))
+
+
+@pytest.mark.parametrize("n", [1000, 20_000])
+@pytest.mark.parametrize("name", ["paper_default", "cryo_projection", "sql_design"])
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_budget_on_some_rows_has_the_whole_grid_bits(name, n, data):
+    scenario, whole = _whole_grid_budget(name, n)
+    start = data.draw(st.integers(0, n - 1), label="start")
+    run = data.draw(st.integers(1, n - start), label="run")
+    scattered = data.draw(st.lists(st.integers(0, n - 1), max_size=200), label="scattered")
+    rows = np.union1d(np.arange(start, start + run), np.array(scattered, dtype=int))
+    part = _columns(assemble_budget(scenario, rows))
+    assert list(part) == list(whole)
+    for column, asd in part.items():
+        assert asd.tobytes() == whole[column][rows].tobytes(), column
+
+
+def test_streamed_budget_warns_and_writes_as_one_block(config_factory, monkeypatch, tmp_path):
+    import suscav.scenario
+    from suscav.readout import SaturationWarning
+
+    cfg = config_factory()
+    cfg["readout"]["vco_range_hz"] = 1.0        # the beat RMS saturates it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+
+    def run(out):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["budget", "--config", str(path), "--grid", "0.1,1e4,100000",
+                         "--out", str(tmp_path / out)]) == 0
+        return [(w.category, str(w.message)) for w in caught]
+
+    streamed = run("streamed")
+    monkeypatch.setattr(suscav.scenario, "BUDGET_BLOCK_ROWS", 100_000)
+    assert run("whole") == streamed
+    assert [category for category, _ in streamed] == [FreeMassValidityWarning, SaturationWarning]
+    assert streamed[0][1].startswith("grid extends to 0.1 Hz")
+    names = sorted(os.listdir(tmp_path / "whole"))
+    assert names == sorted(os.listdir(tmp_path / "streamed"))
+    for name in names:
+        assert filecmp.cmp(tmp_path / "whole" / name, tmp_path / "streamed" / name,
+                           shallow=False), name
+
+
+def test_failure_in_the_last_block_writes_nothing(config_factory, tmp_path, capsys):
+    grid = f"0.1,1e4,{2 * BUDGET_BLOCK_ROWS + 100}"
+    cfg = config_factory()
+    w = 2.0 * np.pi * 1e4       # the last grid point
+    cfg["readout"]["whitening"]["poles"] += [{"real": 0.0, "imag": w}, {"real": 0.0, "imag": -w}]
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    failing = ["budget", "--config", str(path), "--grid", grid, "--out", str(out)]
+    assert main(failing) == 2
+    assert "pole lies on the evaluation grid (at 10000 Hz)" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["pole.json"]
+    assert main(["budget", "--grid", grid, "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(failing) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert sorted(os.listdir(tmp_path)) == ["o", "pole.json"]
+
+
+def test_budget_working_set_is_the_total_and_a_block(default_config, tmp_path):
+    """Peak traced allocation of run_budget: the total ASD and its RMS curve
+    (8 B a point each) plus one block's working arrays, which stay under
+    1 KiB a row.  A budget held whole takes over 100 B a point."""
+    import tracemalloc
+
+    n = 200_000
+    scenario = Scenario.from_dict(default_config, grid_override=make_log_grid(0.1, 1e4, n))
+    tracemalloc.start()
+    try:
+        run_budget(scenario, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * n + 1024 * BUDGET_BLOCK_ROWS
+
+
+GRID_50 = make_log_grid(0.1, 1e4, 50)
+
+
+@given(f=st.one_of(st.floats(0.01, 2e4), st.sampled_from(GRID_50.values.tolist())))
+def test_asd_at_is_np_interp_on_the_whole_grid(f):
+    from suscav.scenario import _asd_at
+
+    asd = np.random.default_rng(5).random(50)
+    assert _asd_at(GRID_50, asd, f) == float(np.interp(f, GRID_50.values, asd))
 
 
 MISTYPED = [

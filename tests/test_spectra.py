@@ -7,6 +7,7 @@ from suscav.errors import ConfigError, GridError, UnitError
 from suscav.spectra import (
     UNIT_DISPLACEMENT,
     UNIT_FREQUENCY,
+    CSV_BLOCK_CELLS,
     CSV_BLOCK_ROWS,
     CSV_FORMAT,
     FrequencyGrid,
@@ -87,6 +88,23 @@ class TestSpectrum:
         asd[3] = np.nan
         with pytest.raises(ConfigError):
             Spectrum(grid_band, asd, UNIT_DISPLACEMENT)
+
+    @pytest.mark.parametrize("bad, message", [
+        (-1.0, "non-negative"), (np.inf, "non-finite values: inf"),
+        (-np.inf, "non-finite values: -inf"), (np.nan, "non-finite values: nan"),
+    ])
+    def test_names_the_first_fault(self, grid_band, bad, message):
+        asd = np.ones(len(grid_band))
+        asd[3] = bad
+        with pytest.raises(ConfigError, match=message):
+            Spectrum(grid_band, asd, UNIT_DISPLACEMENT)
+
+    def test_shares_a_read_only_array_and_copies_a_writable_one(self, grid_band):
+        writable = np.ones(len(grid_band))
+        copied = Spectrum(grid_band, writable, UNIT_DISPLACEMENT).asd
+        assert copied is not writable and writable.flags.writeable
+        assert not copied.flags.writeable
+        assert Spectrum(grid_band, copied, UNIT_DISPLACEMENT).asd is copied
 
     def test_rejects_length_mismatch(self, grid_band):
         with pytest.raises(GridError):
@@ -171,6 +189,18 @@ class TestCumulativeRms:
         rms = cumulative_rms(Spectrum(grid, np.array(values), UNIT_DISPLACEMENT))
         assert np.all(np.diff(rms.asd) <= 0.0)
 
+    @pytest.mark.parametrize("n", sorted({1, 2, 3, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                          CSV_BLOCK_ROWS + 2, 3 * CSV_BLOCK_ROWS + 7}))
+    def test_blocks_add_as_one_sequential_sum(self, n):
+        # the reference: one cumulative sum from the top over the whole grid
+        grid = make_log_grid(0.1, 1e4, n) if n > 1 else FrequencyGrid(np.array([3.0]))
+        asd = np.random.default_rng(n).random(n) * 10.0 ** np.linspace(-8, -16, n)
+        psd, f = asd ** 2, grid.values
+        segments = 0.5 * (psd[1:] + psd[:-1]) * np.diff(f)
+        tail = np.concatenate([np.cumsum(segments[::-1])[::-1], [0.0]])
+        rms = cumulative_rms(Spectrum(grid, asd, UNIT_DISPLACEMENT))
+        assert rms.asd.tobytes() == np.sqrt(tail).tobytes()
+
 
 class TestBandRms:
     def test_flat_band(self):
@@ -237,9 +267,11 @@ class TestCsvWriter:
                  else [str(v) for v in c] for c in map(np.asarray, columns)]
         return ",".join(header) + "\n" + "".join(",".join(row) + "\n" for row in zip(*cells))
 
+    # six columns: a block is CSV_BLOCK_CELLS // 6 rows
     @pytest.mark.parametrize("n", sorted({1, 1023, 1024, 1025, 3077, CSV_BLOCK_ROWS - 1,
                                           CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
-                                          3 * CSV_BLOCK_ROWS + 5}))
+                                          3 * CSV_BLOCK_ROWS + 5, CSV_BLOCK_CELLS // 6 - 1,
+                                          CSV_BLOCK_CELLS // 6, CSV_BLOCK_CELLS // 6 + 1}))
     def test_matches_per_element_format(self, tmp_path, n):
         rng = np.random.default_rng(n)
         mixed = np.resize(self.SPECIAL, n) * rng.choice([1.0, -1.0], n)
