@@ -7,7 +7,9 @@
 # blocks), twice; the two output trees must be byte-identical, and each
 # run's manifest.json must list exactly the other files of its directory.  A
 # copy of paper_default with a misspelled key must fail with one hinted line,
-# and a budget that fails must leave no output directory and no staging file.
+# a budget that fails must leave no output directory and no staging file, and
+# a copy whose ground CSV file is absent must run the commands that do not
+# read it and fail `isolation`, which does, with one line and no output.
 #
 #   python -m pip install . && sh .github/scripts/packaged_cli_smoke.sh
 set -eu
@@ -76,6 +78,30 @@ if [ "$code" != 1 ] || [ -e failed ] || [ -n "$staged" ]; then
   cat failed.err >&2
   exit 1
 fi
+# a copy of paper_default whose ground CSV file is absent: suspension-tf and
+# quantum do not read it and run; isolation exits 1 with one line naming it
+# and leaves no output directory
+python - absent.json <<'PY'
+import json, sys
+from importlib.resources import files
+cfg = json.loads(files("suscav").joinpath("configs", "paper_default.json").read_text())
+cfg["isolation"]["ground"] = {"csv": "absent_ground.csv"}
+with open(sys.argv[1], "w") as fh:
+    json.dump(cfg, fh)
+PY
+for command in suspension-tf quantum; do
+  suscav "$command" --config absent.json --out "absent/$command"
+done
+code=0
+suscav isolation --config absent.json --out absent/isolation 2>absent.err || code=$?
+if [ "$code" != 1 ] || [ "$(wc -l <absent.err)" -ne 1 ] \
+    || ! grep -q "absent_ground.csv" absent.err || [ -e absent/isolation ]; then
+  echo "absent ground file: want isolation to exit 1 with one line naming it and" \
+    "no output directory, got exit $code:" >&2
+  cat absent.err >&2
+  exit 1
+fi
 echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs" \
   "and listed by their manifests; a misspelled key exits 1 with a hint;" \
-  "a failing command writes nothing"
+  "a failing command writes nothing; an absent input file fails only the" \
+  "command that reads it"

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from importlib.resources import files
 
 import numpy as np
@@ -84,8 +85,15 @@ def build_parser():
     return parser
 
 
+def _one_line(message, category, filename, lineno, line=None):
+    return f"suscav: warning: {message}\n"
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # a warning is printed as one line naming no source file; showwarning is
+    # left alone, so warnings.catch_warnings(record=True) still records it
+    formatwarning, warnings.formatwarning = warnings.formatwarning, _one_line
     try:
         grid = parse_grid(args.grid) if args.grid else None
         cfg = load_config(resolve_config(args.config))
@@ -103,6 +111,8 @@ def main(argv=None):
     except OSError as exc:
         print(f"suscav: I/O error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = formatwarning
     print(f"suscav: {args.command} results written to {args.out}")
     return 0
 

@@ -117,16 +117,17 @@ class _Models:
 
 
 class _Shared:
-    """Responses terms share on `rows` of the scenario's grid, each computed
-    on first use; arrays only.  `grid`, `ground` and `rin` are those rows
-    of the scenario's grid and input spectra."""
+    """What terms share on `rows` of the scenario's grid, `grid`: the ground
+    spectrum and responses, each computed on first use."""
 
     def __init__(self, models, rows):
         s = models.scenario
         self.scenario, self.models = s, models
         self.grid = FrequencyGrid(s.grid.values[rows])
-        self.ground = Spectrum(self.grid, s.ground.asd[rows], UNIT_DISPLACEMENT)
-        self.rin = s.rin_asd[rows]
+
+    @cached_property
+    def ground(self):
+        return Spectrum(self.grid, self.scenario.ground.asd(self.grid), UNIT_DISPLACEMENT)
 
     @cached_property
     def chi(self):
@@ -137,7 +138,7 @@ class _Shared:
         s, grid = self.scenario, self.grid
         iss = s.config["intensity"]["iss"]
         return IntensityNoiseConfig(
-            rin=Spectrum(grid, self.rin, UNIT_RELATIVE),
+            rin=Spectrum(grid, s.rin.asd(grid), UNIT_RELATIVE),
             iss_suppression=iss_profile(grid, iss["peak_suppression"], iss["band_hz"]),
             circulating_power=s.quantum.circulating_power,
             susceptibility=self.chi,
@@ -377,13 +378,46 @@ def _args(section, values):
             if isinstance(node, Key) and node.arg}
 
 
-def _csv_spectrum(path, where, grid):
-    """The ASD file at `path`, log-log interpolated onto grid."""
-    f_src, a_src = read_asd_csv(path)
-    try:
-        return interp_loglog(f_src, a_src, grid)
-    except ConfigError as exc:
-        raise ConfigError(f"{where}.csv {path}: {exc}") from exc
+# The input spectra, each kept as its source and evaluated on whatever grid
+# asks, like a pygwinc `nb.Noise` on any frequency vector: `asd(grid)`.
+class CornerAsd(NamedTuple):
+    """`level` below `corner` [Hz], falling as 1/f² above: the closed-form ground."""
+
+    level: float
+    corner: float
+
+    def asd(self, grid):
+        return self.level * np.minimum(1.0, (self.corner / grid.values) ** 2)
+
+
+class FlatAsd(NamedTuple):
+    """The same `value` at every frequency: a constant RIN."""
+
+    value: float
+
+    def asd(self, grid):
+        return np.full(len(grid), self.value)
+
+
+class CsvAsd:
+    """The ASD file at `path`, the value of config key `<key>.csv`, log-log
+    interpolated.  The file is read and checked on the first `asd` call and
+    only its points are kept, so a command reads it at most once, and only
+    if one of its outputs needs it."""
+
+    def __init__(self, path, key):
+        self.path, self.key = path, key
+
+    @cached_property
+    def points(self):
+        return read_asd_csv(self.path)
+
+    def asd(self, grid):
+        f_src, a_src = self.points
+        try:
+            return interp_loglog(f_src, a_src, grid)
+        except ConfigError as exc:
+            raise ConfigError(f"{self.key}.csv {self.path}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,9 +433,9 @@ class Scenario:
     actuator: ActuatorParams
     geophone: GeophoneParams
     servo: ZPK
-    ground: Spectrum
+    ground: CornerAsd | CsvAsd
     readout: ReadoutConfig
-    rin_asd: np.ndarray
+    rin: FlatAsd | CsvAsd
     acoustic: tuple
     quantum: qn.QuantumConfig     # circulating power 0 disables the quantum traces
     config: dict
@@ -430,10 +464,10 @@ class Scenario:
 
         iso, isolation = config["isolation"], SCHEMA["isolation"]
         g, rin = iso["ground"], config["intensity"]["rin_per_rthz"]
-        ground_asd = (_csv_spectrum(g["csv"], "isolation.ground", grid) if "csv" in g else
-                      g["level_m_rthz"] * np.minimum(1.0, (g["corner_hz"] / grid.values) ** 2))
-        rin_asd = (_csv_spectrum(rin["csv"], "intensity.rin_per_rthz", grid)
-                   if isinstance(rin, dict) else np.full(len(grid), float(rin)))
+        ground = (CsvAsd(g["csv"], "isolation.ground") if "csv" in g
+                  else CornerAsd(g["level_m_rthz"], g["corner_hz"]))
+        rin = (CsvAsd(rin["csv"], "intensity.rin_per_rthz") if isinstance(rin, dict)
+               else FlatAsd(float(rin)))
 
         q = config["quantum"]
         power, target = q["circulating_power_w"], q["power_for_sql_at_hz"]
@@ -444,13 +478,12 @@ class Scenario:
             power = qn.power_for_sql(cavity, target, pole_model=q["pole_model"])
 
         return cls(
-            grid=grid, cavity=cavity, chain=chain, rin_asd=rin_asd, config=config,
+            grid=grid, cavity=cavity, chain=chain, ground=ground, rin=rin, config=config,
             thermal=ThermalConfig(**_args(SCHEMA["thermal"], config["thermal"])),
             platform=PlatformParams(**_args(isolation["platform"], iso["platform"])),
             actuator=ActuatorParams(**_args(isolation["actuator"], iso["actuator"])),
             geophone=GeophoneParams(**_args(isolation["geophone"], iso["geophone"])),
             servo=ZPK.from_config(iso["servo"]),
-            ground=Spectrum(grid, ground_asd, UNIT_DISPLACEMENT),
             readout=ReadoutConfig(whitening=ZPK.from_config(config["readout"]["whitening"]),
                                   **_args(SCHEMA["readout"], config["readout"])),
             acoustic=tuple(AcousticPeak(**_args(SCHEMA["acoustic"]["peaks"][0], e))
@@ -629,16 +662,17 @@ def run_suspension_tf(scenario, outdir):
 def run_isolation(scenario, outdir):
     """Passive/active platform comparison with RMS summary."""
     grid = scenario.grid
+    ground = scenario.ground.asd(grid)
     result = closed_loop(scenario.platform, scenario.geophone, scenario.actuator,
                          scenario.servo, grid)
-    passive = Spectrum(grid, np.abs(result.passive) * scenario.ground.asd, UNIT_DISPLACEMENT)
-    active = Spectrum(grid, np.abs(result.suppression) * scenario.ground.asd, UNIT_DISPLACEMENT)
+    passive = Spectrum(grid, np.abs(result.passive) * ground, UNIT_DISPLACEMENT)
+    active = Spectrum(grid, np.abs(result.suppression) * ground, UNIT_DISPLACEMENT)
     rms_passive = band_rms(passive, 0.5, 50.0)
     rms_active = band_rms(active, 0.5, 50.0)
     spectra = ["ground", "payload_passive", "payload_active"]
     _emit(outdir, "isolation", {
         "spectra": ("isolation.csv", write_csv, ["frequency_hz", *spectra],
-                    [grid.values, scenario.ground.asd, passive.asd, active.asd]),
+                    [grid.values, ground, passive.asd, active.asd]),
         "cumulative_rms": ("isolation_rms.csv", write_csv,
                            ["frequency_hz", "rms_passive_m", "rms_active_m"],
                            [grid.values, cumulative_rms(passive).asd, cumulative_rms(active).asd]),

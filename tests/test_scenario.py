@@ -2,6 +2,8 @@ import filecmp
 import functools
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -16,6 +18,7 @@ from suscav.scenario import (
     BUDGET_BLOCK_ROWS,
     Scenario,
     assemble_budget,
+    load_config,
     load_scenario,
     run_budget,
     run_isolation,
@@ -31,6 +34,30 @@ def quiet_free_mass():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FreeMassValidityWarning)
         yield
+
+
+def _write_asd_csv(path, column, f, asd):
+    np.savetxt(path, np.column_stack([f, asd]), fmt="%.17g", delimiter=",",
+               header=f"frequency_hz,{column}", comments="")
+
+
+@pytest.fixture(scope="session")
+def csv_inputs(tmp_path_factory):
+    """paper_default with its ground and RIN read from measured-looking CSV
+    files of a few thousand noisy rows: (config path, ground file, RIN file)."""
+    work = tmp_path_factory.mktemp("csv_inputs")
+    rng = np.random.default_rng(12)
+    ground, rin = work / "ground.csv", work / "rin.csv"
+    f = np.geomspace(0.03, 3e4, 3001)
+    noise = np.exp(rng.normal(0.0, 0.25, (2, f.size)))
+    _write_asd_csv(ground, "asd_m_rthz", f, 1e-7 * np.minimum(1.0, (1.3 / f) ** 2) * noise[0])
+    _write_asd_csv(rin, "rin_per_rthz", f[::-1], 2e-4 * (1.0 + 40.0 / f[::-1]) * noise[1])
+    cfg = load_config(resolve_config("paper_default"))
+    cfg["isolation"]["ground"] = {"csv": str(ground)}
+    cfg["intensity"]["rin_per_rthz"] = {"csv": str(rin)}
+    path = work / "csv_inputs.json"
+    path.write_text(json.dumps(cfg))
+    return str(path), str(ground), str(rin)
 
 
 @pytest.mark.parametrize("name", ["paper_default", "sql_design", "cryo_projection"])
@@ -284,7 +311,7 @@ def test_ground_csv_ingestion(config_factory, tmp_path):
     cfg["isolation"]["ground"] = {"csv": str(path)}
     scenario = Scenario.from_dict(cfg)
     g = scenario.grid.values
-    assert np.allclose(scenario.ground.asd, 2e-7 / g ** 2, rtol=1e-6)
+    assert np.allclose(scenario.ground.asd(scenario.grid), 2e-7 / g ** 2, rtol=1e-6)
 
 
 def test_rin_csv_ingestion(config_factory, tmp_path):
@@ -296,7 +323,7 @@ def test_rin_csv_ingestion(config_factory, tmp_path):
     cfg = config_factory()
     cfg["intensity"]["rin_per_rthz"] = {"csv": str(path)}
     scenario = Scenario.from_dict(cfg)
-    assert np.allclose(scenario.rin_asd, 1e-4, rtol=1e-9)
+    assert np.allclose(scenario.rin.asd(scenario.grid), 1e-4, rtol=1e-9)
 
 
 def test_all_emitted_csvs_reparse_losslessly(default_scenario, tmp_path):
@@ -381,18 +408,21 @@ def _columns(budget):
 
 
 @functools.cache
-def _whole_grid_budget(name, n):
-    scenario = load_scenario(resolve_config(name), grid_override=make_log_grid(0.1, 1e4, n))
+def _whole_grid_budget(path, n):
+    scenario = load_scenario(path, grid_override=make_log_grid(0.1, 1e4, n))
     return scenario, _columns(assemble_budget(scenario))
 
 
 @pytest.mark.parametrize("n", [1000, 20_000])
-@pytest.mark.parametrize("name", ["paper_default", "cryo_projection", "sql_design"])
+@pytest.mark.parametrize("name", ["paper_default", "cryo_projection", "sql_design",
+                                  "csv_inputs"])
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_budget_on_some_rows_has_the_whole_grid_bits(name, n, data):
-    scenario, whole = _whole_grid_budget(name, n)
+def test_budget_on_some_rows_has_the_whole_grid_bits(name, n, csv_inputs, data):
+    # csv_inputs interpolates its ground and RIN files on each set of rows
+    path = csv_inputs[0] if name == "csv_inputs" else resolve_config(name)
+    scenario, whole = _whole_grid_budget(path, n)
     start = data.draw(st.integers(0, n - 1), label="start")
     run = data.draw(st.integers(1, n - start), label="run")
     scattered = data.draw(st.lists(st.integers(0, n - 1), max_size=200), label="scattered")
@@ -465,6 +495,81 @@ def test_budget_working_set_is_the_total_and_a_block(default_config, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 16 * n + 1024 * BUDGET_BLOCK_ROWS
+
+
+def test_parse_holds_nothing_of_grid_length_but_the_grid(default_config):
+    """The input spectra are kept as their sources, not as arrays on the
+    grid: 16 B a point when they were."""
+    import tracemalloc
+
+    grid = make_log_grid(0.1, 1e4, 1_000_000)
+    tracemalloc.start()
+    try:
+        scenario = Scenario.from_dict(default_config, grid_override=grid)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert scenario.grid is grid
+    assert held <= 1 << 20
+
+
+def _with_inputs(cfg_path, tmp_path, ground=None, rin=None):
+    """A copy of the config at cfg_path with other ground/RIN file paths."""
+    cfg = load_config(cfg_path)
+    for (section, key), path in ((("isolation", "ground"), ground),
+                                 (("intensity", "rin_per_rthz"), rin)):
+        if path is not None:
+            cfg[section][key] = {"csv": str(path)}
+    out = tmp_path / "inputs.json"
+    out.write_text(json.dumps(cfg))
+    return str(out)
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("suspension-tf", ("ground", "rin")), ("quantum", ("ground", "rin")), ("isolation", ("rin",)),
+], ids=["suspension-tf", "quantum", "isolation"])
+def test_command_reads_no_file_it_does_not_use(csv_inputs, tmp_path, capsys, command, absent):
+    config = _with_inputs(csv_inputs[0], tmp_path,
+                          **{name: tmp_path / f"absent_{name}.csv" for name in absent})
+    assert main([command, "--config", config, "--out", str(tmp_path / "absent")]) == 0
+    assert main([command, "--config", csv_inputs[0], "--out", str(tmp_path / "valid")]) == 0
+    names = sorted(os.listdir(tmp_path / "valid"))
+    assert names == sorted(os.listdir(tmp_path / "absent"))
+    for name in names:
+        assert filecmp.cmp(tmp_path / "valid" / name, tmp_path / "absent" / name,
+                           shallow=False), name
+
+
+@pytest.mark.parametrize("command, absent", [
+    ("isolation", "ground"), ("budget", "ground"), ("budget", "rin")])
+def test_command_fails_on_an_absent_file_it_uses(csv_inputs, tmp_path, capsys, command,
+                                                 absent):
+    missing = tmp_path / f"absent_{absent}.csv"
+    config = _with_inputs(csv_inputs[0], tmp_path, **{absent: missing})
+    out = tmp_path / "o"
+    assert main([command, "--config", config, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("suscav: ") and err.count("\n") == 1
+    assert str(missing) in err
+    assert not out.exists()
+
+
+def test_each_input_file_is_read_once_by_the_commands_that_use_it(csv_inputs, tmp_path,
+                                                                   monkeypatch):
+    import suscav.scenario
+
+    config, ground, rin = csv_inputs
+    reads, read = [], suscav.scenario.read_asd_csv
+    monkeypatch.setattr(suscav.scenario, "read_asd_csv",
+                        lambda path: reads.append(path) or read(path))
+    n = 100_000
+    assert -(-n // BUDGET_BLOCK_ROWS) == 13
+    for command, files in (("budget", [ground, rin]), ("isolation", [ground]),
+                           ("suspension-tf", []), ("quantum", [])):
+        reads.clear()
+        assert main([command, "--config", config, "--grid", f"0.1,1e4,{n}",
+                     "--out", str(tmp_path / command)]) == 0
+        assert sorted(reads) == sorted(files), command
 
 
 GRID_50 = make_log_grid(0.1, 1e4, 50)
@@ -742,6 +847,27 @@ class TestCli:
             warnings.simplefilter("always")
             main([command, "--grid", grid, "--out", str(tmp_path / "o")])
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    def test_warning_is_one_line_naming_no_source_file(self, tmp_path):
+        import suscav
+
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONWARNINGS"}
+        src = os.path.dirname(os.path.dirname(suscav.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-m", "suscav.cli", "quantum",
+                              "--out", str(tmp_path / "q")],
+                             capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert run.returncode == 0
+        assert run.stderr == ("suscav: warning: grid extends to 0.1 Hz, below the free-mass "
+                              "validity floor of 10 Hz; results there are indicative only\n")
+
+    def test_warning_format_is_restored_and_warnings_are_recorded(self, tmp_path):
+        formatwarning = warnings.formatwarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["quantum", "--out", str(tmp_path / "q")]) == 0
+        assert warnings.formatwarning is formatwarning
+        assert [w.category for w in caught] == [FreeMassValidityWarning]
 
     def test_non_finite_spectrum_names_frequency_and_unit(self, tmp_path, capsys):
         code = main(["budget", "--grid", "1e-320,1e4,100", "--out", str(tmp_path / "o")])
