@@ -3,8 +3,9 @@
 # outside the checkout: every command on every shipped config, named rather
 # than given as a path so the configs must have been packaged, a budget on a
 # 1e5-point grid (above 16,384 points numpy evaluates some expressions in
-# place) and one on 20001 points (not a whole number of the budget's
-# blocks), twice; the two output trees must be byte-identical, and each
+# place), one on 20001 points (not a whole number of the budget's blocks)
+# and one on 1e5 points with two budget.include terms off (zero columns),
+# twice; the two output trees must be byte-identical, and each
 # run's manifest.json must list exactly the other files of its directory.  A
 # copy of paper_default with a misspelled key must fail with one hinted line,
 # a budget that fails must leave no output directory and no staging file, and
@@ -27,6 +28,16 @@ case "$module" in
 esac
 echo "suscav from $module"
 
+# paper_default with the acoustic and pll terms switched off
+python - terms_off.json <<'PY'
+import json, sys
+from importlib.resources import files
+cfg = json.loads(files("suscav").joinpath("configs", "paper_default.json").read_text())
+cfg.setdefault("budget", {}).setdefault("include", {}).update(acoustic=False, pll=False)
+with open(sys.argv[1], "w") as fh:
+    json.dump(cfg, fh)
+PY
+
 for run in 1 2; do
   for config in paper_default cryo_projection sql_design; do
     for command in budget suspension-tf isolation quantum; do
@@ -35,6 +46,8 @@ for run in 1 2; do
   done
   suscav budget --grid 0.1,1e4,100000 --out "run$run/budget-1e5"
   suscav budget --grid 0.1,1e4,20001 --out "run$run/budget-20001"
+  suscav budget --config terms_off.json --grid 0.1,1e4,100000 \
+    --out "run$run/budget-1e5-terms-off"
 done
 diff -r run1 run2
 

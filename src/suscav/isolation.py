@@ -82,6 +82,17 @@ class ZPK:
         den = np.atleast_1d(np.poly(self.poles) if self.poles else 1.0)
         return np.real(num), np.real(den)
 
+    def feedback_poles(self):
+        """Poles of the loop closed around this loop gain: roots of den + num."""
+        num, den = self.polynomials()
+        return np.roots(np.polyadd(den, num))
+
+    def feedback_stable(self):
+        """No closed-loop pole right of the imaginary axis beyond 1e-9 of the
+        largest |p|; an exact root at 0 (a servo integrator) counts as stable."""
+        poles = self.feedback_poles()
+        return bool(np.all(np.real(poles) < 1e-9 * np.max(np.abs(poles))))
+
     @classmethod
     def from_config(cls, cfg):
         """Build from {'zeros': [{'real':..,'imag':..}], 'poles': [...], 'gain': g}."""
@@ -188,12 +199,6 @@ class LoopResult:
     gain: ZPK                      # the loop gain G
 
     @cached_property
-    def poles(self):
-        """Roots of the characteristic polynomial den + num, found on first read."""
-        num, den = self.gain.polynomials()
-        return np.roots(np.polyadd(den, num))
-
-    @cached_property
     def _margins(self):
         # only the isolation report reads these, so a budget never finds them
         return _crossings(self.grid, self.loop_gain)
@@ -205,12 +210,6 @@ class LoopResult:
     @property
     def phase_margins_deg(self):
         return self._margins[1]
-
-    @property
-    def stable(self):
-        """No pole right of the imaginary axis beyond 1e-9 of the largest |p|;
-        an exact root at 0 (a servo integrator) counts as stable."""
-        return bool(np.all(np.real(self.poles) < 1e-9 * np.max(np.abs(self.poles))))
 
 
 def _wrap_deg(angle):
@@ -238,16 +237,20 @@ def _crossings(grid, loop_gain):
     return tuple(crossings), tuple(margins)
 
 
-def closed_loop(platform, geophone, actuator, servo, grid, axis=HORIZONTAL):
-    """Close the inertial loop of one axis.
-
-    The loop gain is one ZPK; its frequency response gives the
-    suppression and, on first read, the unity-gain frequencies and phase
-    margins; its polynomials give the closed-loop poles, also on first
-    read.
-    """
+def loop_gain(platform, geophone, actuator, servo, axis=HORIZONTAL):
+    """The loop gain G of one axis as one ZPK; no grid enters."""
     velocity = ZPK(zeros=(0.0,), poles=(), gain=1.0)
-    gain = platform.force(axis) * velocity * geophone.zpk() * servo * actuator.zpk()
+    return platform.force(axis) * velocity * geophone.zpk() * servo * actuator.zpk()
+
+
+def closed_loop(platform, geophone, actuator, servo, grid, axis=HORIZONTAL):
+    """Close the inertial loop of one axis on `grid`.
+
+    The loop gain's frequency response gives the suppression and, on
+    first read, the unity-gain frequencies and phase margins; the gain
+    itself gives the stability verdict with no grid.
+    """
+    gain = loop_gain(platform, geophone, actuator, servo, axis)
     loop = gain.evaluate(grid)
     one_plus = 1.0 + loop
     small = np.abs(one_plus) < 1e-9

@@ -34,6 +34,7 @@ from .isolation import (
     PlatformParams,
     ZPK,
     closed_loop,
+    loop_gain,
 )
 from .readout import (
     AcousticPeak,
@@ -79,51 +80,28 @@ from .thermal import ThermalConfig, thermal_displacement
 ROOT2 = math.sqrt(2.0)
 
 
-class _Models:
-    """What a budget's terms share that no grid enters, each made on first
-    use and kept for every block of a run: the two suspension models and
-    each isolation loop's stability."""
+def _platform_suppression(s, grid, axis):
+    """Ground-to-payload TF of one axis, active loop closed if enabled.
 
-    def __init__(self, scenario):
-        self.scenario = scenario
-        self.stable_axes = set()
-
-    @cached_property
-    def horizontal(self):
-        return build_model(self.scenario.chain, HORIZONTAL)
-
-    @cached_property
-    def vertical(self):
-        return build_model(self.scenario.chain, VERTICAL)
-
-    def platform_suppression(self, grid, axis):
-        """Ground-to-payload TF of one axis, active loop closed if enabled.
-
-        The instrument runs one scalar loop per degree of freedom after
-        sensor diagonalisation, so the same servo closes each axis against
-        its own platform resonance.  An unstable active loop is refused:
-        its passive/(1 + G) describes no physical platform.  Stability is
-        grid-free, so it is tested on the first grid only.
-        """
-        s = self.scenario
-        if not s.config["isolation"]["active"]:
-            return s.platform.passive(axis).evaluate(grid)
-        result = closed_loop(s.platform, s.geophone, s.actuator, s.servo, grid, axis=axis)
-        if axis not in self.stable_axes:
-            if not result.stable:
-                raise ConfigError(f"the {axis} isolation loop is unstable")
-            self.stable_axes.add(axis)
-        return result.suppression
+    The instrument runs one scalar loop per degree of freedom after
+    sensor diagonalisation, so the same servo closes each axis against
+    its own platform resonance.  An unstable active loop is refused: its
+    passive/(1 + G) describes no physical platform.
+    """
+    if not s.config["isolation"]["active"]:
+        return s.platform.passive(axis).evaluate(grid)
+    result = closed_loop(s.platform, s.geophone, s.actuator, s.servo, grid, axis=axis)
+    if not s.loop_stable[axis]:
+        raise ConfigError(f"the {axis} isolation loop is unstable")
+    return result.suppression
 
 
 class _Shared:
-    """What terms share on `rows` of the scenario's grid, `grid`: the ground
-    spectrum and responses, each computed on first use."""
+    """What terms share on one grid: the ground spectrum and responses,
+    each computed on first use."""
 
-    def __init__(self, models, rows):
-        s = models.scenario
-        self.scenario, self.models = s, models
-        self.grid = FrequencyGrid(s.grid.values[rows])
+    def __init__(self, scenario, grid):
+        self.scenario, self.grid = scenario, grid
 
     @cached_property
     def ground(self):
@@ -131,7 +109,7 @@ class _Shared:
 
     @cached_property
     def chi(self):
-        return mirror_force_susceptibility(self.models.horizontal, self.grid)
+        return mirror_force_susceptibility(self.scenario.horizontal_model, self.grid)
 
     @cached_property
     def intensity(self):
@@ -146,19 +124,18 @@ class _Shared:
 
 
 def _seismic(s, grid, shared):
-    models = shared.models
-    horiz = seismic_to_cavity(models.horizontal, shared.ground,
-                              models.platform_suppression(grid, HORIZONTAL), grid)
-    vert_tf = tf_suspoint_to_mirror(models.vertical, grid)
-    vert_plat = models.platform_suppression(grid, VERTICAL)
+    horiz = seismic_to_cavity(s.horizontal_model, shared.ground,
+                              _platform_suppression(s, grid, HORIZONTAL), grid)
+    vert_tf = tf_suspoint_to_mirror(s.vertical_model, grid)
+    vert_plat = _platform_suppression(s, grid, VERTICAL)
     vert_asd = np.abs(vert_plat * vert_tf) * s.chain.vertical_coupling * shared.ground.asd
     return Spectrum.from_psd(grid, 2.0 * (horiz.psd + vert_asd ** 2), UNIT_DISPLACEMENT)
 
 
 def _quantum_total(s, grid, shared):
     if s.quantum.circulating_power > 0.0:
-        # the free-mass warning names the scenario grid's fmin, so only the
-        # rows that hold it check
+        # the free-mass warning names the scenario grid's fmin, so only a
+        # grid that starts there checks
         return qn.quantum_noise_psd(s.quantum, grid, check=grid.fmin == s.grid.fmin).total
     return zero_spectrum(grid, UNIT_DISPLACEMENT)
 
@@ -440,6 +417,22 @@ class Scenario:
     quantum: qn.QuantumConfig     # circulating power 0 disables the quantum traces
     config: dict
 
+    # What no grid enters, made on first use and kept for every grid the
+    # scenario is evaluated on: the suspension models and each isolation
+    # loop's stability, from the poles of its loop gain.
+    @cached_property
+    def horizontal_model(self):
+        return build_model(self.chain, HORIZONTAL)
+
+    @cached_property
+    def vertical_model(self):
+        return build_model(self.chain, VERTICAL)
+
+    @cached_property
+    def loop_stable(self):
+        return {axis: loop_gain(self.platform, self.geophone, self.actuator, self.servo,
+                                axis).feedback_stable() for axis in (HORIZONTAL, VERTICAL)}
+
     @classmethod
     def from_dict(cls, cfg, grid_override=None):
         schema = SCHEMA
@@ -507,15 +500,14 @@ def load_scenario(path, grid_override=None):
     return Scenario.from_dict(load_config(path), grid_override=grid_override)
 
 
-def assemble_budget(scenario, rows=slice(None), models=None):
+def assemble_budget(scenario, grid=None):
     """Displacement budget of the beat readout, one column per term, on
-    `rows` of the scenario's grid (a slice or a sorted index array; all of
-    it by default).  Every term is pointwise in frequency, so each value
-    has the bits of the whole-grid budget's.  `models`, a `_Models` of
-    the scenario, carries the grid-free work from one call to the next.
-    A switched-off term is zeros and computes no shared response."""
-    shared = _Shared(models or _Models(scenario), rows)
-    grid = shared.grid
+    `grid` (the scenario's grid by default).  Every term is pointwise in
+    frequency, so each value has the same bits on any grid that holds its
+    frequency.  A switched-off term is zeros and computes no shared
+    response."""
+    grid = scenario.grid if grid is None else grid
+    shared = _Shared(scenario, grid)
     zeros = zero_spectrum(grid, UNIT_DISPLACEMENT)
     include = scenario.config["budget"]["include"]
     components, references = {}, {}
@@ -585,14 +577,14 @@ def run_budget(scenario, outdir):
     cumulative RMS and the summary are computed from it once the last
     block is written.  `assemble_budget(scenario)` gives the whole budget.
     """
-    grid, models = scenario.grid, _Models(scenario)
+    grid = scenario.grid
     total = np.empty(len(grid))
     summary = {}
 
     def blocks():
         for start in range(0, len(grid), BUDGET_BLOCK_ROWS):
             rows = slice(start, start + BUDGET_BLOCK_ROWS)
-            block = assemble_budget(scenario, rows, models)
+            block = assemble_budget(scenario, FrequencyGrid(grid.values[rows]))
             total[rows] = block.total.asd
             yield block
 
@@ -630,8 +622,7 @@ def run_suspension_tf(scenario, outdir):
     if scenario.chain.stiffness_mismatch == 0.0:
         warnings.warn("stiffness mismatch is zero: the differential transfer "
                       "function vanishes identically", UserWarning, stacklevel=2)
-    model = build_model(scenario.chain, HORIZONTAL)
-    h = tf_suspoint_to_differential(model, grid)
+    h = tf_suspoint_to_differential(scenario.horizontal_model, grid)
     mag = np.abs(h)
     phase = np.degrees(np.angle(h))
     header = ["frequency_hz", "magnitude", "phase_deg"]
@@ -640,7 +631,7 @@ def run_suspension_tf(scenario, outdir):
         peak = mag.max()
         header.append("magnitude_normalized")
         columns.append(mag / peak if peak > 0.0 else mag)
-    modes = eigenmodes(model)
+    modes = eigenmodes(scenario.horizontal_model)
 
     f = grid.values
     i0, i1 = np.searchsorted(f, 0.1), np.searchsorted(f, 0.25)
@@ -660,7 +651,7 @@ def run_suspension_tf(scenario, outdir):
 
 
 def run_isolation(scenario, outdir):
-    """Passive/active platform comparison with RMS summary."""
+    """Passive/active platform comparison; returns the RMS summary."""
     grid = scenario.grid
     ground = scenario.ground.asd(grid)
     result = closed_loop(scenario.platform, scenario.geophone, scenario.actuator,
@@ -669,6 +660,15 @@ def run_isolation(scenario, outdir):
     active = Spectrum(grid, np.abs(result.suppression) * ground, UNIT_DISPLACEMENT)
     rms_passive = band_rms(passive, 0.5, 50.0)
     rms_active = band_rms(active, 0.5, 50.0)
+    summary = {
+        "rms_passive_m_0p5_50hz": rms_passive,
+        "rms_active_m_0p5_50hz": rms_active,
+        "rms_reduction_ratio": rms_passive / rms_active if rms_active > 0.0 else "unbounded",
+        "unity_gain_hz": list(result.unity_gain_hz),
+        "phase_margins_deg": list(result.phase_margins_deg),
+        "closed_loop_stable": scenario.loop_stable[HORIZONTAL],
+    }
+    del result      # its three complex arrays are not written
     spectra = ["ground", "payload_passive", "payload_active"]
     _emit(outdir, "isolation", {
         "spectra": ("isolation.csv", write_csv, ["frequency_hz", *spectra],
@@ -676,15 +676,8 @@ def run_isolation(scenario, outdir):
         "cumulative_rms": ("isolation_rms.csv", write_csv,
                            ["frequency_hz", "rms_passive_m", "rms_active_m"],
                            [grid.values, cumulative_rms(passive).asd, cumulative_rms(active).asd]),
-    }, {
-        "rms_passive_m_0p5_50hz": rms_passive,
-        "rms_active_m_0p5_50hz": rms_active,
-        "rms_reduction_ratio": rms_passive / rms_active if rms_active > 0.0 else "unbounded",
-        "unity_gain_hz": list(result.unity_gain_hz),
-        "phase_margins_deg": list(result.phase_margins_deg),
-        "closed_loop_stable": result.stable,
-    }, [{"column": name} for name in spectra])
-    return result
+    }, summary, [{"column": name} for name in spectra])
+    return summary
 
 
 def run_quantum_design(scenario, outdir):

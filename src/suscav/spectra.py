@@ -55,8 +55,8 @@ CSV_BLOCK_CELLS = 4 * CSV_BLOCK_ROWS
 
 # The kernel formats 1e-279 < |x| < 1e279: there the power-of-ten table,
 # every Veltkamp split and every partial product stay clear of overflow
-# and of subnormals.  0, -0, inf, nan and anything outside take
-# CSV_FORMAT.
+# and of subnormals; it also formats 0 and -0.  Inf, nan and anything
+# outside take CSV_FORMAT.
 _FAST_EXP = 280
 # Bytes per formatted number: a NUL-padded text of at most 30 bytes, then
 # the separator.  `bytes.translate` deletes the NULs before writing.
@@ -129,11 +129,13 @@ def check_log_grid(fmin, fmax, n):
 
 
 def make_log_grid(fmin, fmax, n):
-    """Log-spaced grid of `n` points with exact endpoints."""
+    """Log-spaced grid of `n` points with exact endpoints: np.geomspace's
+    values by its own steps, but in the one array that the grid keeps."""
     check_log_grid(fmin, fmax, n)
-    values = np.geomspace(fmin, fmax, int(n))
-    values[0] = fmin
-    values[-1] = fmax
+    values = np.linspace(np.log10(fmin), np.log10(fmax), int(n))
+    np.power(10.0, values, out=values)
+    values[0], values[-1] = fmin, fmax
+    values.setflags(write=False)
     return FrequencyGrid(values)
 
 
@@ -381,10 +383,11 @@ def _decimal(x, t):
     |x| * 10**(16 - k) falls outside [1e16, 1e17).  That product, rounded to
     an integer, gives the 17 significant digits; its error is far below the
     1e-9 kept from a rounding tie, so the digits are the correctly rounded
-    ones CSV_FORMAT prints.  `slow` indexes the near-ties and the values
-    outside the kernel's range; their q and k are meaningless.
+    ones CSV_FORMAT prints; a zero gets q = k = 0.  `slow` indexes the
+    near-ties and other values outside the range; their q and k are meaningless.
     """
     a = np.abs(x)
+    zero = a == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = np.log10(a)
     fast = (lg > 1 - _FAST_EXP) & (lg < _FAST_EXP - 1)
@@ -400,10 +403,11 @@ def _decimal(x, t):
         h[redo], r[redo] = _scaled(a[redo], k[redo], t)
     # h >= 2**53 is an integer, so the rounding is all in r
     r_int = np.rint(r)
-    slow = np.flatnonzero(~fast | (np.abs(r - r_int) > 0.5 - 1e-9))
+    slow = np.flatnonzero(~(fast | zero) | (np.abs(r - r_int) > 0.5 - 1e-9))
     q = h.astype(np.int64) + r_int.astype(np.int64)
     carry = q == 10 ** 17
     q[carry] = 10 ** 16
+    q[zero] = 0
     k += carry
     return q, k, slow
 
@@ -434,7 +438,7 @@ def _format_numbers(x):
     s8, s56 = _WORD.type(8), _WORD.type(56)
     cells = np.empty((x.size, 4), _WORD)
     cells[:, 0] = ((w0 & np.take(t.keep_int[0], code)) | np.take(t.exp_text[0], row)
-                   | (x < 0).astype(_WORD) * _WORD.type(ord("-")))
+                   | np.signbit(x).astype(_WORD) * _WORD.type(ord("-")))
     # the digits after the point are the same bytes moved up by one
     cells[:, 1] = ((w1 & np.take(t.keep_int[1], code)) | np.take(t.point[1], code)
                    | ((w1 << s8 | w0 >> s56) & np.take(t.keep_frac[1], code)))

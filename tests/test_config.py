@@ -114,7 +114,7 @@ def test_present_grid_is_checked_under_grid_option(tmp_path, capsys, config_fact
     assert "need 0 < fmin < fmax, got (10, 1)" in err
     cfg["grid"] = {"fmin_hz": 0.1, "fmax_hz": 1e4, "n": 10 ** 12}
     grid = make_log_grid(0.1, 1e4, 50)
-    monkeypatch.setattr(np, "geomspace", None)     # the range check allocates nothing
+    monkeypatch.setattr(np, "linspace", None)     # the range check allocates nothing
     with pytest.raises(ConfigError, match=str(MAX_GRID_POINTS)):
         Scenario.from_dict(cfg, grid_override=grid)
     monkeypatch.undo()

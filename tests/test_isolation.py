@@ -209,20 +209,20 @@ class TestClosedLoop:
 
     def test_default_design_check(self, platform, actuator, grid_band):
         report = default_loop(platform, actuator, grid_band)
-        assert report.stable
+        assert report.gain.feedback_stable()
         assert len(report.unity_gain_hz) == 2
         assert all(pm >= 30.0 for pm in report.phase_margins_deg)
 
     def test_vertical_axis_loop_stable(self, platform, actuator, grid_band):
         report = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
                              default_servo(), grid_band, axis="vertical")
-        assert report.stable
+        assert report.gain.feedback_stable()
 
     def test_closed_loop_poles_of_damped_oscillator(self, platform, actuator, grid_band):
         # sanity for the characteristic-polynomial path: open loop (gain 0)
         # has the platform poles, all in the left half plane
         poles = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
-                            ZPK(zeros=(), poles=(), gain=0.0), grid_band).poles
+                            ZPK(zeros=(), poles=(), gain=0.0), grid_band).gain.feedback_poles()
         assert np.all(np.real(poles) < 0.0)
 
     @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
@@ -230,7 +230,7 @@ class TestClosedLoop:
         servo = default_servo(-default_servo().gain)
         result = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
                              servo, grid_band, axis=axis)
-        assert result.stable is False
+        assert result.gain.feedback_stable() is False
 
     def test_in_loop_suppression_matches_cavity_witness(self, platform, actuator, grid_band):
         # the reduction predicted at the platform equals the reduction seen

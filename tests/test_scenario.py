@@ -25,7 +25,7 @@ from suscav.scenario import (
     run_quantum_design,
     run_suspension_tf,
 )
-from suscav.spectra import MAX_GRID_POINTS, make_log_grid, read_budget_csv
+from suscav.spectra import MAX_GRID_POINTS, FrequencyGrid, make_log_grid, read_budget_csv
 
 
 @pytest.fixture(autouse=True)
@@ -214,9 +214,14 @@ def test_streamed_budget_builds_the_grid_free_parts_once(config_factory, monkeyp
     builds, solves = _counting(monkeypatch)
     roots, find_roots = [], np.roots
     monkeypatch.setattr(np, "roots", lambda p: roots.append(p) or find_roots(p))
-    run_budget(scenario, tmp_path)
-    assert sorted(builds) == ["horizontal", "vertical"]
+    run_budget(scenario, tmp_path / "b")
     assert len(solves) == 3 * -(-n // BUDGET_BLOCK_ROWS)
+    # and for every other grid the scenario is evaluated on
+    assemble_budget(scenario)
+    assemble_budget(scenario, FrequencyGrid(scenario.grid.values[::7]))
+    assemble_budget(scenario, make_log_grid(2.0, 3.0, 5))
+    run_suspension_tf(scenario, tmp_path / "s")
+    assert sorted(builds) == ["horizontal", "vertical"]
     assert len(roots) == 2      # each isolation loop's stability, once
 
 
@@ -420,14 +425,17 @@ def _whole_grid_budget(path, n):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_budget_on_some_rows_has_the_whole_grid_bits(name, n, csv_inputs, data):
-    # csv_inputs interpolates its ground and RIN files on each set of rows
+    """The budget on a grid of some of the whole grid's frequencies, a
+    contiguous run and scattered points, has the whole-grid bits."""
+    # csv_inputs interpolates its ground and RIN files on each grid
     path = csv_inputs[0] if name == "csv_inputs" else resolve_config(name)
     scenario, whole = _whole_grid_budget(path, n)
     start = data.draw(st.integers(0, n - 1), label="start")
-    run = data.draw(st.integers(1, n - start), label="run")
-    scattered = data.draw(st.lists(st.integers(0, n - 1), max_size=200), label="scattered")
+    run = data.draw(st.integers(0, n - start), label="run")
+    scattered = data.draw(st.lists(st.integers(0, n - 1), min_size=0 if run else 1,
+                                   max_size=200), label="scattered")
     rows = np.union1d(np.arange(start, start + run), np.array(scattered, dtype=int))
-    part = _columns(assemble_budget(scenario, rows))
+    part = _columns(assemble_budget(scenario, FrequencyGrid(scenario.grid.values[rows])))
     assert list(part) == list(whole)
     for column, asd in part.items():
         assert asd.tobytes() == whole[column][rows].tobytes(), column
@@ -686,11 +694,20 @@ class TestCli:
     def test_budget_refuses_unstable_loop(self, tmp_path, config_factory, capsys):
         cfg = config_factory()
         cfg["isolation"]["servo"]["gain"] = -cfg["isolation"]["servo"]["gain"]
+        scenario = Scenario.from_dict(cfg)
+        for grid in (None, FrequencyGrid(scenario.grid.values[500:]),
+                     make_log_grid(2.0, 3.0, 5)):
+            with pytest.raises(ConfigError, match="^the horizontal isolation loop is unstable$"):
+                assemble_budget(scenario, grid)
         path = tmp_path / "unstable.json"
         path.write_text(json.dumps(cfg))
-        code = main(["budget", "--config", str(path), "--out", str(tmp_path / "b")])
-        assert code == 1
-        assert "horizontal isolation loop is unstable" in capsys.readouterr().err
+        blocks = ["--grid", f"0.1,1e4,{2 * BUDGET_BLOCK_ROWS + 100}"]
+        for grid in ([], blocks):
+            code = main(["budget", "--config", str(path), *grid, "--out", str(tmp_path / "b")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "suscav: config error: the horizontal isolation loop is unstable\n")
+        assert not (tmp_path / "b").exists()
         code = main(["isolation", "--config", str(path), "--out", str(tmp_path / "i")])
         assert code == 0
         summary = json.loads((tmp_path / "i" / "isolation_summary.json").read_text())
@@ -768,7 +785,7 @@ class TestCli:
     def test_grid_size_bounded_before_allocation(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("grid allocated before the size check")
-        monkeypatch.setattr(np, "geomspace", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
         too_many = f"0.1,1e4,{MAX_GRID_POINTS + 1}"
         with pytest.raises(ConfigError, match=str(MAX_GRID_POINTS)):
             parse_grid(too_many)
@@ -780,7 +797,7 @@ class TestCli:
                                                         capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("grid allocated before the size check")
-        monkeypatch.setattr(np, "geomspace", refuse)
+        monkeypatch.setattr(np, "linspace", refuse)
         cfg = config_factory()
         cfg["grid"]["n"] = 10 ** 12
         path = tmp_path / "huge.json"

@@ -41,6 +41,30 @@ class TestMakeLogGrid:
         assert g.values[-1] == 1e4
         assert len(g) == 1000
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 16, 999, 1000, 16385, 100_000])
+    @pytest.mark.parametrize("fmin,fmax", [(0.1, 1e4), (1, 100), (1e-5, 5e-3), (3.3, 7.7)])
+    def test_values_are_geomspace_bits(self, fmin, fmax, n):
+        expected = np.geomspace(fmin, fmax, n)
+        expected[0], expected[-1] = fmin, fmax
+        assert make_log_grid(fmin, fmax, n).values.tobytes() == expected.tobytes()
+
+    def test_builds_in_the_one_array_it_keeps(self):
+        """Peak traced allocation at 1e6 points: the grid's 8 B a point and
+        the 9 B a point of FrequencyGrid's order check (np.diff and its
+        comparison).  np.geomspace took twice the grid, and FrequencyGrid
+        then copied it: 25 B a point."""
+        import tracemalloc
+
+        n = 1_000_000
+        tracemalloc.start()
+        try:
+            grid = make_log_grid(0.1, 1e4, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not grid.values.flags.writeable
+        assert peak <= 17 * n + (1 << 16)
+
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(GridError):
             make_log_grid(10, 10, 2)
@@ -339,6 +363,17 @@ class TestCsvWriter:
     def test_matches_csv_format_property(self, tmp_path_factory, values):
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         assert written_tokens(path, values) == [CSV_FORMAT % v for v in values]
+
+    @pytest.mark.parametrize("values", [
+        [0.0] * 9, [-0.0] * 9, [0.0, -0.0, 1.5, -2.5e-300, 0.0, 7e250, -0.0, np.nan, 0.0],
+    ], ids=["zeros", "negative_zeros", "mixed"])
+    def test_zeros_take_the_kernel(self, tmp_path, values):
+        from suscav.spectra import _decimal, _kernel_tables
+
+        x = np.array(values)
+        assert written_tokens(tmp_path / "t.csv", x) == [CSV_FORMAT % v for v in values]
+        _, _, slow = _decimal(x, _kernel_tables())
+        assert not np.any(x[slow] == 0.0)
 
     def test_random_bit_patterns(self, tmp_path):
         values = bit_patterns(50_000, 2024)
