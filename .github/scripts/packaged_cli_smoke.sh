@@ -11,6 +11,9 @@
 # a budget that fails must leave no output directory and no staging file, and
 # a copy whose ground CSV file is absent must run the commands that do not
 # read it and fail `isolation`, which does, with one line and no output.
+# One seeded ground CSV written with LF and with CRLF line ends, read by the
+# reader's kernel and by np.loadtxt, must give byte-identical `isolation`
+# outputs.
 #
 #   python -m pip install . && sh .github/scripts/packaged_cli_smoke.sh
 set -eu
@@ -114,7 +117,31 @@ if [ "$code" != 1 ] || [ "$(wc -l <absent.err)" -ne 1 ] \
   cat absent.err >&2
   exit 1
 fi
+# one seeded 3e4-row ground CSV written with LF and with CRLF line ends:
+# the reader's kernel takes the first and np.loadtxt the second, and
+# `isolation` must write the same bytes from both
+python - <<'PY'
+import json, math, random
+from importlib.resources import files
+rng = random.Random(2024)
+rows = []
+for i in range(30000):
+    f = 0.02 * math.exp(i * math.log(2e6) / 29999)
+    rows.append("%.17g,%.17g" % (f, 1e-7 * min(1.0, (1.3 / f) ** 2) * math.exp(rng.gauss(0, 0.25))))
+cfg = json.loads(files("suscav").joinpath("configs", "paper_default.json").read_text())
+for name, newline in (("lf", "\n"), ("crlf", "\r\n")):
+    with open(f"ground_{name}.csv", "w", newline="") as fh:
+        fh.write(newline.join(["frequency_hz,asd_m_rthz"] + rows) + newline)
+    cfg["isolation"]["ground"] = {"csv": f"ground_{name}.csv"}
+    with open(f"ground_{name}.json", "w") as fh:
+        json.dump(cfg, fh)
+PY
+for name in lf crlf; do
+  suscav isolation --config "ground_$name.json" --out "ground/$name"
+done
+diff -r ground/lf ground/crlf
+
 echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs" \
   "and listed by their manifests; a misspelled key exits 1 with a hint;" \
   "a failing command writes nothing; an absent input file fails only the" \
-  "command that reads it"
+  "command that reads it; LF and CRLF ground files give the same isolation output"

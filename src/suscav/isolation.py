@@ -67,12 +67,15 @@ class ZPK:
             h = (s - z) * h
         for p in self.poles:
             d = s - p
-            bad = np.nonzero(d == 0.0)[0]
-            if bad.size:
-                raise NumericalError(
-                    "transfer-function pole lies on the evaluation grid",
-                    frequency_hz=grid.values[bad[0]],
-                )
+            # the real part of s is exactly +0.0: only a pole on the
+            # imaginary axis can meet a grid point
+            if p.real == 0.0:
+                bad = np.nonzero(d == 0.0)[0]
+                if bad.size:
+                    raise NumericalError(
+                        "transfer-function pole lies on the evaluation grid",
+                        frequency_hz=grid.values[bad[0]],
+                    )
             h = h / d
         return h
 

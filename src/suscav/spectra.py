@@ -525,6 +525,199 @@ def write_budget_csv(path, budget):
         + [b.total.asd] for b in itertools.chain([first], blocks)))
 
 
+# Bytes of whole lines that `_read_csv` converts at a time.  A chunk's
+# working arrays come to about eight times its size.
+CSV_READ_CHUNK = 1 << 17
+
+# Marks: the bytes of a number in the reader's grammar that are not digits.
+_SEP, _SIGN, _EXP_SIGN, _DOT, _EXP, _OTHER = range(6)
+_MARK = np.full(256, _OTHER, np.int8)
+_MARK[[ord(","), ord("\n")]] = _SEP
+_MARK[[ord("+"), ord("-")]] = _SIGN
+_MARK[ord(".")] = _DOT
+_MARK[[ord("e"), ord("E")]] = _EXP
+# _FOLLOWS[6 * previous mark + mark]: the grammar [+-]?D[.D]([eE][+-]?D)?
+# for D a run of digits, between separators
+_FOLLOWS = np.zeros((6, 6), bool)
+_FOLLOWS[[_SEP, _SIGN, _EXP_SIGN, _DOT, _EXP], _SEP] = True
+_FOLLOWS[_SEP, _SIGN] = True
+_FOLLOWS[_EXP, _EXP_SIGN] = True
+_FOLLOWS[[_SEP, _SIGN], _DOT] = True
+_FOLLOWS[[_SEP, _SIGN, _DOT], _EXP] = True
+_FOLLOWS = _FOLLOWS.ravel()
+# every number becomes its mantissa's digits, then its exponent's, as integers
+_TO_INTEGERS = bytes.maketrans(b"eE\n", b",,,")
+# significant digits that an int64 always holds
+_MAX_DIGITS = 18
+
+
+def _parse_lines(lines, t):
+    """(rows, columns) doubles of `lines`, LF-ended lines of numbers in the
+    grammar of `_FOLLOWS` separated by commas, each the double float() gives;
+    None if `lines` is outside the grammar or the rows differ in length.
+
+    A number is an integer mantissa m and a decimal exponent e, and
+    x = m * 10**e is the double-double product of `_scaled`.  Numbers with
+    more than 18 significant digits, out of the kernel's range, or whose
+    product lies too near a rounding boundary to round with certainty are
+    converted by float() itself.
+    """
+    fields = _fields(lines)
+    if fields is None:
+        return None
+    start, end, neg, has_exp, frac, digits, columns = fields
+    ints = _integers(lines, has_exp)
+    if ints is None:
+        return None
+    m, e10 = ints
+    e10 -= frac
+    # 1e-264 <= x < 1e296: the writer's table holds 10**e, and no partial
+    # product of `_scaled` overflows or loses bits below the normal range
+    fast = ((digits <= _MAX_DIGITS) & (e10 >= 16 - _FAST_EXP)
+            & (e10 + digits <= 16 + _FAST_EXP))
+    e10 = np.where(fast, e10, 0)
+    m = np.where(fast, np.abs(m), 0)
+    a = m.astype(float)
+    h, r = _scaled(a, 16 - e10, t)
+    # above 2**53 the mantissa is a + (m - a), the remainder below 2**7
+    r += (m - a.astype(np.int64)) * np.take(t.pow_hi, e10 + _FAST_EXP - 16)
+    x = h + r
+    r -= x - h
+    # x is the double nearest x + r, which is within 2**-40 of a gap of
+    # m * 10**e.  The rounding boundaries lie half a gap either side of x,
+    # but a quarter of the gap above it below a power of two: a product
+    # near either fraction of np.spacing(x) goes to float()
+    gaps = np.abs(r) / np.spacing(x)
+    near = (np.abs(gaps - 0.5) < 2.0 ** -30) | (np.abs(gaps - 0.25) < 2.0 ** -30)
+    np.negative(x, out=x, where=neg)
+    slow = np.flatnonzero(~fast | near)
+    if slow.size:
+        x[slow] = [float(lines[i:j]) for i, j in zip(start[slow].tolist(), end[slow].tolist())]
+    return x.reshape(-1, columns)
+
+
+def _fields(lines):
+    """Where the numbers of `lines` are, from their marks: per number its
+    first byte, its separator, its sign, whether it has an exponent, its
+    digits after the point and its significant digits (19 stands for more
+    than 18, and for a long exponent), then the column count.  None outside
+    the grammar or if the rows differ in length.
+    """
+    u = np.frombuffer(lines, np.uint8)
+    # the marks all sort below "0" or above "9"; a separator at -1 leads
+    pos = np.concatenate(([-1], np.flatnonzero(u - np.uint8(48) > 9)))
+    mark = _MARK.take(u.take(pos))
+    mark[0] = _SEP
+    sign = mark[1:] == _SIGN
+    # a sign right after an exponent mark becomes _EXP_SIGN, _SIGN + 1
+    mark[1:] += sign & (mark[:-1] == _EXP)
+    # a sign leads its digits; every other mark follows at least one digit
+    if not (_FOLLOWS.take(6 * mark[:-1] + mark[1:]).all()
+            and np.array_equal(np.diff(pos) == 1, sign)):
+        return None
+    at = np.flatnonzero(mark == _SEP)
+    start, end = pos.take(at[:-1]) + 1, pos.take(at[1:])
+    lf = np.flatnonzero(u.take(end) == ord("\n"))
+    columns = int(lf[0]) + 1
+    if not np.array_equal(lf, np.arange(columns - 1, end.size, columns)):
+        return None
+    # the last marks of a number: its exponent, then its point
+    last = at[1:] - 1
+    e_at = last - (mark.take(last) == _EXP_SIGN)
+    has_exp = mark.take(e_at) == _EXP
+    m_end = np.where(has_exp, pos.take(e_at), end)
+    d_at = e_at - has_exp
+    frac = np.where(mark.take(d_at) == _DOT, m_end - pos.take(d_at) - 1, 0)
+    lead = u.take(start)
+    neg = lead == ord("-")
+    m_start = start + (neg | (lead == ord("+")))
+    digits = m_end - m_start - (frac > 0)
+    # leading zeros, and the point among them, are not significant: count
+    # the run of "0" and "." bytes in the first eight of a long mantissa
+    long = np.flatnonzero(digits > _MAX_DIGITS)
+    if long.size:
+        words = np.ndarray((u.size - 7,), _WORD, lines, 0, (1,))[m_start[long]]
+        zero = (words - _WORD.type(0x2E2E2E2E2E2E2E2E)) & _WORD.type(0xFDFDFDFDFDFDFDFD)
+        # the lowest set bit of `zero` is bit 8 * run + k, k < 8; 0 stays slow
+        run = np.where(zero == 0, 0,
+                       (np.frexp((zero & (~zero + _WORD.type(1))).astype(float))[1] - 1) // 8)
+        point = m_end[long] - frac[long] - 1
+        digits[long] -= run - ((frac[long] > 0) & (point < m_start[long] + run))
+    # an exponent of more than five characters goes to float(), so that
+    # every token the kernel takes is exact and in range
+    digits[end - m_end > 6] = _MAX_DIGITS + 1
+    return start, end, neg, has_exp, frac, digits, columns
+
+
+def _integers(lines, has_exp):
+    """(mantissas, exponents) of the numbers of `lines` as int64, an
+    exponent 0 where there is none; None if numpy refuses a token or
+    reads a count of them that the marks do not give."""
+    with warnings.catch_warnings():
+        # numpy before 2.3 warns, where later versions raise, on a bad token
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            ints = np.fromstring(lines.translate(_TO_INTEGERS, b"."), np.int64, sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    m_at = np.arange(has_exp.size) + np.cumsum(has_exp) - has_exp
+    if ints.size != m_at[-1] + 1 + has_exp[-1]:
+        return None
+    return ints.take(m_at), np.where(has_exp, ints.take(m_at + has_exp), 0)
+
+
+def _whole_lines(fh):
+    """The rest of the binary file `fh` in chunks of whole LF-ended lines:
+    CSV_READ_CHUNK bytes and the rest of the line they end in; a last line
+    without its LF gets one."""
+    for lines in iter(lambda: fh.read(CSV_READ_CHUNK), b""):
+        lines += fh.readline()
+        yield lines if lines.endswith(b"\n") else lines + b"\n"
+
+
+def _read_numbers(path, usecols):
+    """`_read_csv`'s (header names, float rows) by `_parse_lines`, into the
+    one array returned; None for a file outside its grammar: UTF-8 header
+    names, then one or more rows of numbers, all of at least two columns
+    and of one length, every line ended by LF but maybe the last.  The
+    rows are counted first, so the array is allocated once.
+    """
+    t = _kernel_tables()
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        if not header.endswith(b"\n") or b"\r" in header:
+            return None
+        try:
+            names = header[:-1].decode("utf-8").split(",")
+        except UnicodeDecodeError:
+            return None
+        body = fh.tell()
+        rows, tail = 0, b"\n"
+        for block in iter(lambda: fh.read(CSV_READ_CHUNK), b""):
+            rows += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            tail = block[-1:]
+        rows += tail != b"\n"
+        fh.seek(body)
+        data, row = None, 0
+        for lines in _whole_lines(fh):
+            values = _parse_lines(lines, t)
+            if values is None or row + len(values) > rows:
+                return None
+            if data is None:
+                columns = values.shape[1]
+                if columns < 2 or usecols and max(usecols) >= columns:
+                    return None
+                # column by column, so that a column is one contiguous array
+                data = np.empty((len(usecols) if usecols else columns, rows)).T
+            if values.shape[1] != columns:
+                return None
+            data[row:row + len(values)] = values[:, usecols] if usecols else values
+            row += len(values)
+    if data is None or row != rows:
+        return None
+    return names, data
+
+
 def _read_csv(path, usecols=None):
     """(header names, float rows) of a CSV file with a frequency first column.
 
@@ -532,32 +725,52 @@ def _read_csv(path, usecols=None):
     are not UTF-8, a cell that is not a number, a row with fewer than two
     columns, no data rows, a NaN or infinite value, or a frequency that
     appears twice.
+
+    A file in `_read_numbers`' grammar, such as any budget.csv, is read by
+    `_parse_lines`; any other goes to `np.loadtxt`, which accepts and
+    refuses what it always has.  Both give the doubles float() gives.
     """
+    parsed = _read_numbers(path, usecols)
+    if parsed is None:
+        parsed = _read_csv_loadtxt(path, usecols)
+    header, data = parsed
+    if data.shape[0] == 0:
+        raise ConfigError(f"{path}: no data rows")
+    if data.shape[1] < 2:
+        raise ConfigError(f"{path}: rows need at least two columns")
+    # NaN and inf show in the extremes, and increasing frequencies repeat
+    # none, so a valid file in frequency order costs no sort and no mask
+    if not (np.isfinite(data.min()) and np.isfinite(data.max())):
+        finite = np.all(np.isfinite(data), axis=1)
+        raise ConfigError(
+            f"{path}: non-finite value in data row {np.argmin(finite) + 1}"
+        )
+    if not _increasing(data[:, 0]):
+        f = np.sort(data[:, 0])
+        repeated = f[1:][f[1:] == f[:-1]]
+        if repeated.size:
+            raise ConfigError(f"{path}: duplicate frequency {repeated[0]!r} Hz")
+    return header, data
+
+
+def _increasing(f):
+    return bool(np.all(f[1:] > f[:-1]))
+
+
+def _read_csv_loadtxt(path, usecols):
+    """`_read_csv`'s (header names, float rows) by `np.loadtxt`."""
     # UnicodeDecodeError is a ValueError, raised by readline for a bad byte
     # in the first buffered chunk and by loadtxt for one further on
     try:
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split(",")
             with warnings.catch_warnings():
-                # an empty body is rejected below, with the file name
+                # an empty body is rejected by the caller, with the file name
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
                                   usecols=usecols)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    if data.shape[0] == 0:
-        raise ConfigError(f"{path}: no data rows")
-    if data.shape[1] < 2:
-        raise ConfigError(f"{path}: rows need at least two columns")
-    finite = np.all(np.isfinite(data), axis=1)
-    if not np.all(finite):
-        raise ConfigError(
-            f"{path}: non-finite value in data row {np.argmin(finite) + 1}"
-        )
-    f = np.sort(data[:, 0])
-    repeated = f[1:][f[1:] == f[:-1]]
-    if repeated.size:
-        raise ConfigError(f"{path}: duplicate frequency {repeated[0]!r} Hz")
     return header, data
 
 
@@ -584,6 +797,8 @@ def read_asd_csv(path):
     frequency.
     """
     _, data = _read_csv(path, usecols=(0, 1))
+    if _increasing(data[:, 0]):
+        return data[:, 0], data[:, 1]
     order = np.argsort(data[:, 0])
     return data[order, 0], data[order, 1]
 

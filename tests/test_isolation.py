@@ -72,6 +72,19 @@ class TestZPK:
             z.evaluate(grid)
         assert err.value.frequency_hz == 5.0
 
+    @pytest.mark.parametrize("real", [0.0, -0.0])
+    @pytest.mark.parametrize("upper_first", [True, False], ids=["upper_first", "lower_first"])
+    def test_imaginary_axis_pole_on_grid_names_its_frequency(self, real, upper_first):
+        # s = i*omega has a real part of exactly +0.0, so only a pole with
+        # real part +-0.0 is checked against the grid
+        grid = FrequencyGrid(np.geomspace(0.1, 1e4, 1001))
+        f = grid.values[700]
+        pair = (complex(real, 2.0 * np.pi * f), complex(real, -2.0 * np.pi * f))
+        z = ZPK(zeros=(), poles=pair if upper_first else pair[::-1], gain=1.0)
+        with pytest.raises(NumericalError) as err:
+            z.evaluate(grid)
+        assert err.value.frequency_hz == f
+
     def test_config_roundtrip(self):
         cfg = {"zeros": [{"real": -1.0}], "poles": [{"real": -2.0}, {"real": 0.0}],
                "gain": 7.5}

@@ -1,8 +1,11 @@
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import suscav.spectra
 from suscav.errors import ConfigError, GridError, UnitError
 from suscav.spectra import (
     UNIT_DISPLACEMENT,
@@ -10,6 +13,7 @@ from suscav.spectra import (
     CSV_BLOCK_CELLS,
     CSV_BLOCK_ROWS,
     CSV_FORMAT,
+    CSV_READ_CHUNK,
     FrequencyGrid,
     NoiseBudget,
     Spectrum,
@@ -25,6 +29,7 @@ from suscav.spectra import (
     write_csv,
     zero_spectrum,
 )
+from suscav.spectra import _kernel_tables, _parse_lines
 
 
 def flat(grid, level, unit=UNIT_DISPLACEMENT):
@@ -430,6 +435,208 @@ class TestCsvIngestion:
         assert a.tolist() == [3.0, 4.0, 2.0]
 
 
+def decimal_token(sign, digits, point, exponent):
+    """`digits` with `sign`, a point after `point` digits, and `exponent`."""
+    text = sign + digits
+    if point is not None and point < len(digits):
+        text = sign + digits[:point] + "." + digits[point:]
+    if exponent is not None:
+        mark, exp_sign, value, width = exponent
+        text += f"{mark}{exp_sign}{value:0{width}d}"
+    return text
+
+
+decimal_tokens = st.builds(
+    decimal_token,
+    sign=st.sampled_from(["", "+", "-"]),
+    digits=st.text("0123456789", min_size=1, max_size=25)
+    | st.builds(lambda z, d: "0" * z + d, st.integers(1, 12), st.text("0123456789", min_size=1,
+                                                                       max_size=18)),
+    point=st.none() | st.integers(1, 24),
+    exponent=st.none() | st.tuples(st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+                                   st.integers(0, 400), st.integers(1, 4)),
+)
+
+
+def float_bits(tokens):
+    return np.array([float(t) for t in tokens]).tobytes()
+
+
+def refuse_loadtxt(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.loadtxt called")
+    monkeypatch.setattr(np, "loadtxt", refuse)
+
+
+class TestCsvReadKernel:
+    """The reader's integer-token kernel against float() and np.loadtxt."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(decimal_tokens, min_size=1, max_size=40))
+    def test_random_decimals_are_float_bits(self, tokens):
+        lines = "".join(t + "\n" for t in tokens).encode()
+        values = _parse_lines(lines, _kernel_tables())
+        assert values is not None and values.shape == (len(tokens), 1)
+        assert values.tobytes() == float_bits(tokens)
+
+    @staticmethod
+    def near_ties(x, neighbour):
+        """The exact midpoint of the doubles x and `neighbour`, and the
+        midpoint rounded down and up to 16-19 significant digits."""
+        with decimal.localcontext(decimal.Context(prec=2000)):
+            mid = (decimal.Decimal(x) + decimal.Decimal(neighbour)) / 2
+        return [f"{mid:e}"] + [
+            f"{decimal.Context(prec=digits, rounding=rounding).create_decimal(mid):e}"
+            for digits in range(16, 20)
+            for rounding in (decimal.ROUND_FLOOR, decimal.ROUND_CEILING)
+        ]
+
+    def test_midpoints_and_powers_of_two(self):
+        rng = np.random.default_rng(11)
+        xs = [2.0 ** 53, 2.0 ** 54, 2.0 ** 60 + 2 ** 9, 9007199254740993.0, 1.0, 0.1, 1e-7,
+              5e-8, 123456.789, 1e22, 1e23, 2.0 ** -800, 2.0 ** 900]
+        xs += list(rng.uniform(1, 2, 20) * 2.0 ** rng.integers(-850, 950, 20))
+        xs += [2.0 ** k for k in range(-860, 960, 37)]
+        tokens = []
+        for x in xs:
+            for neighbour in (np.nextafter(x, np.inf), np.nextafter(x, 0.0)):
+                tokens += self.near_ties(x, float(neighbour))
+                tokens += [repr(float(neighbour)), "%.17g" % neighbour, "%.16e" % neighbour]
+        lines = "".join(t + "\n" for t in tokens).encode()
+        values = _parse_lines(lines, _kernel_tables())
+        assert values.tobytes() == float_bits(tokens)
+
+    def test_tie_integers(self):
+        # 2**53 + 1 and its like: exact ties that round to even
+        tokens = [str(2 ** 53 + k) for k in range(-3, 8)] + [str(2 ** 60 + 2 ** 6 * k)
+                                                              for k in range(-3, 8)]
+        tokens += ["-" + t for t in tokens] + ["0", "-0", "+0.0", "0e-999", "-0.000e5"]
+        values = _parse_lines("".join(t + "\n" for t in tokens).encode(), _kernel_tables())
+        assert values.tobytes() == float_bits(tokens)
+
+    def test_range_ends(self):
+        tokens = ["5e-324", "4.9406564584124654e-324", "2.2250738585072014e-308",
+                  "2.2250738585072009e-308", "1.7976931348623157e308", "1.7976931348623159e308",
+                  "1e309", "-1e309", "1e-400", "1e-265", "1e-264", "9.999e295", "1e296",
+                  "1e99999999999999999999", "1e-99999999999999999999", "-1e+00000000000000000007"]
+        values = _parse_lines("".join(t + "\n" for t in tokens).encode(), _kernel_tables())
+        assert values.tobytes() == float_bits(tokens)
+
+    def test_long_mantissas(self):
+        """Leading zeros, and the point among them, are not significant; 19
+        significant digits may not fit an int64."""
+        tokens = ["0.9999999999999999999", "9.999999999999999999", "99999999999999999999",
+                  "0.000009999999999999999999", "0000000999999999999999999999",
+                  "00000000000000000000000000000000001", "0.000000000000000000001234",
+                  "0.012345678901234567", "-0.0012345678901234567e3", "1234567890.1234567890e-5"]
+        values = _parse_lines("".join(t + "\n" for t in tokens).encode(), _kernel_tables())
+        assert values.tobytes() == float_bits(tokens)
+
+    # (token, the shift that puts its product 2**-33 past a rounding boundary)
+    SHIFTED = [
+        ("9007199254740992.9", 0.1 + 2.0 ** -33),   # above the middle of a gap
+        ("4503599627370496.2", 0.3 + 2.0 ** -33),
+        ("9007199254740991.6", -0.1 - 2.0 ** -33),  # below it
+        ("-9007199254740991.6", -0.1 - 2.0 ** -33),
+        ("9007199254740991.4", 0.1 + 2.0 ** -33),   # a quarter gap below 2**53
+        ("18014398509481983.2", -0.2 - 2.0 ** -33),
+    ]
+
+    @pytest.mark.parametrize("token, shift", SHIFTED, ids=[t for t, _ in SHIFTED])
+    def test_product_next_to_a_rounding_boundary_goes_to_float(self, monkeypatch, token, shift):
+        """The kernel's product is trusted only where it is further than
+        2**-30 of a gap from a rounding boundary: moved to just past one,
+        it rounds the wrong way, and float() must convert the number."""
+        scaled = suscav.spectra._scaled
+
+        def shifted(a, k, t):
+            h, r = scaled(a, k, t)
+            return h, r + shift
+        monkeypatch.setattr(suscav.spectra, "_scaled", shifted)
+        values = _parse_lines(token.encode() + b"\n", _kernel_tables())
+        assert values.tobytes() == float_bits([token])
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_row_across_a_chunk_boundary(self, tmp_path, monkeypatch, delta):
+        """A line ends CSV_READ_CHUNK + delta bytes into the body; every row
+        is 20 bytes but the first, which is padded to put it there."""
+        rows = [f"{i + 2:09d},{1.25e-7 * (i + 1):.3e}\n" for i in range(2 * CSV_READ_CHUNK // 20)]
+        pad = (CSV_READ_CHUNK + delta) % 20
+        rows.insert(0, "1," + "1." + "0" * (pad + 15) + "\n")
+        body = "".join(rows)
+        assert (CSV_READ_CHUNK + delta - len(rows[0])) % 20 == 0
+        assert body[CSV_READ_CHUNK + delta - 1] == "\n"
+        path = tmp_path / "asd.csv"
+        path.write_text("frequency_hz,asd\n" + body)
+        expected = [float(r.split(",")[1]) for r in rows]
+        refuse_loadtxt(monkeypatch)
+        f, a = read_asd_csv(path)
+        assert a.tolist() == expected and f[0] == 1.0 and f[-1] == len(rows)
+
+    def test_lines_longer_than_a_chunk(self, tmp_path, monkeypatch):
+        values = bit_patterns(300, 5)
+        path = tmp_path / "asd.csv"
+        path.write_text("frequency_hz,asd\n" + "".join(
+            "%d,%.17g\n" % (i + 1, v) for i, v in enumerate(values[np.isfinite(values)])))
+        reference = read_asd_csv(path)
+        monkeypatch.setattr(suscav.spectra, "CSV_READ_CHUNK", 7)
+        refuse_loadtxt(monkeypatch)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(read_asd_csv(path), reference))
+
+    def test_kernel_and_fallback_read_the_same_values(self, tmp_path):
+        """LF lines (the kernel), CRLF lines and a blank line (np.loadtxt) and a
+        third column of numbers (the kernel) or text (np.loadtxt)."""
+        rng = np.random.default_rng(4)
+        f = np.sort(rng.uniform(0.01, 5e4, 12_000))
+        a = rng.lognormal(-16, 2, f.size)
+        rows = ["%.17g,%.17g" % fa for fa in zip(f, a)]
+        variants = {
+            "lf": "\n".join(rows) + "\n",
+            "no_final_lf": "\n".join(rows),
+            "crlf": "\r\n".join(rows) + "\r\n",
+            "blank_line": "\n".join(rows[:5000] + [""] + rows[5000:]) + "\n",
+            "third_column": "".join(r + ",1e-3\n" for r in rows),
+            "text_column": "".join(r + ",note\n" for r in rows),
+        }
+        for name, body in variants.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(("frequency_hz,asd\n" + body).encode())
+            got = read_asd_csv(path)
+            assert got[0].tobytes() == f.tobytes() and got[1].tobytes() == a.tobytes(), name
+            assert (suscav.spectra._read_numbers(path, (0, 1)) is None) == (
+                name in ("crlf", "blank_line", "text_column")), name
+
+    def test_seeded_17_digit_file_skips_loadtxt(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2024)
+        f = np.geomspace(0.03, 4e4, 30_000)
+        a = 1e-7 * np.minimum(1.0, (1.3 / f) ** 2) * np.exp(rng.normal(0.0, 0.25, f.size))
+        path = tmp_path / "ground.csv"
+        path.write_text("frequency_hz,asd_m_rthz\n"
+                        + "".join("%.17g,%.17g\n" % fa for fa in zip(f, a)))
+        refuse_loadtxt(monkeypatch)
+        freqs, values = read_asd_csv(path)
+        assert freqs.tobytes() == f.tobytes() and values.tobytes() == a.tobytes()
+
+    def test_read_holds_the_result_and_a_chunk(self, tmp_path):
+        """Peak traced allocation of a 3e5-row read: the two columns it
+        returns, a comparison mask of a byte a row and the working arrays
+        of one chunk, where np.loadtxt, its sort and copies took 2.5 times
+        the result."""
+        import tracemalloc
+
+        n = 300_000
+        f = np.geomspace(0.01, 5e4, n)
+        write_csv(tmp_path / "big.csv", ["frequency_hz", "asd"], [f, 1e-7 / (1.0 + f)])
+        tracemalloc.start()
+        try:
+            result = read_asd_csv(tmp_path / "big.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result[0].tobytes() == f.tobytes()
+        assert peak <= 2 * 8 * n + n + 20 * CSV_READ_CHUNK
+
+
 REJECTED_BODIES = {
     "non_numeric": "1,abc\n",
     "one_column": "1,2\n3\n",
@@ -438,6 +645,8 @@ REJECTED_BODIES = {
     "nan": "1,2\n2,nan\n",
     "inf": "1,inf\n",
     "negative_inf": "1,2\n-inf,3\n",
+    "bare_sign": "1,2\n2,-\n",
+    "empty_exponent": "1,2\n2,1e+\n",
 }
 
 
@@ -447,6 +656,28 @@ def test_read_asd_csv_rejects(tmp_path, body):
     path.write_text("frequency_hz,asd\n" + body)
     with pytest.raises(ConfigError, match="bad_asd.csv"):
         read_asd_csv(path)
+
+
+# more than a chunk of valid rows, frequencies above those of the bodies
+CHUNK_OF_ROWS = "".join("%d,%.17g\n" % (10 ** 6 + i, 1e-7 / (i + 1))
+                        for i in range(CSV_READ_CHUNK // 20))
+LATE_BODIES = {**{k: v.encode() for k, v in REJECTED_BODIES.items() if v},
+               "non_utf8": b"1,3\xb5e-9\n"}
+
+
+@pytest.mark.parametrize("reader", [read_asd_csv, read_budget_csv])
+@pytest.mark.parametrize("body", LATE_BODIES.values(), ids=LATE_BODIES.keys())
+def test_rejected_rows_after_a_chunk_fail_as_under_loadtxt(tmp_path, monkeypatch, reader,
+                                                           body):
+    path = tmp_path / "late_bad.csv"
+    path.write_bytes(("frequency_hz,asd\n" + CHUNK_OF_ROWS).encode() + body)
+    assert len(CHUNK_OF_ROWS) > CSV_READ_CHUNK
+    with pytest.raises(ConfigError, match="late_bad.csv") as kernel:
+        reader(path)
+    monkeypatch.setattr(suscav.spectra, "_read_numbers", lambda path, usecols: None)
+    with pytest.raises(ConfigError) as loadtxt:
+        reader(path)
+    assert str(kernel.value) == str(loadtxt.value)
 
 
 @pytest.mark.parametrize("body", list(REJECTED_BODIES.values()) + ["1,2,3\n"],
