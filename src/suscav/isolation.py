@@ -22,9 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .spectra import FrequencyGrid
-
-HORIZONTAL = "horizontal"
-VERTICAL = "vertical"
+from .suspension import HORIZONTAL, VERTICAL
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from .spectra import (
     UNIT_DISPLACEMENT,
     UNIT_RELATIVE,
     Spectrum,
-    cumulative_rms,
 )
 
 
@@ -166,20 +165,16 @@ class SaturationReport:
         return not self.unbounded and self.margin_ratio < 1.0
 
 
-def saturation_margin(budget, config, cav):
+def saturation_margin(rms, config, cav):
     """Beat-frequency RMS of a displacement budget against the VCO range.
 
-    The total displacement RMS (cumulative RMS evaluated at the bottom of
-    the grid, which must reach at or below 0.5 Hz) converts to hertz via
-    the inverse of the frequency-to-displacement relation.
+    `rms` is the cumulative RMS of the budget's total (`cumulative_rms`);
+    its value at the bottom of the grid, which must reach at or below
+    0.5 Hz, is the total displacement RMS.  It converts to hertz via the
+    inverse of the frequency-to-displacement relation.
     """
-    if budget.unit != UNIT_DISPLACEMENT:
+    if rms.unit != UNIT_DISPLACEMENT:
         raise UnitError("saturation margin needs a displacement budget")
-    return rms_saturation_margin(cumulative_rms(budget.total), config, cav)
-
-
-def rms_saturation_margin(rms, config, cav):
-    """`saturation_margin` of the budget whose total has cumulative RMS `rms`."""
     if rms.grid.fmin > 0.5:
         raise GridError("budget grid must extend down to 0.5 Hz or lower")
     rms_m = float(rms.asd[0])

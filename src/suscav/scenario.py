@@ -27,8 +27,6 @@ from . import quantum as qn
 from .cavity import CavityParams
 from .errors import ConfigError, GridError
 from .isolation import (
-    HORIZONTAL,
-    VERTICAL,
     ActuatorParams,
     GeophoneParams,
     PlatformParams,
@@ -45,7 +43,7 @@ from .readout import (
     intensity_rp_displacement,
     iss_profile,
     pll_noise_asd,
-    rms_saturation_margin,
+    saturation_margin,
 )
 from .spectra import (
     CSV_BLOCK_ROWS,
@@ -65,6 +63,8 @@ from .spectra import (
     zero_spectrum,
 )
 from .suspension import (
+    HORIZONTAL,
+    VERTICAL,
     Stage,
     SuspensionChain,
     build_model,
@@ -591,7 +591,7 @@ def run_budget(scenario, outdir):
     def write_rms(path):
         total.setflags(write=False)
         rms = cumulative_rms(Spectrum(grid, total, UNIT_DISPLACEMENT))
-        report = rms_saturation_margin(rms, scenario.readout, scenario.cavity)
+        report = saturation_margin(rms, scenario.readout, scenario.cavity)
         summary.update({
             "asd_at_100_hz_m_rthz": _asd_at(grid, total, 100.0),
             "rms_m": report.rms_m,

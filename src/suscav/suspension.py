@@ -98,10 +98,6 @@ class SuspensionChain:
         object.__setattr__(self, "stages", stages)
         object.__setattr__(self, "final_stages", finals)
 
-    @property
-    def mirror_mass(self):
-        return self.final_stages[0].mass
-
 
 @dataclass(frozen=True)
 class SpringElement:
@@ -171,8 +167,31 @@ class LinearModel:
         return self._assemble(lambda s: s.damping)
 
 
-def _stage_name(stage, default):
-    return stage.name or default
+def _spring(parent, child, stage, stiffness):
+    """The spring and dashpot hanging `stage` (coordinate `child`) from `parent`."""
+    return SpringElement(
+        parent=parent, child=child, stiffness=stiffness,
+        damping=stage.viscous_damping_to_parent, loss_angle=stage.loss_angle,
+    )
+
+
+def _chain(stages, axis, below=()):
+    """Masses, springs and coordinate names of `stages` hung in a line.
+
+    Each stage hangs from the one above it, the first from ground.
+    Horizontally a wire's stiffness is the weight below it divided by its
+    length, the masses `below` (hung under the last stage) included;
+    vertically it is the stage's blade stiffness.
+    """
+    masses = [s.mass for s in stages]
+    names = [s.name or f"stage_{i + 1}" for i, s in enumerate(stages)]
+    springs = []
+    hanging = sum(masses + list(below))
+    for i, s in enumerate(stages):
+        k = G_STD * hanging / s.wire_length if axis == HORIZONTAL else s.vertical_stiffness
+        springs.append(_spring(i - 1, i, s, k))
+        hanging -= s.mass
+    return masses, springs, names
 
 
 def build_model(chain, axis):
@@ -183,99 +202,41 @@ def build_model(chain, axis):
     vertical: blade-spring stiffnesses on exactly three stages (the mirror
     masses ride on the last vertical coordinate).
     """
+    fa, fb = chain.final_stages
     if axis == HORIZONTAL:
-        stages = list(chain.stages)
-        fa, fb = chain.final_stages
-        n_main = len(stages)
-        masses = [s.mass for s in stages] + [fa.mass, fb.mass]
-        names = [
-            _stage_name(s, f"stage_{i + 1}") for i, s in enumerate(stages)
-        ] + [_stage_name(fa, "mirror_a"), _stage_name(fb, "mirror_b")]
+        masses, springs, names = _chain(chain.stages, axis, below=(fa.mass, fb.mass))
+        n_main = len(masses)
+        names += [fa.name or "mirror_a", fb.name or "mirror_b"]
         if names[n_main] == names[n_main + 1]:
             names[n_main] += "_a"
             names[n_main + 1] += "_b"
-
-        springs = []
-        hanging = sum(masses)
-        for i, s in enumerate(stages):
-            springs.append(SpringElement(
-                parent=i - 1,
-                child=i,
-                stiffness=G_STD * hanging / s.wire_length,
-                damping=s.viscous_damping_to_parent,
-                loss_angle=s.loss_angle,
-            ))
-            hanging -= s.mass
         eps = chain.stiffness_mismatch
         for j, (stage, split) in enumerate(((fa, 1.0 + eps / 2.0), (fb, 1.0 - eps / 2.0))):
-            springs.append(SpringElement(
-                parent=n_main - 1,
-                child=n_main + j,
-                stiffness=G_STD * stage.mass / stage.wire_length * split,
-                damping=stage.viscous_damping_to_parent,
-                loss_angle=stage.loss_angle,
-            ))
-        return LinearModel(
-            masses=masses,
-            springs=springs,
-            coord_names=tuple(names),
-            axis=axis,
-            mirror_a=n_main,
-            mirror_b=n_main + 1,
-        )
+            masses.append(stage.mass)
+            springs.append(_spring(n_main - 1, n_main + j, stage,
+                                   G_STD * stage.mass / stage.wire_length * split))
+        return LinearModel(masses=masses, springs=springs, coord_names=tuple(names),
+                           axis=axis, mirror_a=n_main, mirror_b=n_main + 1)
 
     if axis == VERTICAL:
-        stages = list(chain.stages)
-        if len(stages) != 3:
+        if len(chain.stages) != 3:
             raise ConfigError("the vertical chain has exactly three blade stages")
-        masses = [s.mass for s in stages]
+        if any(s.vertical_stiffness <= 0.0 for s in chain.stages):
+            raise ConfigError("each vertical stage needs a blade stiffness")
+        masses, springs, names = _chain(chain.stages, axis)
         # mirrors ride the penultimate mass along the vertical axis
-        masses[-1] += sum(s.mass for s in chain.final_stages)
-        springs = []
-        for i, s in enumerate(stages):
-            if s.vertical_stiffness <= 0.0:
-                raise ConfigError("each vertical stage needs a blade stiffness")
-            springs.append(SpringElement(
-                parent=i - 1,
-                child=i,
-                stiffness=s.vertical_stiffness,
-                damping=s.viscous_damping_to_parent,
-                loss_angle=s.loss_angle,
-            ))
-        names = [_stage_name(s, f"stage_{i + 1}") for i, s in enumerate(stages)]
-        return LinearModel(
-            masses=masses,
-            springs=springs,
-            coord_names=tuple(names),
-            axis=axis,
-            mirror_a=len(stages) - 1,
-            mirror_b=None,
-        )
+        masses[-1] += fa.mass + fb.mass
+        return LinearModel(masses=masses, springs=springs, coord_names=tuple(names),
+                           axis=axis, mirror_a=len(masses) - 1)
 
     raise ConfigError(f"unknown axis {axis!r}")
 
 
 def simple_chain_model(stages, axis=HORIZONTAL):
     """Unbranched chain, mainly for analytic cross-checks."""
-    stages = list(stages)
-    masses = [s.mass for s in stages]
-    springs = []
-    hanging = sum(masses)
-    for i, s in enumerate(stages):
-        if axis == HORIZONTAL:
-            k = G_STD * hanging / s.wire_length
-        else:
-            k = s.vertical_stiffness
-        springs.append(SpringElement(
-            parent=i - 1, child=i, stiffness=k,
-            damping=s.viscous_damping_to_parent, loss_angle=s.loss_angle,
-        ))
-        hanging -= s.mass
-    names = [_stage_name(s, f"stage_{i + 1}") for i, s in enumerate(stages)]
-    return LinearModel(
-        masses=masses, springs=springs, coord_names=tuple(names),
-        axis=axis, mirror_a=len(stages) - 1, mirror_b=None,
-    )
+    masses, springs, names = _chain(list(stages), axis)
+    return LinearModel(masses=masses, springs=springs, coord_names=tuple(names),
+                       axis=axis, mirror_a=len(masses) - 1)
 
 
 def single_oscillator(mass, stiffness, viscous_damping=0.0, loss_angle=0.0):
@@ -286,7 +247,7 @@ def single_oscillator(mass, stiffness, viscous_damping=0.0, loss_angle=0.0):
     )
     return LinearModel(
         masses=[mass], springs=(spring,), coord_names=("mass",),
-        axis=HORIZONTAL, mirror_a=0, mirror_b=None,
+        axis=HORIZONTAL, mirror_a=0,
     )
 
 
@@ -445,16 +406,9 @@ def _tree_solve(model, grid, output, force_at=None, leaves=()):
     return x, [held[v] for v in leaves]
 
 
-def _mirror_index(model, mirror):
-    idx = model.mirror_a if mirror == "a" else model.mirror_b
-    if idx is None:
-        raise ConfigError(f"model has no mirror {mirror!r}")
-    return idx
-
-
-def tf_suspoint_to_mirror(model, grid, mirror="a"):
-    """Suspension-point displacement to one mirror's displacement."""
-    x, _ = _tree_solve(model, grid, _mirror_index(model, mirror))
+def tf_suspoint_to_mirror(model, grid):
+    """Suspension-point displacement to mirror a's displacement."""
+    x, _ = _tree_solve(model, grid, model.mirror_a)
     return _finite(x, grid)
 
 
@@ -467,17 +421,19 @@ def tf_suspoint_to_differential(model, grid):
     analytically, so equal final stages give an exactly zero transfer
     function instead of a rounding residue.
     """
-    a, b = model.mirror_a, _mirror_index(model, "b")
+    a, b = model.mirror_a, model.mirror_b
+    if b is None:
+        raise ConfigError("model has no mirror 'b'")
     x, ((kap_a, d_a), (kap_b, d_b)) = _tree_solve(model, grid, a - 1, leaves=(a, b))
     ma, mb = model.masses[a], model.masses[b]
     diff_gain = grid.angular ** 2 * (ma * kap_b - mb * kap_a) / (d_a * d_b)
     return _finite(diff_gain * x, grid)
 
 
-def mirror_force_susceptibility(model, grid, mirror="a"):
-    """Displacement per force applied at the mirror coordinate [m/N]."""
-    idx = _mirror_index(model, mirror)
-    x, _ = _tree_solve(model, grid, idx, force_at=idx)
+def mirror_force_susceptibility(model, grid):
+    """Displacement per force applied at mirror a [m/N]."""
+    a = model.mirror_a
+    x, _ = _tree_solve(model, grid, a, force_at=a)
     return _finite(x, grid)
 
 

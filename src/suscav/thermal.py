@@ -27,12 +27,12 @@ class ThermalConfig:
             raise ConfigError("temperature must be positive")
 
 
-def mirror_admittance(model, grid, mirror="a"):
-    """Y(omega) = i*omega * x/F at the mirror coordinate [m/(N s)].
+def mirror_admittance(model, grid):
+    """Y(omega) = i*omega * x/F at mirror a [m/(N s)].
 
     A lossless model simply returns Re(Y) = 0 everywhere.
     """
-    chi = mirror_force_susceptibility(model, grid, mirror=mirror)
+    chi = mirror_force_susceptibility(model, grid)
     return 1j * grid.angular * chi
 
 

@@ -21,7 +21,7 @@ from suscav.spectra import (
     make_log_grid,
 )
 from suscav.suspension import build_model, seismic_to_cavity
-from tests.test_suspension import default_chain
+from test_suspension import default_chain
 
 ACTUATOR_DC = 0.04106280193236715      # 1.7 / 41.4 [N/V]
 ACTUATOR_CORNER = 370.16936202272285   # 41.4 / (2*pi*0.0178) [Hz]

@@ -21,6 +21,7 @@ from suscav.spectra import (
     FrequencyGrid,
     NoiseBudget,
     Spectrum,
+    cumulative_rms,
     make_log_grid,
     sum_uncorrelated,
 )
@@ -189,7 +190,7 @@ class TestSaturationMargin:
     def test_one_nanometre_reference(self, paper_cavity):
         grid = FrequencyGrid(np.linspace(0.5, 5000.0, 20000))
         budget = flat_budget(grid, 1e-9)
-        report = saturation_margin(budget, readout_config(), paper_cavity)
+        report = saturation_margin(cumulative_rms(budget.total), readout_config(), paper_cavity)
         assert report.rms_hz == pytest.approx(BEAT_RMS_1NM, rel=1e-6)
         assert report.margin_ratio == pytest.approx(MARGIN_1NM, rel=1e-6)
         assert not report.saturated
@@ -198,13 +199,14 @@ class TestSaturationMargin:
         grid = FrequencyGrid(np.linspace(0.5, 5000.0, 20000))
         budget = flat_budget(grid, 24.6e-9)
         with pytest.warns(SaturationWarning):
-            report = saturation_margin(budget, readout_config(), paper_cavity)
+            report = saturation_margin(cumulative_rms(budget.total), readout_config(),
+                                       paper_cavity)
         assert report.margin_ratio == pytest.approx(1.0, rel=1e-2)
         assert report.saturated
 
     def test_zero_budget_unbounded(self, paper_cavity, grid_band):
         budget = flat_budget(grid_band, 0.0)
-        report = saturation_margin(budget, readout_config(), paper_cavity)
+        report = saturation_margin(cumulative_rms(budget.total), readout_config(), paper_cavity)
         assert report.unbounded
         assert report.margin_ratio == np.inf
         assert not report.saturated
@@ -212,10 +214,11 @@ class TestSaturationMargin:
     def test_grid_must_reach_low_frequency(self, paper_cavity):
         grid = make_log_grid(1.0, 1e4, 100)
         with pytest.raises(GridError):
-            saturation_margin(flat_budget(grid, 1e-9), readout_config(), paper_cavity)
+            saturation_margin(cumulative_rms(flat_budget(grid, 1e-9).total), readout_config(),
+                              paper_cavity)
 
     def test_displacement_unit_required(self, paper_cavity, grid_band):
         s = Spectrum(grid_band, np.ones(len(grid_band)), "Hz/rtHz")
         budget = NoiseBudget.from_components({"only": s})
         with pytest.raises(UnitError):
-            saturation_margin(budget, readout_config(), paper_cavity)
+            saturation_margin(cumulative_rms(budget.total), readout_config(), paper_cavity)

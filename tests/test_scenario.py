@@ -25,7 +25,15 @@ from suscav.scenario import (
     run_quantum_design,
     run_suspension_tf,
 )
-from suscav.spectra import MAX_GRID_POINTS, FrequencyGrid, make_log_grid, read_budget_csv
+from suscav.spectra import (
+    MAX_GRID_POINTS,
+    UNIT_DISPLACEMENT,
+    FrequencyGrid,
+    Spectrum,
+    make_log_grid,
+    read_budget_csv,
+)
+from suscav.suspension import seismic_to_cavity, tf_suspoint_to_mirror
 
 
 @pytest.fixture(autouse=True)
@@ -290,6 +298,42 @@ def test_isolation_zero_gain_reproduces_passive(config_factory, tmp_path):
     for row in rows:
         _, _, passive, active = row.split(",")
         assert passive == active
+
+
+
+def test_passive_isolation_budget_uses_the_passive_platform(config_factory):
+    """With the loop off, the ground reaches the suspension through each
+    axis's passive platform transmissibility."""
+    grid = make_log_grid(0.1, 1e4, 200)
+    cfg = config_factory()
+    active = assemble_budget(Scenario.from_dict(cfg, grid_override=grid))
+    cfg["isolation"]["active"] = False
+    s = Scenario.from_dict(cfg, grid_override=grid)
+    ground = Spectrum(grid, s.ground.asd(grid), UNIT_DISPLACEMENT)
+    horiz = seismic_to_cavity(s.horizontal_model, ground,
+                              s.platform.passive("horizontal").evaluate(grid), grid)
+    vert_tf = s.platform.passive("vertical").evaluate(grid) * tf_suspoint_to_mirror(
+        s.vertical_model, grid)
+    vert = np.abs(vert_tf) * s.chain.vertical_coupling * ground.asd
+    expected = Spectrum.from_psd(grid, 2.0 * (horiz.psd + vert ** 2), UNIT_DISPLACEMENT)
+    seismic = assemble_budget(s).components["seismic"].asd
+    assert seismic.tobytes() == expected.asd.tobytes()
+    assert not np.array_equal(seismic, active.components["seismic"].asd)
+
+
+def test_zero_circulating_power(config_factory, tmp_path, capsys):
+    """No light in the cavity: no quantum noise in the budget, and no
+    quantum design to report."""
+    cfg = config_factory()
+    cfg["quantum"]["circulating_power_w"] = 0.0
+    budget = assemble_budget(Scenario.from_dict(cfg, grid_override=make_log_grid(0.1, 1e4, 200)))
+    assert np.all(budget.components["quantum_total"].asd == 0.0)
+    path = tmp_path / "dark.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["quantum", "--config", str(path), "--out", str(tmp_path / "q")])
+    assert code == 1
+    assert "quantum design needs a positive circulating power" in capsys.readouterr().err
+    assert not (tmp_path / "q").exists()
 
 
 def test_quantum_design_self_consistency(config_factory, tmp_path):

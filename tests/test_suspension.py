@@ -102,6 +102,32 @@ class TestValidation:
                         coord_names=("a", "b", "c"), axis="horizontal")
 
 
+class TestBuild:
+    def test_stage_names_and_their_defaults(self):
+        chain = default_chain()
+        named = dataclasses.replace(chain.stages[0], name="top")
+        chain = dataclasses.replace(chain, stages=(named, *chain.stages[1:]))
+        assert build_model(chain, "horizontal").coord_names == (
+            "top", "stage_2", "stage_3", "mirror_a", "mirror_b")
+        assert build_model(chain, "vertical").coord_names == ("top", "stage_2", "stage_3")
+
+    def test_named_final_stage_gives_a_and_b(self):
+        chain = default_chain()
+        mirror = dataclasses.replace(chain.final_stages[0], name="test_mass")
+        chain = dataclasses.replace(chain, final_stages=(mirror, mirror))
+        names = build_model(chain, "horizontal").coord_names
+        assert names[-2:] == ("test_mass_a", "test_mass_b")
+
+    def test_simple_vertical_chain_springs_are_blade_stiffnesses(self):
+        stages = [main_stage(kv=450.0, damping=1.5, phi=2e-4), main_stage(kv=600.0)]
+        model = simple_chain_model(stages, "vertical")
+        assert model.axis == "vertical"
+        assert model.springs == (
+            SpringElement(parent=-1, child=0, stiffness=450.0, damping=1.5, loss_angle=2e-4),
+            SpringElement(parent=0, child=1, stiffness=600.0, damping=0.0, loss_angle=1e-4),
+        )
+
+
 class TestEigenmodes:
     def test_single_stage_pendulum(self):
         model = simple_chain_model([Stage(mass=1.0, wire_length=0.19)])

@@ -8,7 +8,7 @@ from suscav.errors import GridError
 from suscav.spectra import FrequencyGrid, make_log_grid
 from suscav.suspension import mirror_force_susceptibility, single_oscillator
 from suscav.thermal import ThermalConfig, mirror_admittance, thermal_displacement
-from tests.test_suspension import default_chain
+from test_suspension import default_chain
 from suscav.suspension import build_model
 
 
