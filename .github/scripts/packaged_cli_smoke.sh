@@ -5,8 +5,10 @@
 # 1e5-point grid (above 16,384 points numpy evaluates some expressions in
 # place), one on 20001 points (not a whole number of the budget's blocks)
 # and one on 1e5 points with two budget.include terms off (zero columns),
-# twice; the two output trees must be byte-identical, and each
-# run's manifest.json must list exactly the other files of its directory.  A
+# twice; the two output trees must be byte-identical, each
+# run's manifest.json must list exactly the other files of its directory, and
+# every number of the terms-off budget's two CSVs must be its own "%.17g"
+# text.  A
 # copy of paper_default with a misspelled key must fail with one hinted line,
 # a budget that fails must leave no output directory and no staging file, and
 # a copy whose ground CSV file is absent must run the commands that do not
@@ -63,6 +65,19 @@ for top, _, names in os.walk(sys.argv[1]):
             listed = sorted(json.load(fh)["files"].values())
         if listed != sorted(set(names) - {"manifest.json"}):
             sys.exit(f"{top}: manifest lists {listed}, the directory holds {sorted(names)}")
+PY
+
+# the installed writer against its definition at full size, over the zero
+# columns of the terms switched off and the flat pll column
+python - run1/budget-1e5-terms-off/budget.csv run1/budget-1e5-terms-off/budget_rms.csv <<'PY'
+import sys
+for path in sys.argv[1:]:
+    with open(path) as fh:
+        next(fh)
+        for line_no, line in enumerate(fh, 2):
+            for tok in line.rstrip("\n").split(","):
+                if "%.17g" % float(tok) != tok:
+                    sys.exit(f"{path}:{line_no}: {tok!r} is not its %.17g text")
 PY
 
 # a copy of paper_default with one misspelled key: exit 1, one hinted line

@@ -42,14 +42,16 @@ UNITS = frozenset({
 # 17 significant digits round-trip any IEEE double exactly.  This is the
 # definition of every number written to CSV: `write_csv` produces the same
 # bytes with a vectorised kernel and formats with CSV_FORMAT itself the few
-# values that the kernel leaves out.
+# values that the kernel leaves out, and once each column that is constant
+# over a block.
 CSV_FORMAT = "%.17g"
 
 # Rows per block of write_csv's formatting and of cumulative_rms's sum.  A
 # table wider than four columns takes fewer rows a block, CSV_BLOCK_CELLS
-# cells at most: a block's working arrays, about 200 B a cell, then stay
-# near 1.6 MB, small enough for the C allocator to keep reusing rather
-# than return to the system after each block and fault back in.
+# cells at most but one row at least: a block's working arrays, about
+# 200 B a cell, then stay near 1.6 MB, small enough for the C allocator to
+# keep reusing rather than return to the system after each block and fault
+# back in.
 CSV_BLOCK_ROWS = 2048
 CSV_BLOCK_CELLS = 4 * CSV_BLOCK_ROWS
 
@@ -367,8 +369,8 @@ def _scaled(a, k, t):
     Dekker's exact product of a with the double nearest 10**(16 - k), plus
     a times the table's remainder; within about 1e-14 of the exact value.
     """
-    hi, head, tail, lo = (np.take(c, _FAST_EXP - k)
-                          for c in (t.pow_hi, t.pow_head, t.pow_tail, t.pow_lo))
+    i = _FAST_EXP - k
+    hi, head, tail, lo = (c.take(i) for c in (t.pow_hi, t.pow_head, t.pow_tail, t.pow_lo))
     a_head, a_tail = _split(a)
     p = a * hi
     r = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail + a * lo
@@ -385,11 +387,43 @@ def _decimal(x, t):
     1e-9 kept from a rounding tie, so the digits are the correctly rounded
     ones CSV_FORMAT prints; a zero gets q = k = 0.  `slow` indexes the
     near-ties and other values outside the range; their q and k are meaningless.
+
+    An array whose every value is in range is tried whole by
+    `_decimal_block`; one that fails its tests, or any other, goes through
+    `_decimal_each`.
     """
     a = np.abs(x)
-    zero = a == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = np.log10(a)
+    # the log10 of a zero, nan or inf (-inf, nan, inf) fails through the min or max
+    if a.size and lg.min() > 1 - _FAST_EXP and lg.max() < _FAST_EXP - 1:
+        settled = _decimal_block(a, lg, t)
+        if settled is not None:
+            return settled
+    return _decimal_each(a, lg, t)
+
+
+def _decimal_block(a, lg, t):
+    """`_decimal` of in-range magnitudes `a`, whose log10 is `lg`, if every
+    product lies strictly inside (1e16, 1e17) and away from a tie, which a
+    few whole-array reductions show; else None."""
+    k = np.floor(lg).astype(np.int64)
+    h, r = _scaled(a, k, t)
+    if not (h.min() > 1e16 and h.max() < 1e17):
+        return None
+    r_int = np.rint(r)
+    if np.abs(r - r_int).max() > 0.5 - 1e-9:
+        return None
+    # |r| is at most half the gap of 16 between doubles below 1e17, so q
+    # stays below 10**17: no product carries to 18 digits
+    return h.astype(np.int64) + r_int.astype(np.int64), k, np.empty(0, np.intp)
+
+
+def _decimal_each(a, lg, t):
+    """`_decimal` of the values whose magnitudes are `a` and whose log10 is
+    `lg`, with the range, the exponent shift, the tie and the carry tested
+    per element."""
+    zero = a == 0.0
     fast = (lg > 1 - _FAST_EXP) & (lg < _FAST_EXP - 1)
     a = np.where(fast, a, 1.0)
     k = np.floor(np.where(fast, lg, 0.0)).astype(np.int64)
@@ -412,6 +446,16 @@ def _decimal(x, t):
     return q, k, slow
 
 
+def _div10k(v):
+    """v // 10_000 for int64 0 <= v < 10**8, exactly.
+
+    109951163 / 2**40 is 1e-4 * (1 + 2.1e-9), so the product exceeds
+    v / 1e4 by less than 2.1e-5, short of the 1e-4 that separates v / 1e4
+    from the next integer; and v * 109951163 < 2**63.
+    """
+    return (v * 109951163) >> 40
+
+
 def _format_numbers(x):
     """(n, 4) words: the 32-byte cell of CSV_FORMAT % v for each double of x.
 
@@ -420,31 +464,42 @@ def _format_numbers(x):
     t = _kernel_tables()
     x = np.asarray(x, dtype=float).ravel()
     q, k, slow = _decimal(x, t)
-    # four 4-digit chunks under a leading digit; int32 division is fast
+    # a leading digit over two 8-digit halves, each split into 4-digit chunks
     high = q // 10 ** 8
-    low = (q - high * 10 ** 8).astype(np.int32)
-    high = high.astype(np.int32)
-    c01, c2 = np.divmod(high, 10_000)
-    c0, c1 = np.divmod(c01, 10_000)
-    c3, c4 = np.divmod(low, 10_000)
-    nd = np.maximum.reduce([np.ones_like(c0)] + [
-        np.take(t.chunk_kept, c) + 1 + 4 * i for i, c in enumerate((c1, c2, c3, c4))
-    ])
+    low = q - high * 10 ** 8
+    c0 = high // 10 ** 8
+    high -= c0 * 10 ** 8
+    c1 = _div10k(high)
+    c2 = high - c1 * 10_000
+    c3 = _div10k(low)
+    c4 = low - c3 * 10_000
+    # free the integers before the cells' arrays are made
+    del q, high, low
+    # significant digits from the last nonzero chunk, which is c4 but for
+    # the numbers that end in 0000
+    nd = t.chunk_kept.take(c4) + 13
+    ends = np.flatnonzero(nd < 0)
+    if ends.size:
+        nd[ends] = np.maximum.reduce([np.ones(ends.size, nd.dtype)] + [
+            t.chunk_kept.take(c[ends]) + 1 + 4 * i for i, c in enumerate((c1, c2, c3))
+        ])
     row = k + _FAST_EXP
-    code = np.take(t.exp_code, row) + nd
+    code = t.exp_code.take(row) + nd
     w0 = (c0 + 48).astype(_WORD) << _WORD.type(56)
-    w1 = np.take(t.chunk_text, c1) | np.take(t.chunk_text, c2) << _WORD.type(32)
-    w2 = np.take(t.chunk_text, c3) | np.take(t.chunk_text, c4) << _WORD.type(32)
+    w1 = t.chunk_text.take(c1) | t.chunk_text.take(c2) << _WORD.type(32)
+    w2 = t.chunk_text.take(c3) | t.chunk_text.take(c4) << _WORD.type(32)
     s8, s56 = _WORD.type(8), _WORD.type(56)
     cells = np.empty((x.size, 4), _WORD)
-    cells[:, 0] = ((w0 & np.take(t.keep_int[0], code)) | np.take(t.exp_text[0], row)
-                   | np.signbit(x).astype(_WORD) * _WORD.type(ord("-")))
+    # each word's last operation writes it into the cells
+    np.bitwise_or((w0 & t.keep_int[0].take(code)) | t.exp_text[0].take(row),
+                  (x.view(_WORD) >> _WORD.type(63)) * _WORD.type(ord("-")), out=cells[:, 0])
     # the digits after the point are the same bytes moved up by one
-    cells[:, 1] = ((w1 & np.take(t.keep_int[1], code)) | np.take(t.point[1], code)
-                   | ((w1 << s8 | w0 >> s56) & np.take(t.keep_frac[1], code)))
-    cells[:, 2] = ((w2 & np.take(t.keep_int[2], code)) | np.take(t.point[2], code)
-                   | ((w2 << s8 | w1 >> s56) & np.take(t.keep_frac[2], code)))
-    cells[:, 3] = (w2 >> s56 & np.take(t.keep_frac[3], code)) | np.take(t.exp_text[3], row)
+    np.bitwise_or((w1 & t.keep_int[1].take(code)) | t.point[1].take(code),
+                  (w1 << s8 | w0 >> s56) & t.keep_frac[1].take(code), out=cells[:, 1])
+    np.bitwise_or((w2 & t.keep_int[2].take(code)) | t.point[2].take(code),
+                  (w2 << s8 | w1 >> s56) & t.keep_frac[2].take(code), out=cells[:, 2])
+    np.bitwise_or(w2 >> s56 & t.keep_frac[3].take(code), t.exp_text[3].take(row),
+                  out=cells[:, 3])
     if slow.size:
         text = [(CSV_FORMAT % v).encode() for v in x[slow].tolist()]
         cells[slow] = np.array(text, dtype=f"S{_CELL}").view(_WORD).reshape(-1, 4)
@@ -457,8 +512,8 @@ def write_csv(path, header, columns):
     A numeric column is written as doubles, each exactly as CSV_FORMAT
     prints it, so every value reads back bit-exact; any other column is
     text, written as str(v).  The file is UTF-8.  Rows are laid out a block
-    of CSV_BLOCK_ROWS, or of CSV_BLOCK_CELLS cells, at a time in NUL-padded
-    cells, which are dropped before the block is written.
+    of CSV_BLOCK_ROWS, or of CSV_BLOCK_CELLS cells but at least one row, at
+    a time in NUL-padded cells, which are dropped before the block is written.
     """
     _write_csv_blocks(path, header, [columns])
 
@@ -497,18 +552,38 @@ def _write_rows(fh, columns):
     width = max([_CELL] + [-(-(t.itemsize + 1) // 8) * 8 for t in text.values()])
     separators = np.full(len(columns), ord(","), np.uint8)
     separators[-1] = ord("\n")
-    step = min(CSV_BLOCK_ROWS, CSV_BLOCK_CELLS // len(columns))
+    step = max(1, min(CSV_BLOCK_ROWS, CSV_BLOCK_CELLS // len(columns)))
     for start in range(0, n, step):
         rows = min(step, n - start)
         block = np.zeros((rows, len(columns), width), np.uint8)
-        if numeric:
-            x = np.stack([columns[j][start:start + rows] for j in numeric], axis=1)
-            block.view(_WORD)[:, numeric, :_CELL // 8] = (
-                _format_numbers(x).reshape(rows, len(numeric), -1))
+        cells = block.view(_WORD)[:, :, :_CELL // 8]
+        varying = []
+        for j in numeric:
+            c = np.asarray(columns[j][start:start + rows], dtype=float)
+            bits = c.view(_WORD)
+            # a column of one bit pattern in this block, such as a term
+            # switched off, is formatted once
+            if bits[0] == bits[-1] and (bits == bits[0]).all():
+                cells[:, j] = np.frombuffer((CSV_FORMAT % c[0]).encode().ljust(_CELL, b"\0"),
+                                            _WORD)
+            else:
+                varying.append(j)
+        if varying:
+            x = np.stack([columns[j][start:start + rows] for j in varying], axis=1)
+            _put_columns(cells, varying, _format_numbers(x).reshape(rows, len(varying), -1))
         for j, t in text.items():
             block[:, j, :t.itemsize] = t[start:start + rows].view(np.uint8).reshape(rows, -1)
         block[:, :, -1] = separators
         fh.write(block.tobytes().translate(None, b"\0"))
+
+
+def _put_columns(cells, at, words):
+    """cells[:, at] = words, each run of consecutive columns of `at` as one
+    slice: assigning through an index list copies a cell at a time."""
+    for _, run in itertools.groupby(enumerate(at), lambda p: p[1] - p[0]):
+        run = list(run)
+        (i, j), m = run[0], len(run)
+        cells[:, j:j + m] = words[:, i:i + m]
 
 
 def write_budget_csv(path, budget):

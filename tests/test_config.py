@@ -144,6 +144,21 @@ def test_two_mirror_masses_are_refused(tmp_path, capsys, config_factory):
     assert "suspension.final_stage.mass_kg = 0.01" in err
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_budget_needs_three_vertical_stages(tmp_path, capsys, config_factory, count):
+    """The vertical model has three blade stages; the commands that build
+    only the horizontal one take any number."""
+    cfg = config_factory()
+    stages = cfg["suspension"]["stages"]
+    cfg["suspension"]["stages"] = (stages + [dict(stages[-1], name="extra")])[:count]
+    assert config_error(tmp_path, capsys, cfg) == (
+        "suscav: config error: the vertical chain has exactly three blade stages")
+    for command in ("suspension-tf", "isolation", "quantum"):
+        (tmp_path / command).mkdir()
+        code, _ = run_cli(tmp_path / command, capsys, cfg, command=command)
+        assert code == 0, command
+
+
 def test_resolved_config_fills_defaults(config_factory):
     cfg = config_factory()
     del cfg["isolation"]["geophone"]["quality_factor"]

@@ -386,6 +386,76 @@ class TestCsvWriter:
             CSV_FORMAT % v for v in values.tolist()
         ]
 
+    @staticmethod
+    def fast_block(n=1000):
+        """Values whose every product is settled by `_decimal`'s block test
+        (in 1e9..1e16 many doubles lie exactly on a 17-digit tie)."""
+        rng = np.random.default_rng(5)
+        return rng.choice([1.0, -1.0], n) * 10.0 ** rng.uniform(-30.0, 5.0, n)
+
+    def test_fast_block_needs_no_per_element_test(self, tmp_path, monkeypatch):
+        def each(*args):
+            raise AssertionError("per-element path taken")
+
+        monkeypatch.setattr(suscav.spectra, "_decimal_each", each)
+        values = self.fast_block()
+        assert written_tokens(tmp_path / "t.csv", values) == [
+            CSV_FORMAT % v for v in values.tolist()
+        ]
+
+    # each keeps its block off the fast path
+    PLANTED = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300, 1e-279, 1e279,
+               float(np.nextafter(1e-14, 0.0)),
+               1e98,                    # below 10**98; its 17 digits carry to 1e+98
+               123456789012345.625]     # a tie at the 17th digit
+
+    @pytest.mark.parametrize("at", [0, 500, 999], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("value", PLANTED, ids=[repr(v) for v in PLANTED])
+    def test_value_planted_in_a_fast_block(self, tmp_path, monkeypatch, value, at):
+        each, calls = suscav.spectra._decimal_each, []
+        monkeypatch.setattr(suscav.spectra, "_decimal_each",
+                            lambda *args: calls.append(args) or each(*args))
+        values = self.fast_block()
+        values[at] = value
+        assert written_tokens(tmp_path / "t.csv", values) == [
+            CSV_FORMAT % v for v in values.tolist()
+        ]
+        assert len(calls) == 1
+
+    def test_multiply_shift_is_integer_division(self):
+        from suscav.spectra import _div10k
+
+        v = np.concatenate([[0, 9999, 10_000, 99_999_999], np.arange(0, 10 ** 8, 997)])
+        assert np.array_equal(_div10k(v), np.divmod(v, 10_000)[0])
+
+    def test_constant_columns_are_formatted_once(self, tmp_path, monkeypatch):
+        """A column of one bit pattern in a block skips the kernel there;
+        0.0 and -0.0 differ, so a column that mixes them does not."""
+        fmt, widths = suscav.spectra._format_numbers, []
+        monkeypatch.setattr(suscav.spectra, "_format_numbers",
+                            lambda x: widths.append(x.shape[1]) or fmt(x))
+        step = CSV_BLOCK_CELLS // 6
+        n = 2 * step + 7
+        i = np.arange(n)
+        signed = np.zeros(n)
+        signed[1::2] = -0.0                  # the first block starts and ends with 0.0
+        header = ["f", "zero", "negative_zero", "flat", "switch", "signed"]
+        columns = [(i + 1) * 0.1, np.zeros(n), np.full(n, -0.0),
+                   np.full(n, 4.9117313017927888e-16),
+                   np.where(i < step, 2.5, i * 1e-3), signed]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, columns)
+        assert path.read_text() == self.reference(header, columns)
+        assert widths == [2, 3, 3]
+
+    def test_more_columns_than_cells_in_a_block(self, tmp_path):
+        n = CSV_BLOCK_CELLS + 1
+        header = [f"c{j}" for j in range(n)]
+        columns = list(bit_patterns(3 * n, 7).reshape(n, 3))
+        path = tmp_path / "t.csv"
+        write_csv(path, header, columns)
+        assert path.read_text() == self.reference(header, columns)
+
 
 class TestCsvIngestion:
     def test_spectrum_roundtrip(self, tmp_path):
