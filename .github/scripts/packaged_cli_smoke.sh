@@ -10,7 +10,8 @@
 # every number of the terms-off budget's two CSVs must be its own "%.17g"
 # text.  A
 # copy of paper_default with a misspelled key must fail with one hinted line,
-# a budget that fails must leave no output directory and no staging file, and
+# a budget on a grid too high for its summary must fail with one line before
+# its first block and leave no output directory and no staging file, and
 # a copy whose ground CSV file is absent must run the commands that do not
 # read it and fail `isolation`, which does, with one line and no output.
 # One seeded ground CSV written with LF and with CRLF line ends, read by the
@@ -98,14 +99,17 @@ if [ "$code" != 1 ] || [ "$(wc -l <misspelled.err)" -ne 1 ] \
   exit 1
 fi
 
-# a budget whose grid stops above 0.5 Hz fails after its last block: exit 1,
-# no output and no staging file
+# a budget whose grid starts above 0.5 Hz fails before its first block: exit
+# 1 with one stderr line, the config error and no warning before it, no
+# output and no staging file
 code=0
 suscav budget --grid 1,1e4,100 --out failed 2>failed.err || code=$?
 staged=$(find . -name '.suscav-staging-*')
-if [ "$code" != 1 ] || [ -e failed ] || [ -n "$staged" ]; then
-  echo "failing budget: want exit 1, no 'failed' directory and no staging file," \
-    "got exit $code and staging '$staged':" >&2
+if [ "$code" != 1 ] || [ "$(wc -l <failed.err)" -ne 1 ] \
+    || ! grep -q "^suscav: config error: " failed.err \
+    || [ -e failed ] || [ -n "$staged" ]; then
+  echo "failing budget: want exit 1, one config error line, no 'failed' directory" \
+    "and no staging file, got exit $code and staging '$staged':" >&2
   cat failed.err >&2
   exit 1
 fi

@@ -2,15 +2,11 @@
 
 from .cavity import (
     CavityParams,
-    PendulumStiffness,
     circulating_power,
     disp_per_hz,
-    disp_to_freq,
     finesse,
-    freq_to_disp,
     fsr,
     fwhm,
-    rp_equilibrium,
 )
 from .errors import ConfigError, GridError, NumericalError, UnitError
 from .isolation import (
@@ -19,8 +15,6 @@ from .isolation import (
     PlatformParams,
     ZPK,
     closed_loop,
-    default_servo,
-    diagonalize_sensors,
 )
 from .quantum import (
     FreeMassValidityWarning,

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import ConfigError, UnitError
-from .spectra import UNIT_DISPLACEMENT, UNIT_FREQUENCY
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -62,26 +61,6 @@ class CavityParams:
         return 2.0 * np.pi * self.optical_frequency
 
 
-@dataclass(frozen=True)
-class PendulumStiffness:
-    """Restoring stiffness of the final suspension stage at the mirror."""
-
-    resonance_hz: float
-    stiffness: float  # [N/m]
-
-    def __post_init__(self):
-        if self.resonance_hz <= 0.0 or self.stiffness <= 0.0:
-            raise ConfigError("pendulum resonance and stiffness must be positive")
-
-    @classmethod
-    def from_resonance(cls, resonance_hz, mass):
-        """k = m * (2*pi*f0)**2."""
-        if mass <= 0.0:
-            raise ConfigError("mass must be positive")
-        k = mass * (2.0 * np.pi * resonance_hz) ** 2
-        return cls(resonance_hz=resonance_hz, stiffness=k)
-
-
 def fsr(cav):
     """Free spectral range c/(2L) [Hz]."""
     return C_LIGHT / (2.0 * cav.length)
@@ -105,10 +84,9 @@ def buildup_gain(cav):
     return 4.0 * cav.input_transmission / cav.round_trip_loss ** 2
 
 
-def circulating_power(cav, detuning_hz=0.0):
-    """Lorentzian power build-up P_in * G / (1 + (2*dnu/FWHM)**2) [W]."""
-    x = 2.0 * detuning_hz / fwhm(cav)
-    return cav.input_power * buildup_gain(cav) / (1.0 + x * x)
+def circulating_power(cav):
+    """On-resonance power build-up P_in * G [W]."""
+    return cav.input_power * buildup_gain(cav)
 
 
 def disp_per_hz(cav):
@@ -118,81 +96,3 @@ def disp_per_hz(cav):
     to this much cavity-length change.
     """
     return cav.length * cav.wavelength / C_LIGHT
-
-
-def freq_to_disp(cav, spectrum):
-    """Convert a frequency-noise spectrum [Hz/rtHz] to displacement [m/rtHz]."""
-    if spectrum.unit != UNIT_FREQUENCY:
-        raise UnitError(f"expected {UNIT_FREQUENCY!r}, got {spectrum.unit!r}")
-    return spectrum.scaled(disp_per_hz(cav), unit=UNIT_DISPLACEMENT)
-
-
-def disp_to_freq(cav, spectrum):
-    """Inverse of `freq_to_disp`."""
-    if spectrum.unit != UNIT_DISPLACEMENT:
-        raise UnitError(f"expected {UNIT_DISPLACEMENT!r}, got {spectrum.unit!r}")
-    return spectrum.scaled(1.0 / disp_per_hz(cav), unit=UNIT_FREQUENCY)
-
-
-def _rp_force(cav, detuning_hz):
-    """Radiation-pressure force on the mirror at a given detuning [N]."""
-    return 2.0 * circulating_power(cav, detuning_hz) / C_LIGHT
-
-
-def rp_equilibrium(cav, pendulum, laser_detuning_hz=0.0):
-    """Static equilibria of the radiation-pressure / pendulum force balance.
-
-    Solves k*x = 2*P_c(dnu(x))/c with dnu(x) = laser_detuning - x*nu/L:
-    a displacement of the mirror retunes the cavity, so the intracavity
-    force is a Lorentzian in x and the balance is bistable for part of
-    the parameter space.  Returns all real roots (1 or 3), ascending,
-    found by dense bracketing plus bisection.
-    """
-    k = pendulum.stiffness
-    if cav.input_power == 0.0:
-        return [0.0]
-
-    m_per_hz = disp_per_hz(cav)
-    x_lw = fwhm(cav) * m_per_hz            # linewidth expressed as displacement
-    x_res = laser_detuning_hz * m_per_hz   # displacement that tunes onto resonance
-    x_max = _rp_force(cav, 0.0) / k        # largest possible static deflection
-
-    def residual(x):
-        detuning = laser_detuning_hz - x / m_per_hz
-        return k * x - _rp_force(cav, detuning)
-
-    lo = min(0.0, x_res - 10.0 * x_lw) - 0.01 * x_lw
-    hi = max(1.05 * x_max, x_res + 10.0 * x_lw) + 0.01 * x_lw
-    samples = np.unique(np.concatenate([
-        np.linspace(lo, hi, 8001),
-        x_res + x_lw * np.linspace(-10.0, 10.0, 8001),
-    ]))
-    values = residual(samples)
-
-    roots = [float(x) for x, v in zip(samples, values) if v == 0.0]
-    sign_change = np.where(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
-    for i in sign_change:
-        a, b = samples[i], samples[i + 1]
-        fa = values[i]
-        while True:
-            mid = 0.5 * (a + b)
-            if mid == a or mid == b:
-                break
-            fm = residual(mid)
-            if fm == 0.0:
-                a = b = mid
-                break
-            if np.sign(fm) == np.sign(fa):
-                a, fa = mid, fm
-            else:
-                b = mid
-        root = a if abs(residual(a)) <= abs(residual(b)) else b
-        roots.append(float(root))
-
-    roots.sort()
-    deduped = []
-    tol = 1e-9 * max(x_lw, x_max)
-    for r in roots:
-        if not deduped or r - deduped[-1] > tol:
-            deduped.append(r)
-    return deduped

@@ -268,52 +268,3 @@ def closed_loop(platform, geophone, actuator, servo, grid, axis=HORIZONTAL):
         passive=passive,
         gain=gain,
     )
-
-
-def diagonalize_sensors(geometry, condition_limit=1e6):
-    """Inverse of the 6-sensor placement response matrix.
-
-    `geometry` is six (position, orientation) pairs of 3-vectors.  The
-    response of sensor i to a unit motion of degree of freedom j (order
-    X, Y, Z, RX, RY, RZ) is orientation . v where v = e_j for
-    translations and e_j x position for rotations.  Applying the returned
-    matrix to the sensor vector yields diagonalised per-DoF signals.
-    """
-    geometry = list(geometry)
-    if len(geometry) != 6:
-        raise ConfigError("need exactly six sensors")
-    r = np.zeros((6, 6))
-    for i, (pos, orient) in enumerate(geometry):
-        pos = np.asarray(pos, dtype=float)
-        orient = np.asarray(orient, dtype=float)
-        norm = np.linalg.norm(orient)
-        if norm == 0.0:
-            raise ConfigError(f"sensor {i} has a zero orientation vector")
-        orient = orient / norm
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            r[i, j] = orient @ e
-            r[i, 3 + j] = orient @ np.cross(e, pos)
-    cond = np.linalg.cond(r)
-    if not np.isfinite(cond) or cond > condition_limit:
-        raise ConfigError(
-            f"degenerate sensor geometry (condition number {cond:.3g})"
-        )
-    return np.linalg.inv(r)
-
-
-def default_servo(gain=1.2675e10):
-    """Shipped loop filter: integrator, zero at 7 Hz, poles at 150/400 Hz.
-
-    The integrator keeps the loop phase near +90 deg through the band
-    where the geophone response rotates towards +180 deg, which is what
-    makes an inertial-sensor loop of this kind stable; the zero restores
-    phase before the upper crossing and the far poles roll the gain off.
-    """
-    tp = 2.0 * np.pi
-    return ZPK(
-        zeros=(-tp * 7.0,),
-        poles=(0.0, -tp * 150.0, -tp * 400.0),
-        gain=gain,
-    )

@@ -165,6 +165,13 @@ class SaturationReport:
         return not self.unbounded and self.margin_ratio < 1.0
 
 
+def check_saturation_grid(grid):
+    """Refuse a grid that stops above 0.5 Hz, too high for the total RMS
+    that `saturation_margin` reads at its bottom."""
+    if grid.fmin > 0.5:
+        raise GridError("budget grid must extend down to 0.5 Hz or lower")
+
+
 def saturation_margin(rms, config, cav):
     """Beat-frequency RMS of a displacement budget against the VCO range.
 
@@ -175,8 +182,7 @@ def saturation_margin(rms, config, cav):
     """
     if rms.unit != UNIT_DISPLACEMENT:
         raise UnitError("saturation margin needs a displacement budget")
-    if rms.grid.fmin > 0.5:
-        raise GridError("budget grid must extend down to 0.5 Hz or lower")
+    check_saturation_grid(rms.grid)
     rms_m = float(rms.asd[0])
     if rms_m == 0.0:
         return SaturationReport(rms_m=0.0, rms_hz=0.0,

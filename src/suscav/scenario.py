@@ -40,6 +40,7 @@ from .readout import (
     ReadoutConfig,
     acoustic_peaks,
     adc_noise_asd,
+    check_saturation_grid,
     intensity_rp_displacement,
     iss_profile,
     pll_noise_asd,
@@ -157,11 +158,14 @@ class Term(NamedTuple):
 
 # Per-cavity terms enter the two-cavity beat uncorrelated, hence sqrt(2); the
 # readout (ADC, PLL) enters once; quantum traces are single-cavity references,
-# and with every switch off the total is the SQL.  Row order is column order.
+# and with every switch off the total is the SQL.  Thermal noise is also
+# uncorrelated between a cavity's two mirrors, a second sqrt(2); the
+# correlated path through the common penultimate mass is second order in the
+# stage mismatch and neglected.  Row order is column order.
 TERMS = (
     Term("seismic", "seismic", _seismic),
     Term("suspension_thermal", "thermal", lambda s, grid, shared: thermal_displacement(
-        s.thermal, shared.chi, grid, differential=True).scaled(ROOT2)),
+        s.thermal, shared.chi, grid).scaled(ROOT2).scaled(ROOT2)),
     Term("intensity_rp_iss_on", "intensity", lambda s, grid, shared: intensity_rp_displacement(
         shared.intensity, grid, iss_on=True).scaled(ROOT2), _iss_on),
     Term("intensity_rp_iss_off", "intensity", lambda s, grid, shared: intensity_rp_displacement(
@@ -214,6 +218,8 @@ _STAGE = {
     "viscous_damping_ns_per_m": Key(NUMBER, 0.0, "viscous_damping_to_parent"),
     "loss_angle": Key(NUMBER, 0.0, "loss_angle"),
 }
+# vertically the mirrors ride the last of `stages`: a mirror has no blade spring
+_FINAL_STAGE = {key: node for key, node in _STAGE.items() if key != "vertical_stiffness_n_per_m"}
 _ROOTS = [{"real": Key(NUMBER, 0.0), "imag": Key(NUMBER, 0.0)}]     # rad/s
 _ZPK = {"zeros": _ROOTS, "poles": _ROOTS, "gain": Key(NUMBER)}
 _CSV = {"csv": Key(PATH)}
@@ -241,7 +247,7 @@ SCHEMA = {
     },
     "suspension": {
         "stages": [_STAGE],
-        "final_stage": _STAGE,
+        "final_stage": _FINAL_STAGE,
         "stiffness_mismatch": Key(NUMBER, 0.01, "stiffness_mismatch"),
         "vertical_coupling": Key(NUMBER, 1e-3, "vertical_coupling"),
     },
@@ -299,12 +305,20 @@ def _default(node):
     return () if isinstance(node, list) else getattr(node, "default", _REQUIRED)
 
 
+# Keys once accepted and now refused, each with the reason as its hint.
+_RETIRED = {
+    "suspension.final_stage.vertical_stiffness_n_per_m":
+        "retired, it was never read: vertically the mirrors ride the last of suspension.stages",
+}
+
+
 def _known(value, keys, where):
     for key in value:
         if key not in keys:
             close = difflib.get_close_matches(str(key), keys, 1)
-            hint = f" (did you mean {close[0]!r}?)" if close else ""
-            raise ConfigError(f"{where or 'top level'}: unknown key {key!r}{hint}")
+            hint = _RETIRED.get(f"{where}.{key}", f"did you mean {close[0]!r}?" if close else "")
+            raise ConfigError(f"{where or 'top level'}: unknown key {key!r}"
+                              + (f" ({hint})" if hint else ""))
 
 
 def _choose(choice, value, where):
@@ -448,7 +462,7 @@ class Scenario:
             **_args(SCHEMA["grid"], config["grid"]))
         cavity = CavityParams(**_args(SCHEMA["cavity"], config["cavity"]))
         s = config["suspension"]
-        final = Stage(**_args(_STAGE, s["final_stage"]))
+        final = Stage(**_args(_FINAL_STAGE, s["final_stage"]))
         if final.mass != cavity.mirror_mass:
             raise ConfigError(f"cavity.mirror_mass_kg = {cavity.mirror_mass} differs from "
                               f"suspension.final_stage.mass_kg = {final.mass}, the same mirror's")
@@ -576,8 +590,10 @@ def run_budget(scenario, outdir):
     points at a time, holding only the total ASD from block to block; the
     cumulative RMS and the summary are computed from it once the last
     block is written.  `assemble_budget(scenario)` gives the whole budget.
+    A grid too high for the summary is refused before the first block.
     """
     grid = scenario.grid
+    check_saturation_grid(grid)
     total = np.empty(len(grid))
     summary = {}
 

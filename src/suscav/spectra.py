@@ -25,17 +25,11 @@ from .errors import ConfigError, GridError, UnitError
 # Recognised ASD unit tags ("rtHz" = square root of hertz).
 UNIT_DISPLACEMENT = "m/rtHz"
 UNIT_FREQUENCY = "Hz/rtHz"
-UNIT_VOLTAGE = "V/rtHz"
-UNIT_VELOCITY = "(m/s)/rtHz"
-UNIT_FORCE = "N/rtHz"
 UNIT_RELATIVE = "1/rtHz"
 
 UNITS = frozenset({
     UNIT_DISPLACEMENT,
     UNIT_FREQUENCY,
-    UNIT_VOLTAGE,
-    UNIT_VELOCITY,
-    UNIT_FORCE,
     UNIT_RELATIVE,
 })
 

@@ -143,10 +143,6 @@ class LinearModel:
     def ndof(self):
         return self.masses.size
 
-    @property
-    def m_matrix(self):
-        return np.diag(self.masses)
-
     def _assemble(self, weight):
         mat = np.zeros((self.ndof, self.ndof))
         for s in self.springs:

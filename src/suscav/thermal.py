@@ -36,15 +36,12 @@ def mirror_admittance(model, grid):
     return 1j * grid.angular * chi
 
 
-def thermal_displacement(config, chi, grid, differential=False):
+def thermal_displacement(config, chi, grid):
     """FDT displacement ASD at one mirror [m/rtHz].
 
     `chi` is the mirror's force susceptibility x/F [m/N] on `grid` (see
     `mirror_force_susceptibility`), so a caller that also needs chi solves
-    the model once.  With `differential=True` the two (uncorrelated)
-    mirrors of a cavity are combined, i.e. sqrt(2) times the single-mirror
-    result; the correlated path through the common penultimate mass is
-    second order in the stage mismatch and neglected.
+    the model once.
     """
     chi = np.asarray(chi)
     if chi.shape != grid.values.shape:
@@ -52,7 +49,4 @@ def thermal_displacement(config, chi, grid, differential=False):
     omega = grid.angular
     re_y = np.real(1j * omega * chi)
     psd = 4.0 * K_B * config.temperature * re_y / omega ** 2
-    asd = np.sqrt(psd)
-    if differential:
-        asd = asd * np.sqrt(2.0)
-    return Spectrum(grid, asd, UNIT_DISPLACEMENT)
+    return Spectrum(grid, np.sqrt(psd), UNIT_DISPLACEMENT)

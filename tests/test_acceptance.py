@@ -20,7 +20,6 @@ from suscav.isolation import (
     GeophoneParams,
     PlatformParams,
     closed_loop,
-    default_servo,
 )
 from suscav.quantum import (
     FreeMassValidityWarning,
@@ -177,13 +176,13 @@ def test_criterion_4_suspension_shape():
 
 
 def test_criterion_5_active_isolation():
-    """Default servo: cumulative-RMS reduction >= 5 over 0.5-50 Hz and
+    """Shipped servo: cumulative-RMS reduction >= 5 over 0.5-50 Hz and
     the suppression identity passive/active == |1+G| to 1e-12."""
     platform = PlatformParams(140.0, 3.9, 7.0, 10.0)
     actuator = ActuatorParams(41.4, 0.0178, 1.7)
     grid = make_log_grid(0.1, 1e4, 1000)
     result = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
-                         default_servo(), grid)
+                         load_scenario(resolve_config("paper_default")).servo, grid)
 
     ground = Spectrum(grid, 1e-7 * np.minimum(1.0, (1.0 / grid.values) ** 2),
                       UNIT_DISPLACEMENT)

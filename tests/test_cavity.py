@@ -1,24 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from suscav.cavity import (
     CavityParams,
-    PendulumStiffness,
     buildup_gain,
     circulating_power,
     disp_per_hz,
-    disp_to_freq,
     finesse,
-    freq_to_disp,
     fsr,
     fwhm,
-    rp_equilibrium,
 )
 from suscav.constants import C_LIGHT
-from suscav.errors import ConfigError, UnitError
-from suscav.spectra import UNIT_FREQUENCY, Spectrum, make_log_grid
+from suscav.errors import ConfigError
 
 # Independently computed reference values (hand arithmetic on the defining
 # formulas; see each test).
@@ -28,11 +21,6 @@ FWHM_16PPM = 4017.974870936373         # c/(2L) * rho/(2*pi)
 FWHM_161PPM = 4043.0872138797245       # same, rho = 16.1 ppm
 BUILDUP_PAPER = 117187.5               # 4 * 7.5e-6 / (16e-6)**2
 DISP_50MHZ = 2.4558656508963944e-08    # 50e6 * L * lambda / c
-M_PER_HZ = 4.911731301792789e-16       # L * lambda / c
-
-
-def pendulum_35():
-    return PendulumStiffness.from_resonance(3.5, 0.01)
 
 
 class TestParams:
@@ -112,18 +100,8 @@ class TestCirculatingPower:
     def test_buildup_gain(self, paper_cavity):
         assert buildup_gain(paper_cavity) == pytest.approx(BUILDUP_PAPER, rel=1e-12)
 
-    def test_half_width_half_power(self, paper_cavity):
-        on = circulating_power(paper_cavity, 0.0)
-        half = circulating_power(paper_cavity, fwhm(paper_cavity) / 2.0)
-        assert half == pytest.approx(on / 2.0, rel=1e-12)
-
-    def test_far_detuning_vanishes(self, paper_cavity):
-        assert circulating_power(paper_cavity, 1e12) < 1e-9 * circulating_power(paper_cavity)
-
-    def test_even_in_detuning_and_peaked(self, paper_cavity):
-        for d in (123.0, 4567.0, 1e6):
-            assert circulating_power(paper_cavity, d) == circulating_power(paper_cavity, -d)
-            assert circulating_power(paper_cavity, d) < circulating_power(paper_cavity, 0.0)
+    def test_on_resonance_power(self, paper_cavity):
+        assert circulating_power(paper_cavity) == pytest.approx(1e-3 * BUILDUP_PAPER, rel=1e-12)
 
 
 class TestFreqToDisp:
@@ -131,134 +109,6 @@ class TestFreqToDisp:
         # 50 MHz offset -> 24.56 nm for the 95 mm, 1550 nm cavity
         assert 50e6 * disp_per_hz(paper_cavity) == pytest.approx(DISP_50MHZ, rel=1e-12)
 
-    def test_spectrum_conversion_and_inverse(self, paper_cavity):
-        grid = make_log_grid(1, 1000, 50)
-        s = Spectrum(grid, np.linspace(1.0, 2.0, 50), UNIT_FREQUENCY)
-        d = freq_to_disp(paper_cavity, s)
-        assert np.allclose(d.asd, s.asd * M_PER_HZ, rtol=1e-12)
-        back = disp_to_freq(paper_cavity, d)
-        assert np.allclose(back.asd, s.asd, rtol=1e-12)
-
-    def test_zero_maps_to_zero(self, paper_cavity):
-        grid = make_log_grid(1, 1000, 10)
-        d = freq_to_disp(paper_cavity, Spectrum(grid, np.zeros(10), UNIT_FREQUENCY))
-        assert np.all(d.asd == 0.0)
-
     def test_length_doubles_output(self, paper_cavity):
         doubled = CavityParams(wavelength=1.55e-6, length=0.19, input_transmission=7.5e-6)
         assert disp_per_hz(doubled) == pytest.approx(2.0 * disp_per_hz(paper_cavity), rel=1e-12)
-
-    def test_wrong_unit_rejected(self, paper_cavity):
-        grid = make_log_grid(1, 1000, 10)
-        s = Spectrum(grid, np.ones(10), "m/rtHz")
-        with pytest.raises(UnitError):
-            freq_to_disp(paper_cavity, s)
-
-
-def locked_root(cav, pend, pin):
-    """Equilibrium with the servo holding the cavity on resonance.
-
-    The lock point satisfies k*x = 2*P_c(0)/c; feeding the matching laser
-    detuning x*nu/L into the static solver must recover it as a root.
-    """
-    cav_p = CavityParams(
-        wavelength=cav.wavelength, length=cav.length,
-        input_transmission=cav.input_transmission,
-        end_transmission=cav.end_transmission, excess_loss=cav.excess_loss,
-        mirror_mass=cav.mirror_mass, input_power=pin,
-    )
-    x_lock = 2.0 * pin * buildup_gain(cav_p) / (C_LIGHT * pend.stiffness)
-    roots = rp_equilibrium(cav_p, pend, laser_detuning_hz=x_lock / disp_per_hz(cav_p))
-    return x_lock, roots
-
-
-class TestRpEquilibrium:
-    def test_dark_cavity_single_root_at_zero(self, paper_cavity):
-        dark = CavityParams(
-            wavelength=1.55e-6, length=0.095, input_transmission=7.5e-6,
-            end_transmission=7.5e-6, excess_loss=1e-6, mirror_mass=0.01,
-            input_power=0.0,
-        )
-        assert rp_equilibrium(dark, pendulum_35()) == [0.0]
-
-    def test_perturbative_shift(self, paper_cavity):
-        # force << k * linewidth displacement: x ~ 2*Pin*G/(c*k)
-        pend = pendulum_35()
-        pin = 1e-12
-        cav = CavityParams(
-            wavelength=1.55e-6, length=0.095, input_transmission=7.5e-6,
-            end_transmission=7.5e-6, excess_loss=1e-6, mirror_mass=0.01,
-            input_power=pin,
-        )
-        roots = rp_equilibrium(cav, pend)
-        assert len(roots) == 1
-        expected = 2.0 * pin * buildup_gain(cav) / (C_LIGHT * pend.stiffness)
-        assert roots[0] == pytest.approx(expected, rel=1e-3)
-
-    def test_locked_branch_recovered(self, paper_cavity):
-        pend = pendulum_35()
-        x_lock, roots = locked_root(paper_cavity, pend, 2e-4)
-        assert any(r == pytest.approx(x_lock, rel=1e-6) for r in roots)
-
-    def test_controller_range_crossing(self, paper_cavity):
-        # dense sweep of the locked-state frequency shift x*nu/L against
-        # the 400 MHz fast-controller range; the observed lock-loss power
-        # was ~0.5 mW, and the model should land within a factor of a few
-        pend = pendulum_35()
-        pins = np.geomspace(1e-5, 5e-3, 120)
-        shift = []
-        for pin in pins:
-            x_lock, roots = locked_root(paper_cavity, pend, pin)
-            r = min(roots, key=lambda x: abs(x - x_lock))
-            shift.append(r / disp_per_hz(paper_cavity))
-        shift = np.array(shift)
-        crossing = pins[np.argmax(shift > 400e6)]
-        # closed-form crossing: Pin = 400 MHz * (L lam / c) * k * c / (2 G)
-        expected = 400e6 * disp_per_hz(paper_cavity) * pend.stiffness * C_LIGHT \
-            / (2.0 * buildup_gain(paper_cavity))
-        assert expected == pytest.approx(1.215e-3, rel=1e-2)
-        assert crossing == pytest.approx(expected, rel=0.1)
-        assert 0.25 <= crossing / 5e-4 <= 4.0
-
-    def test_residuals_within_tolerance(self, paper_cavity):
-        pend = pendulum_35()
-        x_lw = fwhm(paper_cavity) * disp_per_hz(paper_cavity)
-        for pin, det_lw in [(1e-6, 0.0), (5e-6, 2.0), (1e-5, -3.0), (2e-6, 4.5)]:
-            cav = CavityParams(
-                wavelength=1.55e-6, length=0.095, input_transmission=7.5e-6,
-                end_transmission=7.5e-6, excess_loss=1e-6, mirror_mass=0.01,
-                input_power=pin,
-            )
-            roots = rp_equilibrium(cav, pend, laser_detuning_hz=det_lw * fwhm(cav))
-            assert len(roots) in (1, 3)
-            for r in roots:
-                det = det_lw * fwhm(cav) - r / disp_per_hz(cav)
-                residual = pend.stiffness * r - 2.0 * circulating_power(cav, det) / C_LIGHT
-                assert abs(residual) < 1e-12 * pend.stiffness * x_lw
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        pin=st.floats(1e-9, 1e-5),
-        det_lw=st.floats(-5.0, 5.0),
-        f0=st.floats(1.0, 10.0),
-    )
-    def test_root_count_odd(self, pin, det_lw, f0):
-        cav = CavityParams(
-            wavelength=1.55e-6, length=0.095, input_transmission=7.5e-6,
-            end_transmission=7.5e-6, excess_loss=1e-6, mirror_mass=0.01,
-            input_power=pin,
-        )
-        pend = PendulumStiffness.from_resonance(f0, 0.01)
-        roots = rp_equilibrium(cav, pend, laser_detuning_hz=det_lw * fwhm(cav))
-        assert len(roots) in (1, 3)
-
-    def test_bistability_reachable(self, paper_cavity):
-        # red-detuned with enough power: three equilibria
-        pend = pendulum_35()
-        cav = CavityParams(
-            wavelength=1.55e-6, length=0.095, input_transmission=7.5e-6,
-            end_transmission=7.5e-6, excess_loss=1e-6, mirror_mass=0.01,
-            input_power=1e-5,
-        )
-        roots = rp_equilibrium(cav, pend, laser_detuning_hz=30.0 * fwhm(cav))
-        assert len(roots) == 3

@@ -144,6 +144,16 @@ def test_two_mirror_masses_are_refused(tmp_path, capsys, config_factory):
     assert "suspension.final_stage.mass_kg = 0.01" in err
 
 
+def test_final_stage_blade_stiffness_is_refused(tmp_path, capsys, config_factory):
+    """Vertically the mirrors ride the last main stage, so the key was never
+    read; a config that sets it is refused on one line that says why."""
+    cfg = config_factory()
+    cfg["suspension"]["final_stage"]["vertical_stiffness_n_per_m"] = 800.0
+    assert config_error(tmp_path, capsys, cfg).startswith(
+        "suscav: config error: suspension.final_stage: unknown key "
+        "'vertical_stiffness_n_per_m' (retired, it was never read: ")
+
+
 @pytest.mark.parametrize("count", [2, 4])
 def test_budget_needs_three_vertical_stages(tmp_path, capsys, config_factory, count):
     """The vertical model has three blade stages; the commands that build

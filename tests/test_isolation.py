@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from suscav.isolation import (
     PlatformParams,
     ZPK,
     closed_loop,
-    default_servo,
-    diagonalize_sensors,
 )
 from suscav.scenario import load_scenario
 from suscav.spectra import (
@@ -44,9 +44,15 @@ def ground_model(grid):
     return Spectrum(grid, asd, UNIT_DISPLACEMENT)
 
 
+def shipped_servo(gain=None):
+    """The servo every shipped config states, with `gain` if one is given."""
+    servo = load_scenario(resolve_config("paper_default")).servo
+    return servo if gain is None else dataclasses.replace(servo, gain=gain)
+
+
 def default_loop(platform, actuator, grid, gain=None):
-    servo = default_servo() if gain is None else default_servo(gain)
-    return closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator, servo, grid)
+    return closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
+                       shipped_servo(gain), grid)
 
 
 class TestZPK:
@@ -228,7 +234,7 @@ class TestClosedLoop:
 
     def test_vertical_axis_loop_stable(self, platform, actuator, grid_band):
         report = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
-                             default_servo(), grid_band, axis="vertical")
+                             shipped_servo(), grid_band, axis="vertical")
         assert report.gain.feedback_stable()
 
     def test_closed_loop_poles_of_damped_oscillator(self, platform, actuator, grid_band):
@@ -240,7 +246,7 @@ class TestClosedLoop:
 
     @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
     def test_negated_servo_is_unstable(self, platform, actuator, grid_band, axis):
-        servo = default_servo(-default_servo().gain)
+        servo = shipped_servo(-shipped_servo().gain)
         result = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
                              servo, grid_band, axis=axis)
         assert result.gain.feedback_stable() is False
@@ -298,52 +304,3 @@ def test_suppression_matches_mpmath_oracle():
             exact = complex(_exact_suppression(scenario, axis, omega))
             assert supp[i] == pytest.approx(exact, rel=1e-13, abs=0.0)
 
-
-class TestDiagonalizeSensors:
-    @staticmethod
-    def ideal_geometry():
-        # translation triad at the origin corner plus three offset sensors
-        # that pick up the rotations
-        return [
-            ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)),
-            ((0.0, 0.0, 0.0), (0.0, 1.0, 0.0)),
-            ((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)),
-            ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),   # senses RZ
-            ((1.0, 0.0, 0.0), (0.0, 0.0, 1.0)),   # senses -RY
-            ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0)),   # senses RX
-        ]
-
-    def test_inverse_property(self):
-        geometry = self.ideal_geometry()
-        m = diagonalize_sensors(geometry)
-        r = np.linalg.inv(m)
-        assert np.allclose(m @ r, np.eye(6), atol=1e-12)
-
-    def test_pure_translation_maps_to_single_dof(self):
-        geometry = self.ideal_geometry()
-        m = diagonalize_sensors(geometry)
-        # sensor response to a pure unit X translation
-        response = np.array([o @ np.array([1.0, 0.0, 0.0]) for _, o in geometry])
-        dof = m @ response
-        assert dof[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(dof[1:], 0.0, atol=1e-12)
-
-    def test_pure_rotation_maps_to_single_dof(self):
-        geometry = self.ideal_geometry()
-        m = diagonalize_sensors(geometry)
-        response = []
-        for p, o in geometry:
-            v = np.cross(np.array([0.0, 0.0, 1.0]), np.array(p))
-            response.append(np.array(o) @ v)
-        dof = m @ np.array(response)
-        assert dof[5] == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(dof[:5], 0.0, atol=1e-12)
-
-    def test_colocated_sensors_rejected(self):
-        geometry = [((0.0, 0.0, 0.0), (1.0, 0.0, 0.0))] * 6
-        with pytest.raises(ConfigError):
-            diagonalize_sensors(geometry)
-
-    def test_needs_six_sensors(self):
-        with pytest.raises(ConfigError):
-            diagonalize_sensors([((0, 0, 0), (1, 0, 0))] * 5)

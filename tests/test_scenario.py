@@ -451,6 +451,21 @@ def test_failing_command_writes_nothing(tmp_path, capsys, command):
     assert len(errors) == 2 and all(e.startswith("suscav: ") for e in errors)
 
 
+def test_budget_grid_above_half_hz_is_refused_before_any_block(tmp_path, capsys, monkeypatch):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a budget block was assembled")
+
+    monkeypatch.setattr("suscav.scenario.assemble_budget", no_block)
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["budget", "--grid", "1,1e4,100000", "--out", str(out)]) == 1
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == [
+        "suscav: config error: budget grid must extend down to 0.5 Hz or lower"]
+    assert not out.exists()
+
+
 def _columns(budget):
     return {name: s.asd for name, s in
             {**budget.components, **budget.references, "total": budget.total}.items()}

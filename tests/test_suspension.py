@@ -171,7 +171,6 @@ class TestEigenmodes:
         model = build_model(default_chain(), "horizontal")
         assert np.array_equal(model.k_matrix, model.k_matrix.T)
         assert np.array_equal(model.c_matrix, model.c_matrix.T)
-        assert np.array_equal(model.m_matrix, model.m_matrix.T)
         w = 1.0 / np.sqrt(model.masses)
         lam = np.linalg.eigvalsh(w[:, None] * model.k_matrix * w[None, :])
         assert np.all(lam > -1e-12 * lam.max())

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from suscav.constants import K_B
 from suscav.errors import GridError
+from suscav.scenario import assemble_budget
 from suscav.spectra import FrequencyGrid, make_log_grid
 from suscav.suspension import mirror_force_susceptibility, single_oscillator
 from suscav.thermal import ThermalConfig, mirror_admittance, thermal_displacement
@@ -105,14 +106,15 @@ class TestThermalDisplacement:
         slope = np.polyfit(np.log10(grid.values), np.log10(s.asd), 1)[0]
         assert slope == pytest.approx(-2.5, abs=0.05)
 
-    def test_differential_sqrt2(self):
-        model = build_model(default_chain(), "horizontal")
+    def test_differential_sqrt2(self, default_scenario):
+        # the budget term: the two uncorrelated mirrors of a cavity, then the
+        # two cavities of the beat, sqrt(2) each
+        model = default_scenario.horizontal_model
         grid = make_log_grid(1.0, 100.0, 30)
-        cfg = ThermalConfig(293.0)
-        single = thermal_displacement(cfg, mirror_force_susceptibility(model, grid), grid)
-        diff = thermal_displacement(cfg, mirror_force_susceptibility(model, grid), grid,
-                                    differential=True)
-        assert np.allclose(diff.asd, np.sqrt(2.0) * single.asd, rtol=1e-12)
+        single = thermal_displacement(default_scenario.thermal,
+                                      mirror_force_susceptibility(model, grid), grid)
+        term = assemble_budget(default_scenario, grid).components["suspension_thermal"]
+        assert np.allclose(term.asd, 2.0 * single.asd, rtol=1e-12)
 
     def test_point_local_evaluation(self):
         # value at one frequency is independent of the rest of the grid
