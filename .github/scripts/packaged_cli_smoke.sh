@@ -11,7 +11,9 @@
 # text.  A
 # copy of paper_default with a misspelled key must fail with one hinted line,
 # a budget on a grid too high for its summary must fail with one line before
-# its first block and leave no output directory and no staging file, and
+# its first block and leave no output directory and no staging file, a
+# default `quantum` must print one stderr line, the free-mass warning, and
+# one on a grid whose noise overflows must print only its config error, and
 # a copy whose ground CSV file is absent must run the commands that do not
 # read it and fail `isolation`, which does, with one line and no output.
 # One seeded ground CSV written with LF and with CRLF line ends, read by the
@@ -113,6 +115,23 @@ if [ "$code" != 1 ] || [ "$(wc -l <failed.err)" -ne 1 ] \
   cat failed.err >&2
   exit 1
 fi
+# a command warns once its results are computed: a default quantum run prints
+# the free-mass warning alone, a failing one only its config error
+suscav quantum --out quantum 2>quantum.err
+if [ "$(wc -l <quantum.err)" -ne 1 ] || ! grep -qxF "suscav: warning: grid extends to 0.1 Hz,\
+ below the free-mass validity floor of 10 Hz; results there are indicative only" quantum.err; then
+  echo "default quantum: want one stderr line, the free-mass warning, got:" >&2
+  cat quantum.err >&2
+  exit 1
+fi
+code=0
+suscav quantum --grid 0.1,1e308,100 --out quantum-failed 2>quantum-failed.err || code=$?
+if [ "$code" != 1 ] || [ "$(wc -l <quantum-failed.err)" -ne 1 ] \
+    || ! grep -q "^suscav: config error: " quantum-failed.err; then
+  echo "overflowing quantum: want exit 1 and one config error line, got exit $code:" >&2
+  cat quantum-failed.err >&2
+  exit 1
+fi
 # a copy of paper_default whose ground CSV file is absent: suspension-tf and
 # quantum do not read it and run; isolation exits 1 with one line naming it
 # and leaves no output directory
@@ -162,5 +181,6 @@ diff -r ground/lf ground/crlf
 
 echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs" \
   "and listed by their manifests; a misspelled key exits 1 with a hint;" \
-  "a failing command writes nothing; an absent input file fails only the" \
-  "command that reads it; LF and CRLF ground files give the same isolation output"
+  "a failing command writes nothing and warns of nothing; an absent input file" \
+  "fails only the command that reads it; LF and CRLF ground files give the same" \
+  "isolation output"

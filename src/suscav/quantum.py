@@ -6,14 +6,13 @@ coupling.  kappa is linear in circulating power, so the power placing
 the minimum at a target frequency has a closed form.
 
 The underlying free-mass treatment is only valid well above the highest
-suspension resonance; evaluating below the configured validity floor
-emits `FreeMassValidityWarning`.
+suspension resonance, above `validity_floor_hz`.  The functions here do not
+warn below it; the commands of `scenario` do, with `FreeMassValidityWarning`.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,17 +59,6 @@ def _cavity_pole(cavity, pole_model):
     return loss * C_LIGHT / (4.0 * cavity.length)
 
 
-def _check_validity(grid, floor_hz):
-    if grid.fmin < floor_hz:
-        warnings.warn(
-            f"grid extends to {grid.fmin:.3g} Hz, below the free-mass "
-            f"validity floor of {floor_hz:.3g} Hz; results there are "
-            "indicative only",
-            FreeMassValidityWarning,
-            stacklevel=3,
-        )
-
-
 def sql_psd(mirror_mass, grid):
     """Standard-quantum-limit ASD sqrt(8*hbar/(m*omega**2)) [m/rtHz]."""
     if mirror_mass <= 0.0:
@@ -79,14 +67,9 @@ def sql_psd(mirror_mass, grid):
     return Spectrum(grid, np.sqrt(8.0 * HBAR / mirror_mass) / omega, UNIT_DISPLACEMENT)
 
 
-def kappa(config, grid, check=True):
-    """Frequency-dependent opto-mechanical coupling (dimensionless array).
-
-    Warns when `grid` starts below the free-mass validity floor, unless
-    `check` is false: a caller evaluating a grid piece by piece warns once.
-    """
-    if check:
-        _check_validity(grid, config.validity_floor_hz)
+def kappa(config, grid):
+    """Frequency-dependent opto-mechanical coupling (dimensionless array),
+    on any grid: below `config.validity_floor_hz` it is indicative only."""
     cav = config.cavity
     omega = grid.angular
     gamma = _cavity_pole(cav, config.pole_model)
@@ -129,17 +112,17 @@ def kappa_unity_frequency(config):
     return float(np.sqrt(omega_sq) / (2.0 * np.pi))
 
 
-def quantum_noise_psd(config, grid, check=True):
+def quantum_noise_psd(config, grid):
     """Shot-noise / radiation-pressure decomposition as a `NoiseBudget`.
 
     Components "shot_noise" and "radiation_pressure" sum (in PSD) to the
     total quantum noise; the SQL curve rides along as a reference that is
-    not part of the total.  `check` is kappa's.
+    not part of the total.
     """
     if config.circulating_power <= 0.0:
         raise ConfigError("circulating power must be positive (shot noise diverges)")
     sql = sql_psd(config.cavity.mirror_mass, grid)
-    k = kappa(config, grid, check)
+    k = kappa(config, grid)
     qsn = Spectrum.from_psd(grid, sql.psd / (2.0 * k), UNIT_DISPLACEMENT)
     qrpn = Spectrum.from_psd(grid, sql.psd * k / 2.0, UNIT_DISPLACEMENT)
     return NoiseBudget.from_components(

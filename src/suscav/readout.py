@@ -14,7 +14,6 @@ coupling by a frequency-dependent factor.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,13 +187,5 @@ def saturation_margin(rms, config, cav):
         return SaturationReport(rms_m=0.0, rms_hz=0.0,
                                 margin_ratio=np.inf, unbounded=True)
     rms_hz = rms_m / disp_per_hz(cav)
-    margin = config.vco_range / rms_hz
-    if margin < 1.0:
-        warnings.warn(
-            f"predicted beat RMS {rms_hz:.3g} Hz exceeds the VCO range "
-            f"{config.vco_range:.3g} Hz",
-            SaturationWarning,
-            stacklevel=2,
-        )
     return SaturationReport(rms_m=rms_m, rms_hz=rms_hz,
-                            margin_ratio=margin, unbounded=False)
+                            margin_ratio=config.vco_range / rms_hz, unbounded=False)

@@ -38,6 +38,7 @@ from .readout import (
     AcousticPeak,
     IntensityNoiseConfig,
     ReadoutConfig,
+    SaturationWarning,
     acoustic_peaks,
     adc_noise_asd,
     check_saturation_grid,
@@ -135,9 +136,7 @@ def _seismic(s, grid, shared):
 
 def _quantum_total(s, grid, shared):
     if s.quantum.circulating_power > 0.0:
-        # the free-mass warning names the scenario grid's fmin, so only a
-        # grid that starts there checks
-        return qn.quantum_noise_psd(s.quantum, grid, check=grid.fmin == s.grid.fmin).total
+        return qn.quantum_noise_psd(s.quantum, grid).total
     return zero_spectrum(grid, UNIT_DISPLACEMENT)
 
 
@@ -538,6 +537,18 @@ def _asd_at(grid, asd, f):
     return float(np.interp(f, grid.values[i:i + 2], asd[i:i + 2]))
 
 
+# Warnings are decided here, by each command once its results are computed.
+def _below_floor(s):
+    """Whether the grid starts below the free-mass validity floor of the
+    quantum model; warns if it does."""
+    below = s.grid.fmin < s.quantum.validity_floor_hz
+    if below:
+        warnings.warn(f"grid extends to {s.grid.fmin:.3g} Hz, below the free-mass validity "
+                      f"floor of {s.quantum.validity_floor_hz:.3g} Hz; results there are "
+                      "indicative only", qn.FreeMassValidityWarning, stacklevel=2)
+    return below
+
+
 def _emit(outdir, command, files, summary, traces, unit=UNIT_DISPLACEMENT):
     """Write one command's output directory.
 
@@ -588,7 +599,7 @@ def run_budget(scenario, outdir):
 
     The budget is assembled and written a block of BUDGET_BLOCK_ROWS grid
     points at a time, holding only the total ASD from block to block; the
-    cumulative RMS and the summary are computed from it once the last
+    cumulative RMS, the summary and the warnings come from it once the last
     block is written.  `assemble_budget(scenario)` gives the whole budget.
     A grid too high for the summary is refused before the first block.
     """
@@ -608,6 +619,12 @@ def run_budget(scenario, outdir):
         total.setflags(write=False)
         rms = cumulative_rms(Spectrum(grid, total, UNIT_DISPLACEMENT))
         report = saturation_margin(rms, scenario.readout, scenario.cavity)
+        if (scenario.config["budget"]["include"]["quantum"]
+                and scenario.quantum.circulating_power > 0.0):
+            _below_floor(scenario)
+        if report.saturated:
+            warnings.warn(f"predicted beat RMS {report.rms_hz:.3g} Hz exceeds the VCO range "
+                          f"{scenario.readout.vco_range:.3g} Hz", SaturationWarning, stacklevel=2)
         summary.update({
             "asd_at_100_hz_m_rthz": _asd_at(grid, total, 100.0),
             "rms_m": report.rms_m,
@@ -635,9 +652,6 @@ def run_budget(scenario, outdir):
 def run_suspension_tf(scenario, outdir):
     """Differential suspension transfer function and mode table."""
     grid = scenario.grid
-    if scenario.chain.stiffness_mismatch == 0.0:
-        warnings.warn("stiffness mismatch is zero: the differential transfer "
-                      "function vanishes identically", UserWarning, stacklevel=2)
     h = tf_suspoint_to_differential(scenario.horizontal_model, grid)
     mag = np.abs(h)
     phase = np.degrees(np.angle(h))
@@ -655,6 +669,9 @@ def run_suspension_tf(scenario, outdir):
     if i1 > i0 and mag[i0] > 0.0 and mag[i1] > 0.0:
         slope = float((np.log10(mag[i1]) - np.log10(mag[i0]))
                       / (np.log10(f[i1]) - np.log10(f[i0])))
+    if scenario.chain.stiffness_mismatch == 0.0:
+        warnings.warn("stiffness mismatch is zero: the differential transfer "
+                      "function vanishes identically", UserWarning, stacklevel=2)
     _emit(outdir, "suspension-tf", {
         "transfer_function": ("suspension_tf.csv", write_csv, header, columns),
         "modes": ("modes.csv", write_mode_table, modes),
@@ -703,11 +720,12 @@ def run_quantum_design(scenario, outdir):
     if config.circulating_power <= 0.0:
         raise ConfigError("quantum design needs a positive circulating power")
     budget = qn.quantum_noise_psd(config, grid)
+    below = _below_floor(scenario)
     summary = {
         "circulating_power_w": config.circulating_power,
         "kappa_unity_hz": qn.kappa_unity_frequency(config),
         "free_mass_floor_hz": config.validity_floor_hz,
-        "grid_extends_below_floor": grid.fmin < config.validity_floor_hz,
+        "grid_extends_below_floor": below,
         "sql_asd_at_100_hz_m_rthz": _asd_at(grid, budget.references["sql"].asd, 100.0),
     }
     target = scenario.config["quantum"]["power_for_sql_at_hz"]

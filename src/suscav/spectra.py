@@ -6,8 +6,10 @@ Conventions used throughout the package:
 * a `Spectrum` carries the amplitude spectral density (ASD); the power
   spectral density is ASD**2 by definition,
 * every spectrum carries an explicit unit tag and operations refuse to
-  combine spectra with mismatched units or grids — silent mixing of
-  Hz/rtHz and m/rtHz is the main bug class this guards against.
+  combine spectra with mismatched units or grids — silently adding a
+  relative intensity noise (1/rtHz) to a displacement (m/rtHz) is the
+  main bug class this guards against.  Frequency noise (ADC, PLL) is
+  converted to displacement before it becomes a spectrum.
 """
 
 from __future__ import annotations
@@ -24,12 +26,10 @@ from .errors import ConfigError, GridError, UnitError
 
 # Recognised ASD unit tags ("rtHz" = square root of hertz).
 UNIT_DISPLACEMENT = "m/rtHz"
-UNIT_FREQUENCY = "Hz/rtHz"
 UNIT_RELATIVE = "1/rtHz"
 
 UNITS = frozenset({
     UNIT_DISPLACEMENT,
-    UNIT_FREQUENCY,
     UNIT_RELATIVE,
 })
 

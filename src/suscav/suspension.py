@@ -195,8 +195,8 @@ def build_model(chain, axis):
 
     horizontal: pendulum stiffness = supported weight / wire length, with
     the two mirror stages branching off the last main coordinate.
-    vertical: blade-spring stiffnesses on exactly three stages (the mirror
-    masses ride on the last vertical coordinate).
+    vertical: a blade-spring stiffness on each stage (the mirror masses
+    ride on the last vertical coordinate).
     """
     fa, fb = chain.final_stages
     if axis == HORIZONTAL:
@@ -215,8 +215,6 @@ def build_model(chain, axis):
                            axis=axis, mirror_a=n_main, mirror_b=n_main + 1)
 
     if axis == VERTICAL:
-        if len(chain.stages) != 3:
-            raise ConfigError("the vertical chain has exactly three blade stages")
         if any(s.vertical_stiffness <= 0.0 for s in chain.stages):
             raise ConfigError("each vertical stage needs a blade stiffness")
         masses, springs, names = _chain(chain.stages, axis)

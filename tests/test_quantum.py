@@ -1,6 +1,10 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
+from suscav.cli import main
 from suscav.errors import ConfigError
 from suscav.quantum import (
     FreeMassValidityWarning,
@@ -19,8 +23,8 @@ SQL_100HZ_10G = 4.622779785676381e-19
 PC_SQL_100HZ = 0.13840231011780701
 
 
-def config(cav, pc, floor=10.0):
-    return QuantumConfig(cavity=cav, circulating_power=pc, validity_floor_hz=floor)
+def config(cav, pc):
+    return QuantumConfig(cavity=cav, circulating_power=pc)
 
 
 @pytest.fixture
@@ -170,21 +174,40 @@ class TestQuantumNoise:
 
 
 class TestValidityFloor:
-    def test_warns_below_floor(self, paper_cavity):
-        grid = make_log_grid(1.0, 100.0, 16)
-        with pytest.warns(FreeMassValidityWarning):
-            kappa(config(paper_cavity, 0.1), grid)
+    """`suscav quantum` warns once when its grid starts below the config's
+    free-mass validity floor, and its summary says so."""
 
-    def test_silent_above_floor(self, paper_cavity):
-        import warnings
-        grid = make_log_grid(20.0, 100.0, 16)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            kappa(config(paper_cavity, 0.1), grid)
+    @staticmethod
+    def run(tmp_path, cfg, grid):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / grid
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["quantum", "--config", str(path), "--grid", grid,
+                         "--out", str(out)]) == 0
+        summary = json.loads((out / "quantum_summary.json").read_text())
+        return [(w.category, str(w.message)) for w in caught], summary
 
-    def test_floor_configurable(self, paper_cavity):
-        import warnings
-        grid = make_log_grid(5.0, 100.0, 16)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            kappa(config(paper_cavity, 0.1, floor=2.0), grid)
+    def test_warns_below_floor(self, tmp_path, config_factory):
+        caught, summary = self.run(tmp_path, config_factory(), "1,100,16")
+        assert caught == [(FreeMassValidityWarning,
+                           "grid extends to 1 Hz, below the free-mass validity floor of "
+                           "10 Hz; results there are indicative only")]
+        assert summary["grid_extends_below_floor"] is True
+
+    def test_silent_above_floor(self, tmp_path, config_factory):
+        for grid in ("10,100,16", "20,100,16"):     # at the floor and above it
+            caught, summary = self.run(tmp_path, config_factory(), grid)
+            assert caught == [], grid
+            assert summary["grid_extends_below_floor"] is False
+
+    def test_floor_configurable(self, tmp_path, config_factory):
+        cfg = config_factory()
+        cfg["quantum"]["validity_floor_hz"] = 2.0
+        assert self.run(tmp_path, cfg, "5,100,16")[0] == []
+        cfg["quantum"]["validity_floor_hz"] = 8.0
+        (category, message), = self.run(tmp_path, cfg, "5,100,17")[0]
+        assert category is FreeMassValidityWarning
+        assert message.startswith("grid extends to 5 Hz, below the free-mass validity "
+                                  "floor of 8 Hz;")

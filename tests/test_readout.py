@@ -7,7 +7,6 @@ from suscav.readout import (
     AcousticPeak,
     IntensityNoiseConfig,
     ReadoutConfig,
-    SaturationWarning,
     acoustic_peaks,
     adc_noise_asd,
     intensity_rp_displacement,
@@ -89,11 +88,12 @@ class TestPllNoise:
         assert np.all(s.asd == 0.0)
 
     def test_mixed_units_rejected_before_conversion(self, paper_cavity, grid_band):
-        # a frequency-noise floor cannot be summed with displacement spectra
+        # the PLL floor is displacement once converted; a spectrum of another
+        # unit, here a relative intensity noise, cannot be summed with it
         displacement = pll_noise_asd(readout_config(), paper_cavity, grid_band)
-        frequency = Spectrum(grid_band, np.ones(len(grid_band)), "Hz/rtHz")
+        relative = Spectrum(grid_band, np.ones(len(grid_band)), UNIT_RELATIVE)
         with pytest.raises(UnitError):
-            sum_uncorrelated([displacement, frequency])
+            sum_uncorrelated([displacement, relative])
 
 
 def intensity_config(grid, pc=15.0, rin=1.8e-4, iss=None, chi=None):
@@ -195,12 +195,11 @@ class TestSaturationMargin:
         assert report.margin_ratio == pytest.approx(MARGIN_1NM, rel=1e-6)
         assert not report.saturated
 
-    def test_range_edge_warns(self, paper_cavity):
+    def test_range_edge_saturates(self, paper_cavity):
+        # the command warns of it (test_scenario); the report itself is silent
         grid = FrequencyGrid(np.linspace(0.5, 5000.0, 20000))
         budget = flat_budget(grid, 24.6e-9)
-        with pytest.warns(SaturationWarning):
-            report = saturation_margin(cumulative_rms(budget.total), readout_config(),
-                                       paper_cavity)
+        report = saturation_margin(cumulative_rms(budget.total), readout_config(), paper_cavity)
         assert report.margin_ratio == pytest.approx(1.0, rel=1e-2)
         assert report.saturated
 
@@ -218,7 +217,7 @@ class TestSaturationMargin:
                               paper_cavity)
 
     def test_displacement_unit_required(self, paper_cavity, grid_band):
-        s = Spectrum(grid_band, np.ones(len(grid_band)), "Hz/rtHz")
+        s = Spectrum(grid_band, np.ones(len(grid_band)), UNIT_RELATIVE)
         budget = NoiseBudget.from_components({"only": s})
         with pytest.raises(UnitError):
             saturation_margin(cumulative_rms(budget.total), readout_config(), paper_cavity)

@@ -466,6 +466,38 @@ def test_budget_grid_above_half_hz_is_refused_before_any_block(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, mismatch, code", [
+    ("quantum", 0.01, 1),
+    ("budget", 0.01, 2),
+    ("suspension-tf", 0.0, 2),
+])
+def test_failing_command_warns_of_nothing(tmp_path, capsys, config_factory, command, mismatch,
+                                          code):
+    """A command warns once its results are computed, so one that fails
+    prints only its error line, though its grid starts below the free-mass
+    floor or its stiffness mismatch is zero."""
+    cfg = config_factory()
+    cfg["suspension"]["stiffness_mismatch"] = mismatch
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(path), "--grid", "0.1,1e308,100",
+                     "--out", str(tmp_path / "o")]) == code
+    assert [str(w.message) for w in caught] == []
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_assembled_budget_warns_of_nothing(default_scenario):
+    """Warnings are the commands'; the budget is silent on any grid."""
+    values = default_scenario.grid.values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assemble_budget(default_scenario)
+        for rows in (slice(0, 10), slice(500, None)):
+            assemble_budget(default_scenario, FrequencyGrid(values[rows]))
+
+
 def _columns(budget):
     return {name: s.asd for name, s in
             {**budget.components, **budget.references, "total": budget.total}.items()}

@@ -9,7 +9,7 @@ import suscav.spectra
 from suscav.errors import ConfigError, GridError, UnitError
 from suscav.spectra import (
     UNIT_DISPLACEMENT,
-    UNIT_FREQUENCY,
+    UNIT_RELATIVE,
     CSV_BLOCK_CELLS,
     CSV_BLOCK_ROWS,
     CSV_FORMAT,
@@ -142,6 +142,8 @@ class TestSpectrum:
     def test_rejects_unknown_unit(self, grid_band):
         with pytest.raises(UnitError):
             Spectrum(grid_band, np.ones(len(grid_band)), "furlong/rtHz")
+        with pytest.raises(UnitError):      # frequency noise is displacement first
+            Spectrum(grid_band, np.ones(len(grid_band)), "Hz/rtHz")
 
 
 class TestSumUncorrelated:
@@ -161,7 +163,7 @@ class TestSumUncorrelated:
 
     def test_unit_mismatch_rejected(self, grid_band):
         with pytest.raises(UnitError):
-            sum_uncorrelated([flat(grid_band, 1), flat(grid_band, 1, UNIT_FREQUENCY)])
+            sum_uncorrelated([flat(grid_band, 1), flat(grid_band, 1, UNIT_RELATIVE)])
 
     def test_grid_mismatch_rejected(self, grid_band):
         other = make_log_grid(0.1, 1e4, 999)

@@ -69,14 +69,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SuspensionChain(stages=(main_stage(),), final_stages=(mirror_stage(),))
 
-    def test_vertical_needs_three_stages(self):
-        chain = SuspensionChain(
-            stages=(main_stage(), main_stage()),
-            final_stages=(mirror_stage(), mirror_stage()),
-        )
-        with pytest.raises(ConfigError):
-            build_model(chain, "vertical")
-
     def test_vertical_needs_blade_stiffness(self):
         chain = SuspensionChain(
             stages=(main_stage(kv=0.0), main_stage(), main_stage()),
@@ -126,6 +118,18 @@ class TestBuild:
             SpringElement(parent=-1, child=0, stiffness=450.0, damping=1.5, loss_angle=2e-4),
             SpringElement(parent=0, child=1, stiffness=600.0, damping=0.0, loss_angle=1e-4),
         )
+
+    def test_one_vertical_stage_is_an_oscillator(self, grid_band):
+        """One blade stage carrying both mirrors: the closed form
+        kappa/(kappa - M omega^2), kappa = k(1 + i phi) + i omega c."""
+        stage = main_stage(damping=2.0, phi=1e-3, kv=500.0)
+        chain = SuspensionChain(stages=(stage,), final_stages=(mirror_stage(), mirror_stage()))
+        omega = grid_band.angular
+        kappa = 500.0 * (1.0 + 1e-3j) + 1j * omega * 2.0
+        mass = 0.8 + 0.01 + 0.01
+        np.testing.assert_allclose(
+            tf_suspoint_to_mirror(build_model(chain, "vertical"), grid_band),
+            kappa / (kappa - mass * omega ** 2), rtol=1e-12, atol=0.0)
 
 
 class TestEigenmodes:
