@@ -13,7 +13,8 @@
 # a budget on a grid too high for its summary must fail with one line before
 # its first block and leave no output directory and no staging file, a
 # default `quantum` must print one stderr line, the free-mass warning, and
-# one on a grid whose noise overflows must print only its config error, and
+# one on a grid whose noise overflows must exit 2 and print only its
+# numerical error, and
 # a copy whose ground CSV file is absent must run the commands that do not
 # read it and fail `isolation`, which does, with one line and no output.
 # One seeded ground CSV written with LF and with CRLF line ends, read by the
@@ -116,7 +117,8 @@ if [ "$code" != 1 ] || [ "$(wc -l <failed.err)" -ne 1 ] \
   exit 1
 fi
 # a command warns once its results are computed: a default quantum run prints
-# the free-mass warning alone, a failing one only its config error
+# the free-mass warning alone, one whose noise overflows only its numerical
+# error
 suscav quantum --out quantum 2>quantum.err
 if [ "$(wc -l <quantum.err)" -ne 1 ] || ! grep -qxF "suscav: warning: grid extends to 0.1 Hz,\
  below the free-mass validity floor of 10 Hz; results there are indicative only" quantum.err; then
@@ -126,9 +128,9 @@ if [ "$(wc -l <quantum.err)" -ne 1 ] || ! grep -qxF "suscav: warning: grid exten
 fi
 code=0
 suscav quantum --grid 0.1,1e308,100 --out quantum-failed 2>quantum-failed.err || code=$?
-if [ "$code" != 1 ] || [ "$(wc -l <quantum-failed.err)" -ne 1 ] \
-    || ! grep -q "^suscav: config error: " quantum-failed.err; then
-  echo "overflowing quantum: want exit 1 and one config error line, got exit $code:" >&2
+if [ "$code" != 2 ] || [ "$(wc -l <quantum-failed.err)" -ne 1 ] \
+    || ! grep -q "^suscav: numerical error: " quantum-failed.err; then
+  echo "overflowing quantum: want exit 2 and one numerical error line, got exit $code:" >&2
   cat quantum-failed.err >&2
   exit 1
 fi

@@ -98,8 +98,10 @@ def main(argv=None):
         grid = parse_grid(args.grid) if args.grid else None
         cfg = load_config(resolve_config(args.config))
         # every non-finite value is refused by a check that names it, so
-        # numpy's overflow and invalid-value warnings would only be noise
-        with np.errstate(all="ignore"):
+        # numpy's overflow and invalid-value warnings would only be noise;
+        # catch_warnings resets the once-per-location registry, so every
+        # call prints its warnings, and leaves showwarning to outer recorders
+        with np.errstate(all="ignore"), warnings.catch_warnings():
             scenario = Scenario.from_dict(cfg, grid_override=grid)
             COMMANDS[args.command](scenario, args.out)
     except ConfigError as exc:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, GridError, UnitError
+from .errors import ConfigError, GridError, NumericalError, UnitError
 
 # Recognised ASD unit tags ("rtHz" = square root of hertz).
 UNIT_DISPLACEMENT = "m/rtHz"
@@ -154,13 +154,15 @@ class Spectrum:
         arr = _frozen_array(self.asd)
         if arr.shape != self.grid.values.shape:
             raise GridError("asd length does not match grid length")
-        # NaN and inf show in the extremes, so a valid array costs no mask
+        # NaN and inf show in the extremes, so a valid array costs no mask.
+        # Every input ASD is refused non-finite where it is read, so a
+        # non-finite one here was computed
         if not (np.isfinite(arr.max()) and arr.min() >= 0.0):
             finite = np.isfinite(arr)
             if not finite.all():
                 i = np.argmin(finite)
-                raise ConfigError(f"asd contains non-finite values: {arr[i]} {self.unit} "
-                                  f"at {self.grid.values[i]:.6g} Hz")
+                raise NumericalError(f"asd contains non-finite values: {arr[i]} {self.unit}",
+                                     frequency_hz=float(self.grid.values[i]))
             raise ConfigError("asd must be non-negative")
         object.__setattr__(self, "asd", arr)
 
@@ -373,70 +375,59 @@ def _scaled(a, k, t):
 
 
 def _decimal(x, t):
-    """(q, k, slow): |x| ~ q * 10**(k - 16) with q a 17-digit integer.
+    """(q, k, slow): |x| ~ q * 10**(k - 16) with q a 17-digit integer, for
+    a non-empty x.
 
     The decimal exponent k starts as floor(log10|x|) and moves by one when
     |x| * 10**(16 - k) falls outside [1e16, 1e17).  That product, rounded to
     an integer, gives the 17 significant digits; its error is far below the
     1e-9 kept from a rounding tie, so the digits are the correctly rounded
     ones CSV_FORMAT prints; a zero gets q = k = 0.  `slow` indexes the
-    near-ties and other values outside the range; their q and k are meaningless.
+    near-ties and the other nonzero values outside the range; their q and k
+    are meaningless.
 
-    An array whose every value is in range is tried whole by
-    `_decimal_block`; one that fails its tests, or any other, goes through
-    `_decimal_each`.
+    Every value takes one path, and no array is computed twice: a
+    whole-array min or max tests each condition (the range, the exponent
+    shift, the tie), and only the values that one flags are found and
+    handled one by one.
     """
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         lg = np.log10(a)
+    slow = zero = np.empty(0, np.intp)
     # the log10 of a zero, nan or inf (-inf, nan, inf) fails through the min or max
-    if a.size and lg.min() > 1 - _FAST_EXP and lg.max() < _FAST_EXP - 1:
-        settled = _decimal_block(a, lg, t)
-        if settled is not None:
-            return settled
-    return _decimal_each(a, lg, t)
-
-
-def _decimal_block(a, lg, t):
-    """`_decimal` of in-range magnitudes `a`, whose log10 is `lg`, if every
-    product lies strictly inside (1e16, 1e17) and away from a tie, which a
-    few whole-array reductions show; else None."""
+    if not (lg.min() > 1 - _FAST_EXP and lg.max() < _FAST_EXP - 1):
+        out = np.flatnonzero(~((lg > 1 - _FAST_EXP) & (lg < _FAST_EXP - 1)))
+        zero, slow = out[a[out] == 0.0], out[a[out] != 0.0]
+        # 1.0 stands in: its product is exactly 1e16
+        a[out], lg[out] = 1.0, 0.0
     k = np.floor(lg).astype(np.int64)
+    del lg
     h, r = _scaled(a, k, t)
-    if not (h.min() > 1e16 and h.max() < 1e17):
-        return None
-    r_int = np.rint(r)
-    if np.abs(r - r_int).max() > 0.5 - 1e-9:
-        return None
-    # |r| is at most half the gap of 16 between doubles below 1e17, so q
-    # stays below 10**17: no product carries to 18 digits
-    return h.astype(np.int64) + r_int.astype(np.int64), k, np.empty(0, np.intp)
-
-
-def _decimal_each(a, lg, t):
-    """`_decimal` of the values whose magnitudes are `a` and whose log10 is
-    `lg`, with the range, the exponent shift, the tie and the carry tested
-    per element."""
-    zero = a == 0.0
-    fast = (lg > 1 - _FAST_EXP) & (lg < _FAST_EXP - 1)
-    a = np.where(fast, a, 1.0)
-    k = np.floor(np.where(fast, lg, 0.0)).astype(np.int64)
-    h, r = _scaled(a, k, t)
-    # compare the pair (h, r) itself: h + r would round onto the bound
-    shift = ((h > 1e17) | ((h == 1e17) & (r >= 0))).astype(np.int64) - (
-        (h < 1e16) | ((h == 1e16) & (r < 0)))
-    redo = np.flatnonzero(shift)
-    if redo.size:
-        k[redo] += shift[redo]
-        h[redo], r[redo] = _scaled(a[redo], k[redo], t)
+    # a product on a bound of [1e16, 1e17) or outside it
+    edge = not (h.min() > 1e16 and h.max() < 1e17)
+    if edge:
+        # compare the pair (h, r) itself: h + r would round onto the bound
+        shift = ((h > 1e17) | ((h == 1e17) & (r >= 0))).astype(np.int64) - (
+            (h < 1e16) | ((h == 1e16) & (r < 0)))
+        redo = np.flatnonzero(shift)
+        if redo.size:
+            k[redo] += shift[redo]
+            h[redo], r[redo] = _scaled(a[redo], k[redo], t)
     # h >= 2**53 is an integer, so the rounding is all in r
     r_int = np.rint(r)
-    slow = np.flatnonzero(~(fast | zero) | (np.abs(r - r_int) > 0.5 - 1e-9))
+    r -= r_int
+    np.abs(r, out=r)
+    if r.max() > 0.5 - 1e-9:
+        slow = np.concatenate([slow, np.flatnonzero(r > 0.5 - 1e-9)])
     q = h.astype(np.int64) + r_int.astype(np.int64)
-    carry = q == 10 ** 17
-    q[carry] = 10 ** 16
+    if edge:
+        # |r| is at most half the gap of 16 between doubles below 1e17, so
+        # only a product on the bound 1e17 carries to 18 digits
+        carry = q == 10 ** 17
+        q[carry] = 10 ** 16
+        k += carry
     q[zero] = 0
-    k += carry
     return q, k, slow
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import suscav.spectra
-from suscav.errors import ConfigError, GridError, UnitError
+from suscav.errors import ConfigError, GridError, NumericalError, UnitError
 from suscav.spectra import (
     UNIT_DISPLACEMENT,
     UNIT_RELATIVE,
@@ -113,10 +113,13 @@ class TestSpectrum:
             Spectrum(grid_band, asd, UNIT_DISPLACEMENT)
 
     def test_rejects_nan(self, grid_band):
+        """Input ASDs are refused non-finite where they are read, so a
+        non-finite one is a numerical error, at its frequency."""
         asd = np.ones(len(grid_band))
         asd[3] = np.nan
-        with pytest.raises(ConfigError):
+        with pytest.raises(NumericalError) as info:
             Spectrum(grid_band, asd, UNIT_DISPLACEMENT)
+        assert info.value.frequency_hz == grid_band.values[3]
 
     @pytest.mark.parametrize("bad, message", [
         (-1.0, "non-negative"), (np.inf, "non-finite values: inf"),
@@ -125,7 +128,8 @@ class TestSpectrum:
     def test_names_the_first_fault(self, grid_band, bad, message):
         asd = np.ones(len(grid_band))
         asd[3] = bad
-        with pytest.raises(ConfigError, match=message):
+        error = ConfigError if np.isfinite(bad) else NumericalError
+        with pytest.raises(error, match=message):
             Spectrum(grid_band, asd, UNIT_DISPLACEMENT)
 
     def test_shares_a_read_only_array_and_copies_a_writable_one(self, grid_band):
@@ -390,39 +394,65 @@ class TestCsvWriter:
 
     @staticmethod
     def fast_block(n=1000):
-        """Values whose every product is settled by `_decimal`'s block test
-        (in 1e9..1e16 many doubles lie exactly on a 17-digit tie)."""
+        """Values whose every product is settled by `_decimal`'s whole-array
+        tests (in 1e9..1e16 many doubles lie exactly on a 17-digit tie)."""
         rng = np.random.default_rng(5)
         return rng.choice([1.0, -1.0], n) * 10.0 ** rng.uniform(-30.0, 5.0, n)
 
-    def test_fast_block_needs_no_per_element_test(self, tmp_path, monkeypatch):
-        def each(*args):
-            raise AssertionError("per-element path taken")
+    @staticmethod
+    def scaled_sizes(monkeypatch):
+        """The sizes of the arrays `_scaled` is called with, from now on."""
+        scaled, sizes = suscav.spectra._scaled, []
+        monkeypatch.setattr(suscav.spectra, "_scaled",
+                            lambda a, k, t: sizes.append(a.size) or scaled(a, k, t))
+        return sizes
 
-        monkeypatch.setattr(suscav.spectra, "_decimal_each", each)
+    def test_fast_block_needs_no_per_element_test(self, tmp_path, monkeypatch):
+        sizes = self.scaled_sizes(monkeypatch)
         values = self.fast_block()
         assert written_tokens(tmp_path / "t.csv", values) == [
             CSV_FORMAT % v for v in values.tolist()
         ]
+        assert sizes == [values.size]
 
-    # each keeps its block off the fast path
+    # doubles below a power of ten whose exponent moves by one
+    SHIFTED = [float(np.nextafter(1e-14, 0.0)),
+               1e98]                    # below 10**98; its 17 digits carry to 1e+98
     PLANTED = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300, 1e300, 1e-279, 1e279,
-               float(np.nextafter(1e-14, 0.0)),
-               1e98,                    # below 10**98; its 17 digits carry to 1e+98
+               *SHIFTED,
                123456789012345.625]     # a tie at the 17th digit
 
     @pytest.mark.parametrize("at", [0, 500, 999], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("value", PLANTED, ids=[repr(v) for v in PLANTED])
     def test_value_planted_in_a_fast_block(self, tmp_path, monkeypatch, value, at):
-        each, calls = suscav.spectra._decimal_each, []
-        monkeypatch.setattr(suscav.spectra, "_decimal_each",
-                            lambda *args: calls.append(args) or each(*args))
+        """A planted value costs its block no second pass: one whose
+        exponent moves adds a `_scaled` call of its own, any other none, and
+        only a nonzero value out of the kernel's range or a tie is left to
+        CSV_FORMAT."""
+        sizes = self.scaled_sizes(monkeypatch)
         values = self.fast_block()
         values[at] = value
         assert written_tokens(tmp_path / "t.csv", values) == [
             CSV_FORMAT % v for v in values.tolist()
         ]
-        assert len(calls) == 1
+        shifted = value in self.SHIFTED
+        assert sizes == [values.size] + [1] * shifted
+        _, _, slow = suscav.spectra._decimal(values, _kernel_tables())
+        assert slow.tolist() == ([] if shifted or value == 0.0 else [at])
+
+    def test_grid_ends_and_rms_zero_need_no_per_element_call(self, tmp_path, monkeypatch):
+        """Products of exactly 1e16, from the grid's ends 0.1 and 1e4 and
+        the 0.0 that ends a cumulative RMS curve, lie in the kernel's range:
+        over blocks that hold them, each number is scaled once."""
+        grid = make_log_grid(0.1, 1e4, 3 * CSV_BLOCK_ROWS + 5)
+        rms = cumulative_rms(Spectrum(grid, 1e-12 / np.sqrt(grid.values), UNIT_DISPLACEMENT))
+        assert rms.asd[-1] == 0.0
+        sizes = self.scaled_sizes(monkeypatch)
+        header, columns = ["frequency_hz", "rms"], [grid.values, rms.asd]
+        path = tmp_path / "t.csv"
+        write_csv(path, header, columns)
+        assert path.read_text() == self.reference(header, columns)
+        assert len(sizes) == 4 and sum(sizes) == 2 * len(grid)
 
     def test_multiply_shift_is_integer_division(self):
         from suscav.spectra import _div10k
