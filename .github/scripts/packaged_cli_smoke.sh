@@ -10,6 +10,7 @@
 # every number of the terms-off budget's two CSVs must be its own "%.17g"
 # text.  A
 # copy of paper_default with a misspelled key must fail with one hinted line,
+# one that sets the retired cavity.input_power_w with one line saying why,
 # a budget on a grid too high for its summary must fail with one line before
 # its first block and leave no output directory and no staging file, a
 # default `quantum` must print one stderr line, the free-mass warning, and
@@ -101,6 +102,25 @@ if [ "$code" != 1 ] || [ "$(wc -l <misspelled.err)" -ne 1 ] \
   cat misspelled.err >&2
   exit 1
 fi
+# a copy of paper_default that sets the retired cavity.input_power_w: exit 1,
+# one config error line that says why
+python - retired.json <<'PY'
+import json, sys
+from importlib.resources import files
+cfg = json.loads(files("suscav").joinpath("configs", "paper_default.json").read_text())
+cfg["cavity"]["input_power_w"] = 0.000128
+with open(sys.argv[1], "w") as fh:
+    json.dump(cfg, fh)
+PY
+code=0
+suscav budget --config retired.json --out retired 2>retired.err || code=$?
+if [ "$code" != 1 ] || [ "$(wc -l <retired.err)" -ne 1 ] \
+    || ! grep -q "^suscav: config error: .*retired, it was never read" retired.err; then
+  echo "retired key: want exit 1 and one 'retired, it was never read' config error" \
+    "line, got exit $code:" >&2
+  cat retired.err >&2
+  exit 1
+fi
 
 # a budget whose grid starts above 0.5 Hz fails before its first block: exit
 # 1 with one stderr line, the config error and no warning before it, no
@@ -182,7 +202,8 @@ done
 diff -r ground/lf ground/crlf
 
 echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs" \
-  "and listed by their manifests; a misspelled key exits 1 with a hint;" \
+  "and listed by their manifests; a misspelled key exits 1 with a hint" \
+  "and a retired key with its reason;" \
   "a failing command writes nothing and warns of nothing; an absent input file" \
   "fails only the command that reads it; LF and CRLF ground files give the same" \
   "isolation output"

@@ -2,7 +2,6 @@
 
 from .cavity import (
     CavityParams,
-    circulating_power,
     disp_per_hz,
     finesse,
     fsr,

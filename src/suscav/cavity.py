@@ -21,7 +21,6 @@ class CavityParams:
     """Optical cavity and mirror parameters.
 
     Transmissions and losses are power fractions per pass / round trip.
-    `input_power` may be zero (dark cavity), everything else is positive.
     """
 
     wavelength: float          # [m]
@@ -30,7 +29,6 @@ class CavityParams:
     end_transmission: float = 0.0    # T2
     excess_loss: float = 0.0         # round-trip loss on top of T1+T2
     mirror_mass: float = 1e-2        # [kg]
-    input_power: float = 0.0         # [W]
 
     def __post_init__(self):
         if self.wavelength <= 0.0 or self.length <= 0.0:
@@ -41,8 +39,6 @@ class CavityParams:
             raise ConfigError("input transmission must be positive")
         if self.end_transmission < 0.0 or self.excess_loss < 0.0:
             raise ConfigError("end transmission and excess loss must be >= 0")
-        if self.input_power < 0.0:
-            raise ConfigError("input power must be >= 0")
         if self.round_trip_loss >= 1.0:
             raise ConfigError("total round-trip loss must stay below 1")
 
@@ -77,16 +73,6 @@ def finesse(cav):
 def fwhm(cav):
     """Cavity bandwidth FSR/finesse [Hz]."""
     return fsr(cav) / finesse(cav)
-
-
-def buildup_gain(cav):
-    """On-resonance circulating-power gain 4*T1/rho**2."""
-    return 4.0 * cav.input_transmission / cav.round_trip_loss ** 2
-
-
-def circulating_power(cav):
-    """On-resonance power build-up P_in * G [W]."""
-    return cav.input_power * buildup_gain(cav)
 
 
 def disp_per_hz(cav):

@@ -156,12 +156,11 @@ def acoustic_peaks(peaks, grid):
 class SaturationReport:
     rms_m: float
     rms_hz: float
-    margin_ratio: float
-    unbounded: bool
+    margin_ratio: float     # inf for a zero budget
 
     @property
     def saturated(self):
-        return not self.unbounded and self.margin_ratio < 1.0
+        return self.margin_ratio < 1.0
 
 
 def check_saturation_grid(grid):
@@ -185,7 +184,7 @@ def saturation_margin(rms, config, cav):
     rms_m = float(rms.asd[0])
     if rms_m == 0.0:
         return SaturationReport(rms_m=0.0, rms_hz=0.0,
-                                margin_ratio=np.inf, unbounded=True)
+                                margin_ratio=np.inf)
     rms_hz = rms_m / disp_per_hz(cav)
     return SaturationReport(rms_m=rms_m, rms_hz=rms_hz,
-                            margin_ratio=config.vco_range / rms_hz, unbounded=False)
+                            margin_ratio=config.vco_range / rms_hz)

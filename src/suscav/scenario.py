@@ -236,7 +236,6 @@ SCHEMA = {
         "end_transmission": Key(NUMBER, 0.0, "end_transmission"),
         "excess_loss": Key(NUMBER, 0.0, "excess_loss"),
         "mirror_mass_kg": Key(NUMBER, arg="mirror_mass"),
-        "input_power_w": Key(NUMBER, 0.0, "input_power"),
     },
     "quantum": {    # exactly one of the first two
         "circulating_power_w": Key(NUMBER, None),
@@ -308,6 +307,9 @@ def _default(node):
 _RETIRED = {
     "suspension.final_stage.vertical_stiffness_n_per_m":
         "retired, it was never read: vertically the mirrors ride the last of suspension.stages",
+    "cavity.input_power_w":
+        "retired, it was never read: the power is quantum.circulating_power_w"
+        " or quantum.power_for_sql_at_hz",
 }
 
 

@@ -175,9 +175,9 @@ class Spectrum:
     def from_psd(cls, grid, psd, unit):
         return cls(grid, np.sqrt(np.asarray(psd, dtype=float)), unit)
 
-    def scaled(self, factor, unit=None):
-        """Pointwise multiply by a scalar or array; optionally retag unit."""
-        return Spectrum(self.grid, self.asd * factor, unit or self.unit)
+    def scaled(self, factor):
+        """Pointwise multiply by a scalar or array."""
+        return Spectrum(self.grid, self.asd * factor, self.unit)
 
 
 def zero_spectrum(grid, unit):

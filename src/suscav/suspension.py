@@ -30,7 +30,7 @@ so a caller builds each axis once and shares it between responses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -249,7 +249,6 @@ def single_oscillator(mass, stiffness, viscous_damping=0.0, loss_angle=0.0):
 class Mode:
     frequency_hz: float
     q: float | None          # None when the mode is lossless
-    shape: np.ndarray = field(repr=False)
     dominant_coord: str = ""
 
 
@@ -287,7 +286,6 @@ def eigenmodes(model):
         modes.append(Mode(
             frequency_hz=float(omega / (2.0 * np.pi)),
             q=q,
-            shape=shape,
             dominant_coord=dom,
         ))
     modes.sort(key=lambda m: m.frequency_hz)

@@ -18,7 +18,6 @@ def paper_cavity():
         end_transmission=7.5e-6,
         excess_loss=1e-6,
         mirror_mass=0.01,
-        input_power=1e-3,
     )
 
 

@@ -71,7 +71,6 @@ def paper_cavity_module():
     return CavityParams(
         wavelength=1.55e-6, length=0.095, input_transmission=7.5e-6,
         end_transmission=7.5e-6, excess_loss=1e-6, mirror_mass=0.01,
-        input_power=1e-4,
     )
 
 

@@ -3,8 +3,6 @@ import pytest
 
 from suscav.cavity import (
     CavityParams,
-    buildup_gain,
-    circulating_power,
     disp_per_hz,
     finesse,
     fsr,
@@ -19,7 +17,6 @@ FSR_95MM = 1577855042.1052632          # c / (2 * 0.095)
 FINESSE_16PPM = 392699.0816987242      # 2*pi / 16e-6
 FWHM_16PPM = 4017.974870936373         # c/(2L) * rho/(2*pi)
 FWHM_161PPM = 4043.0872138797245       # same, rho = 16.1 ppm
-BUILDUP_PAPER = 117187.5               # 4 * 7.5e-6 / (16e-6)**2
 DISP_50MHZ = 2.4558656508963944e-08    # 50e6 * L * lambda / c
 
 
@@ -28,11 +25,6 @@ class TestParams:
         with pytest.raises(ConfigError):
             CavityParams(wavelength=1.55e-6, length=0.095, input_transmission=0.6,
                          end_transmission=0.5)
-
-    def test_negative_power_rejected(self):
-        with pytest.raises(ConfigError):
-            CavityParams(wavelength=1.55e-6, length=0.095, input_transmission=1e-5,
-                         input_power=-1.0)
 
     def test_omega0_derived(self, paper_cavity):
         assert paper_cavity.omega0 == pytest.approx(
@@ -94,14 +86,6 @@ class TestFwhm:
         assert finesse(paper_cavity) * fwhm(paper_cavity) == pytest.approx(
             fsr(paper_cavity), rel=1e-12
         )
-
-
-class TestCirculatingPower:
-    def test_buildup_gain(self, paper_cavity):
-        assert buildup_gain(paper_cavity) == pytest.approx(BUILDUP_PAPER, rel=1e-12)
-
-    def test_on_resonance_power(self, paper_cavity):
-        assert circulating_power(paper_cavity) == pytest.approx(1e-3 * BUILDUP_PAPER, rel=1e-12)
 
 
 class TestFreqToDisp:

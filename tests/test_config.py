@@ -5,6 +5,7 @@ import difflib
 import json
 import math
 import re
+import shutil
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from suscav.cli import main, resolve_config
 from suscav.errors import ConfigError
-from suscav.quantum import FreeMassValidityWarning
+from suscav.quantum import POLE_INPUT, POLE_TOTAL, FreeMassValidityWarning
 from suscav.scenario import (
     FLAG,
     INTEGER,
@@ -27,6 +28,7 @@ from suscav.scenario import (
     Choice,
     Key,
     Scenario,
+    _RETIRED,
     load_config,
 )
 from suscav.spectra import MAX_GRID_POINTS, make_log_grid
@@ -122,7 +124,8 @@ def test_present_grid_is_checked_under_grid_option(tmp_path, capsys, config_fact
         Scenario.from_dict(cfg, grid_override=grid)
     monkeypatch.undo()
     del cfg["grid"]
-    code, err = run_cli(tmp_path, capsys, cfg, "--grid", "0.1,1e4,50", command="quantum")
+    with pytest.warns(FreeMassValidityWarning):
+        code, err = run_cli(tmp_path, capsys, cfg, "--grid", "0.1,1e4,50", command="quantum")
     assert code == 0 and err == []
     with pytest.raises(ConfigError, match="missing key 'grid'"):
         Scenario.from_dict(cfg)
@@ -147,14 +150,26 @@ def test_two_mirror_masses_are_refused(tmp_path, capsys, config_factory):
     assert "suspension.final_stage.mass_kg = 0.01" in err
 
 
-def test_final_stage_blade_stiffness_is_refused(tmp_path, capsys, config_factory):
-    """Vertically the mirrors ride the last main stage, so the key was never
-    read; a config that sets it is refused on one line that says why."""
+RETIRED = {
+    "suspension.final_stage.vertical_stiffness_n_per_m":
+        "vertically the mirrors ride the last of suspension.stages",
+    "cavity.input_power_w":
+        "the power is quantum.circulating_power_w or quantum.power_for_sql_at_hz",
+}
+
+
+@pytest.mark.parametrize("dotted", sorted(RETIRED.keys() | _RETIRED.keys()))
+def test_retired_key_is_refused_with_its_reason(tmp_path, capsys, config_factory, dotted):
+    """A key no command ever read is refused on one line that says why."""
+    *path, key = dotted.split(".")
     cfg = config_factory()
-    cfg["suspension"]["final_stage"]["vertical_stiffness_n_per_m"] = 800.0
-    assert config_error(tmp_path, capsys, cfg).startswith(
-        "suscav: config error: suspension.final_stage: unknown key "
-        "'vertical_stiffness_n_per_m' (retired, it was never read: ")
+    section = cfg
+    for part in path:
+        section = section[part]
+    section[key] = 1.0
+    assert config_error(tmp_path, capsys, cfg) == (
+        f"suscav: config error: {'.'.join(path)}: unknown key {key!r} "
+        f"(retired, it was never read: {RETIRED[dotted]})")
 
 
 @pytest.mark.parametrize("count", [1, 2, 4])
@@ -185,6 +200,76 @@ def test_resolved_config_fills_defaults(config_factory):
     assert resolved["acoustic"]["peaks"] == cfg["acoustic"]["peaks"]
     assert resolved["quantum"]["power_for_sql_at_hz"] is None
     assert scenario.geophone.quality_factor == 0.3
+
+
+COMMANDS = ("budget", "isolation", "suspension-tf", "quantum")
+POLE_MODELS = {POLE_INPUT: POLE_TOTAL, POLE_TOTAL: POLE_INPUT}
+
+
+def _value_leaves(value, path=()):
+    """(path, value) of every number, switch and pole model of a resolved
+    config, `grid` aside since --grid sets it.  Stage names are left out: a
+    name reaches modes.csv only when its stage dominates a mode, and the
+    penultimate stage of paper_default dominates none."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        if value is not None and path[0] != "grid" and path[-1] != "name":
+            yield path, value
+        return
+    for key, sub in items:
+        yield from _value_leaves(sub, path + (key,))
+
+
+def _moved(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return POLE_MODELS[value]
+    if value == 0:
+        return 1e-3
+    return round(value * 1.25) if isinstance(value, int) else value * 1.25
+
+
+def _outputs(tmp_path, capsys, cfg, command):
+    """Exit code and the bytes of every output file of `command` on `cfg`."""
+    # None stands for the power alternative the config does not give
+    cfg = {key: {k: v for k, v in sub.items() if v is not None} for key, sub in cfg.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, _ = run_cli(tmp_path, capsys, cfg, "--grid", "0.1,1e4,200", command=command)
+    out = tmp_path / "o"
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+    shutil.rmtree(out, ignore_errors=True)
+    return code, files
+
+
+def test_every_config_value_moves_an_output(tmp_path, capsys, default_scenario):
+    """No config value is silently ignored: changing any one of them changes
+    an output file or the exit code of some command, under paper_default or
+    under its total_loss pole model."""
+    bases = []
+    for pole_model in POLE_MODELS:
+        cfg = copy.deepcopy(default_scenario.config)
+        cfg["quantum"]["pole_model"] = pole_model
+        bases.append((cfg, [_outputs(tmp_path, capsys, cfg, command) for command in COMMANDS]))
+    paths = [path for path, _ in _value_leaves(default_scenario.config)]
+    assert len(paths) > 80
+
+    def moves(path, cfg, outputs):
+        cfg = copy.deepcopy(cfg)
+        section = cfg
+        for part in path[:-1]:
+            section = section[part]
+        section[path[-1]] = _moved(section[path[-1]])
+        return any(_outputs(tmp_path, capsys, cfg, command) != base
+                   for command, base in zip(COMMANDS, outputs))
+
+    unread = [".".join(map(str, path)) for path in paths
+              if not any(moves(path, cfg, outputs) for cfg, outputs in bases)]
+    assert unread == []
 
 
 def test_huge_integer_is_not_a_number(config_factory):
