@@ -5,7 +5,8 @@
 # 1e5-point grid (above 16,384 points numpy evaluates some expressions in
 # place), one on 20001 points (not a whole number of the budget's blocks)
 # and one on 1e5 points with two budget.include terms off (zero columns),
-# twice; the two output trees must be byte-identical, each
+# twice; the two output trees must be byte-identical, and so must the 1e5
+# budget run on one CPU with `taskset`, which writes it in one process; each
 # run's manifest.json must list exactly the other files of its directory, and
 # every number of the terms-off budget's two CSVs must be its own "%.17g"
 # text.  A
@@ -60,6 +61,15 @@ for run in 1 2; do
     --out "run$run/budget-1e5-terms-off"
 done
 diff -r run1 run2
+
+# the 1e5 budget once more on one CPU, where one process writes it: the same
+# bytes as the default run, which splits it between two processes when it
+# may use two CPUs
+taskset -c 0 suscav budget --grid 0.1,1e4,100000 --out serial/budget-1e5
+[ "$(ls run1/budget-1e5)" = "$(ls serial/budget-1e5)" ]
+for name in $(ls run1/budget-1e5); do
+  cmp "run1/budget-1e5/$name" "serial/budget-1e5/$name"
+done
 
 # every run's manifest lists exactly the other files of its directory
 python - run1 <<'PY'

@@ -67,11 +67,9 @@ from .suspension import (
     eigenmodes,
     mirror_force_susceptibility,
     seismic_to_cavity,
-    simple_chain_model,
-    single_oscillator,
     tf_suspoint_to_differential,
     tf_suspoint_to_mirror,
 )
-from .thermal import ThermalConfig, mirror_admittance, thermal_displacement
+from .thermal import ThermalConfig, thermal_displacement
 
 __version__ = "0.1.0"

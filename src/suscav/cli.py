@@ -107,7 +107,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"suscav: config error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (NumericalError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"suscav: numerical error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

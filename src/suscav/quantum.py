@@ -12,7 +12,6 @@ warn below it; the commands of `scenario` do, with `FreeMassValidityWarning`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ def _cavity_pole(cavity, pole_model):
         if pole_model == POLE_INPUT
         else cavity.round_trip_loss
     )
-    return loss * C_LIGHT / (4.0 * cavity.length)
+    return np.float64(loss * C_LIGHT / (4.0 * cavity.length))
 
 
 def sql_psd(mirror_mass, grid):
@@ -75,7 +74,7 @@ def kappa(config, grid):
     gamma = _cavity_pole(cav, config.pole_model)
     return (
         cav.omega0 * cav.input_transmission * config.circulating_power
-        / (cav.mirror_mass * cav.length ** 2 * omega ** 2 * (omega ** 2 + gamma ** 2))
+        / (cav.mirror_mass * np.float64(cav.length) ** 2 * omega ** 2 * (omega ** 2 + gamma ** 2))
     )
 
 
@@ -83,19 +82,17 @@ def power_for_sql(cavity, f_target, pole_model=POLE_INPUT):
     """Circulating power [W] putting kappa = 1 at `f_target` (closed form)."""
     if f_target <= 0.0:
         raise ConfigError("target frequency must be positive")
-    omega = 2.0 * np.pi * f_target
+    omega = np.float64(2.0 * np.pi * f_target)
     gamma = _cavity_pole(cavity, pole_model)
-    try:
+    with np.errstate(over="ignore"):     # refused below
         power = (
-            cavity.mirror_mass * cavity.length ** 2 * omega ** 2
+            cavity.mirror_mass * np.float64(cavity.length) ** 2 * omega ** 2
             * (omega ** 2 + gamma ** 2)
             / (cavity.omega0 * cavity.input_transmission)
         )
-    except OverflowError:    # a float ** raises where * gives inf
-        power = math.inf
-    if not math.isfinite(power):
+    if not np.isfinite(power):
         raise ConfigError(f"the power for the SQL at {f_target:.6g} Hz overflows")
-    return power
+    return float(power)
 
 
 def kappa_unity_frequency(config):
@@ -106,7 +103,7 @@ def kappa_unity_frequency(config):
     gamma = _cavity_pole(cav, config.pole_model)
     a = (
         cav.omega0 * cav.input_transmission * config.circulating_power
-        / (cav.mirror_mass * cav.length ** 2)
+        / (cav.mirror_mass * np.float64(cav.length) ** 2)
     )
     omega_sq = 0.5 * (-gamma ** 2 + np.sqrt(gamma ** 4 + 4.0 * a))
     return float(np.sqrt(omega_sq) / (2.0 * np.pi))

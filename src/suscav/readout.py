@@ -20,7 +20,7 @@ import numpy as np
 
 from .cavity import disp_per_hz
 from .constants import C_LIGHT
-from .errors import ConfigError, GridError, UnitError
+from .errors import ConfigError, GridError, NumericalError, UnitError
 from .spectra import (
     UNIT_DISPLACEMENT,
     UNIT_RELATIVE,
@@ -62,7 +62,10 @@ def adc_noise_asd(config, cav, grid):
     Nyquist zone, divided by the whitening magnitude, then through the
     voltage and cavity calibrations.
     """
-    lsb = config.adc_fullscale / 2.0 ** config.adc_bits
+    levels = np.float64(2.0) ** float(config.adc_bits)
+    if not np.isfinite(levels):
+        raise NumericalError(f"2 ** adc_bits overflows at {config.adc_bits:.6g} bits")
+    lsb = config.adc_fullscale / levels
     volts = lsb / np.sqrt(12.0 * config.sample_rate / 2.0)
     whitening = np.abs(config.whitening.evaluate(grid))
     hz = volts / whitening * config.volts_to_hz
@@ -147,8 +150,8 @@ def acoustic_peaks(peaks, grid):
     f = grid.values
     psd = np.zeros(len(grid))
     for p in peaks:
-        half = 0.5 * p.width
-        psd += p.height ** 2 * half ** 2 / ((f - p.center) ** 2 + half ** 2)
+        half = np.float64(0.5 * p.width)
+        psd += np.float64(p.height) ** 2 * half ** 2 / ((f - p.center) ** 2 + half ** 2)
     return Spectrum(grid, np.sqrt(psd), UNIT_DISPLACEMENT)
 
 

@@ -11,10 +11,14 @@ from __future__ import annotations
 import difflib
 import json
 import math
+import mmap
 import os
+import pickle
 import shutil
+import signal
 import sys
 import tempfile
+import threading
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -596,26 +600,108 @@ def _emit(outdir, command, files, summary, traces, unit=UNIT_DISPLACEMENT):
 BUDGET_BLOCK_ROWS = 4 * CSV_BLOCK_ROWS
 
 
+def _split_row(n):
+    """The row from which a forked process writes an n-row budget file, a
+    block boundary near the middle, or None when this process writes it all.
+
+    A file of three blocks or more is split when this process may run on
+    two CPUs and runs one thread: forking a threaded process could copy a
+    lock that another thread holds."""
+    blocks = -(-n // BUDGET_BLOCK_ROWS)
+    if (blocks < 3 or not hasattr(os, "sched_getaffinity")
+            or len(os.sched_getaffinity(0)) < 2 or threading.active_count() != 1):
+        return None
+    return BUDGET_BLOCK_ROWS * (blocks // 2)
+
+
+def _write_split(path, n, work):
+    """Write an n-row CSV file as `work(path, lo, hi)` writes its header and
+    rows [lo, hi).
+
+    When `_split_row` splits the file, a forked child writes rows [mid, n)
+    to a part file beside `path` while this process writes [0, mid); the
+    part's rows are then appended.  The child sends an exception up a pipe
+    and always ends in os._exit, so it never unwinds into its parent's
+    frames (`_emit` would remove the staging directory) nor flushes stdio.
+    This process always reaps the child, killing it first when its own rows
+    fail; an error in the lower rows is raised before the child's, as a run
+    in one process would raise it.
+    """
+    mid = _split_row(n)
+    if mid is None:
+        work(path, 0, n)
+        return
+    part = path + ".part"
+    down, up = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(down)
+        os.close(up)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(down)
+            try:
+                work(part, mid, n)
+                status = 0
+            except BaseException as exc:
+                os.write(up, pickle.dumps(exc))
+        finally:
+            os._exit(status)
+    os.close(up)
+    try:
+        work(path, 0, mid)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        with open(down, "rb") as fh:
+            sent = fh.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if sent:
+        raise pickle.loads(sent)
+    if status:
+        raise ChildProcessError(f"the process writing rows {mid}.. of {path} "
+                                f"ended with status {status}")
+    # copy_file_range refuses a destination opened O_APPEND
+    with open(part, "rb") as src, open(path, "r+b", buffering=0) as dst:
+        offset = len(src.readline())        # past the part's own header line
+        dst.seek(0, os.SEEK_END)
+        while copied := os.copy_file_range(src.fileno(), dst.fileno(), 1 << 30, offset):
+            offset += copied
+    os.remove(part)
+
+
 def run_budget(scenario, outdir):
     """Write the budget CSVs, summary and manifest; return the summary.
 
     The budget is assembled and written a block of BUDGET_BLOCK_ROWS grid
     points at a time, holding only the total ASD from block to block; the
     cumulative RMS, the summary and the warnings come from it once the last
-    block is written.  `assemble_budget(scenario)` gives the whole budget.
-    A grid too high for the summary is refused before the first block.
+    block is written.  Each CSV file may be split between this process and
+    a forked one (`_write_split`), which assembles the upper blocks and
+    puts their total in the shared buffer.  `assemble_budget(scenario)`
+    gives the whole budget.  A grid too high for the summary is refused
+    before the first block.
     """
     grid = scenario.grid
     check_saturation_grid(grid)
-    total = np.empty(len(grid))
+    n = len(grid)
+    # shared with a forked writer, so its rows of the total come back
+    total = np.frombuffer(mmap.mmap(-1, 8 * n), float)
     summary = {}
 
-    def blocks():
-        for start in range(0, len(grid), BUDGET_BLOCK_ROWS):
-            rows = slice(start, start + BUDGET_BLOCK_ROWS)
-            block = assemble_budget(scenario, FrequencyGrid(grid.values[rows]))
-            total[rows] = block.total.asd
-            yield block
+    def budget_rows(path, lo, hi):
+        def blocks():
+            for start in range(lo, hi, BUDGET_BLOCK_ROWS):
+                rows = slice(start, min(start + BUDGET_BLOCK_ROWS, hi))
+                block = (first.pop() if start == 0 else
+                         assemble_budget(scenario, FrequencyGrid(grid.values[rows])))
+                total[rows] = block.total.asd
+                yield block
+        write_budget_csv(path, blocks())
 
     def write_rms(path):
         total.setflags(write=False)
@@ -639,12 +725,17 @@ def run_budget(scenario, outdir):
         hi = np.searchsorted(grid.values, 1000.0, side="right")
         if hi > lo:
             summary["min_asd_100_1000_hz_m_rthz"] = float(np.min(total[lo:hi]))
-        write_csv(path, ["frequency_hz", "rms_m"], [grid.values, rms.asd])
+        _write_split(path, n, lambda part, lo, hi: write_csv(
+            part, ["frequency_hz", "rms_m"], [grid.values[lo:hi], rms.asd[lo:hi]]))
 
+    # block 0 first, here: what the budget needs and no grid enters (the
+    # suspension models, the loops' stability, an input CSV) is made once,
+    # before a forked writer inherits it
+    first = [assemble_budget(scenario, FrequencyGrid(grid.values[:BUDGET_BLOCK_ROWS]))]
     in_total = [t.column for t in TERMS if t.in_total(scenario)]
     references = [t.column for t in TERMS if not t.in_total(scenario)]
     _emit(outdir, "budget", {
-        "budget": ("budget.csv", write_budget_csv, blocks()),
+        "budget": ("budget.csv", _write_split, n, budget_rows),
         "cumulative_rms": ("budget_rms.csv", write_rms),
     }, summary, [{"column": name, "in_total": True} for name in in_total]
         + [{"column": name, "in_total": False} for name in (*references, "total")])

@@ -226,25 +226,6 @@ def build_model(chain, axis):
     raise ConfigError(f"unknown axis {axis!r}")
 
 
-def simple_chain_model(stages, axis=HORIZONTAL):
-    """Unbranched chain, mainly for analytic cross-checks."""
-    masses, springs, names = _chain(list(stages), axis)
-    return LinearModel(masses=masses, springs=springs, coord_names=tuple(names),
-                       axis=axis, mirror_a=len(masses) - 1)
-
-
-def single_oscillator(mass, stiffness, viscous_damping=0.0, loss_angle=0.0):
-    """One-dof oscillator with explicit stiffness; oracle for thermal noise."""
-    spring = SpringElement(
-        parent=-1, child=0, stiffness=stiffness,
-        damping=viscous_damping, loss_angle=loss_angle,
-    )
-    return LinearModel(
-        masses=[mass], springs=(spring,), coord_names=("mass",),
-        axis=HORIZONTAL, mirror_a=0,
-    )
-
-
 @dataclass(frozen=True)
 class Mode:
     frequency_hz: float

@@ -15,7 +15,6 @@ import numpy as np
 from .constants import K_B
 from .errors import ConfigError, GridError
 from .spectra import UNIT_DISPLACEMENT, Spectrum
-from .suspension import mirror_force_susceptibility
 
 
 @dataclass(frozen=True)
@@ -25,15 +24,6 @@ class ThermalConfig:
     def __post_init__(self):
         if self.temperature <= 0.0:
             raise ConfigError("temperature must be positive")
-
-
-def mirror_admittance(model, grid):
-    """Y(omega) = i*omega * x/F at mirror a [m/(N s)].
-
-    A lossless model simply returns Re(Y) = 0 everywhere.
-    """
-    chi = mirror_force_susceptibility(model, grid)
-    return 1j * grid.angular * chi
 
 
 def thermal_displacement(config, chi, grid):

@@ -44,11 +44,11 @@ from suscav.suspension import (
     build_model,
     eigenmodes,
     mirror_force_susceptibility,
-    single_oscillator,
     tf_suspoint_to_differential,
     tf_suspoint_to_mirror,
 )
-from suscav.thermal import ThermalConfig, mirror_admittance, thermal_displacement
+from suscav.thermal import ThermalConfig, thermal_displacement
+from oracles import mirror_admittance, single_oscillator
 from test_suspension import default_chain
 
 HBAR = 1.054571817e-34

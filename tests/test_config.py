@@ -331,6 +331,62 @@ def test_random_valid_config_parses_or_raises_config_error(name, data):
         pass
 
 
+# Values whose square or power overflowed as a Python float, an OverflowError
+# that escaped `main` as a traceback: each is a numerical error now.
+OVERFLOWS = [
+    *[(command, ("cavity", "length_m"), value)
+      for command in ("budget", "quantum") for value in (1e300, 1e-300)],
+    ("budget", ("readout", "adc_bits"), 1e300),
+    *[("budget", ("acoustic", "peaks", i, key), 1e300)
+      for i in range(3) for key in ("width_hz", "height_m_rthz")],
+]
+
+
+@pytest.mark.parametrize("command, path, value", OVERFLOWS)
+def test_python_scalar_overflow_is_a_numerical_error(tmp_path, capsys, config_factory,
+                                                     command, path, value):
+    cfg = config_factory()
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    code, err = run_cli(tmp_path, capsys, cfg, "--grid", "0.1,1e4,60", command=command)
+    assert code == 2 and len(err) == 1, err
+    assert err[0].startswith("suscav: numerical error: ")
+    assert not (tmp_path / "o").exists()
+
+
+def _refuse(constant):
+    raise ValueError(f"{constant} in a JSON output")
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large,
+                                 HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(sorted(SHIPPED)), data=st.data())
+def test_random_valid_config_runs_every_command_without_a_traceback(tmp_path, capsys, name,
+                                                                    data):
+    """Every command exits 0, 1 or 2; a failure prints one line, a success
+    writes JSON without NaN or Infinity and finite spectra."""
+    odds = data.draw(st.sampled_from([2, 8, 64]))
+    cfg = data.draw(_variant(SCHEMA, copy.deepcopy(SHIPPED[name]), odds))
+    for command in ("budget", "suspension-tf", "isolation", "quantum"):
+        shutil.rmtree(tmp_path / "o", ignore_errors=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")     # printed only by a command that succeeds
+            code, err = run_cli(tmp_path, capsys, cfg, "--grid", "0.1,1e4,60",
+                                command=command)
+        assert code in (0, 1, 2), (command, err)
+        if code:
+            assert len(err) == 1, (command, err)
+            continue
+        for path in (tmp_path / "o").iterdir():
+            if path.suffix == ".json":
+                json.loads(path.read_text(), parse_constant=_refuse)
+            elif path.name != "modes.csv":      # a lossless mode's q is inf
+                assert np.isfinite(np.loadtxt(path, delimiter=",", skiprows=1)).all(), path
+
+
 def _leaf_paths(node, path=""):
     """The dotted path of every leaf of `node`; `[]` marks a list item."""
     if isinstance(node, Key):

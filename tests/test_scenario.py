@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from suscav.quantum import FreeMassValidityWarning
 from suscav.scenario import (
     BUDGET_BLOCK_ROWS,
     Scenario,
+    _split_row,
+    _write_split,
     assemble_budget,
     load_config,
     load_scenario,
@@ -179,12 +182,29 @@ def test_switched_off_part_is_zero_and_leaves_the_rest(config_factory, part, col
             assert reduced[name].tobytes() == full[name].tobytes(), name
 
 
-def _counting(monkeypatch):
+class _Log:
+    """Items appended to a file, one JSON line each, so that a forked budget
+    writer's calls are recorded too."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def append(self, item):
+        with open(self.path, "a") as fh:
+            fh.write(json.dumps(item) + "\n")
+
+    def read(self):
+        return [tuple(item) if isinstance(item, list) else item
+                for item in map(json.loads, self.path.read_text().splitlines())]
+
+
+def _counting(monkeypatch, tmp_path):
     """Record every model build (axis) and tree solve (axis, forced)."""
     import suscav.scenario
     import suscav.suspension
 
-    builds, solves = [], []
+    builds, solves = _Log(tmp_path / "builds.log"), _Log(tmp_path / "solves.log")
     build, solve = suscav.suspension.build_model, suscav.suspension._tree_solve
 
     def counted_build(chain, axis):
@@ -201,36 +221,41 @@ def _counting(monkeypatch):
     return builds, solves
 
 
-def test_budget_builds_and_solves_each_response_once(default_scenario, monkeypatch):
-    builds, solves = _counting(monkeypatch)
+def test_budget_builds_and_solves_each_response_once(default_scenario, monkeypatch, tmp_path):
+    builds, solves = _counting(monkeypatch, tmp_path)
     assemble_budget(default_scenario)
-    assert sorted(builds) == ["horizontal", "vertical"]
-    assert sorted(solves) == [("horizontal", False), ("horizontal", True), ("vertical", False)]
+    assert sorted(builds.read()) == ["horizontal", "vertical"]
+    assert sorted(solves.read()) == [
+        ("horizontal", False), ("horizontal", True), ("vertical", False)]
 
 
 def test_suspension_tf_builds_the_model_once(default_scenario, monkeypatch, tmp_path):
-    builds, solves = _counting(monkeypatch)
+    builds, solves = _counting(monkeypatch, tmp_path)
     run_suspension_tf(default_scenario, tmp_path)
-    assert builds == ["horizontal"]
-    assert solves == [("horizontal", False)]
+    assert builds.read() == ["horizontal"]
+    assert solves.read() == [("horizontal", False)]
 
 
 def test_streamed_budget_builds_the_grid_free_parts_once(config_factory, monkeypatch,
                                                          tmp_path):
+    """Counted in both processes of a split budget: the forked writer
+    inherits the models and the loops' stability and builds neither."""
     n = 100_000
     scenario = Scenario.from_dict(config_factory(), grid_override=make_log_grid(0.1, 1e4, n))
-    builds, solves = _counting(monkeypatch)
-    roots, find_roots = [], np.roots
-    monkeypatch.setattr(np, "roots", lambda p: roots.append(p) or find_roots(p))
+    builds, solves = _counting(monkeypatch, tmp_path)
+    roots, find_roots = _Log(tmp_path / "roots.log"), np.roots
+    monkeypatch.setattr(np, "roots", lambda p: roots.append(len(p)) or find_roots(p))
+    forks = _forking(monkeypatch, cpus={0, 1})
     run_budget(scenario, tmp_path / "b")
-    assert len(solves) == 3 * -(-n // BUDGET_BLOCK_ROWS)
+    assert len(forks) == 2      # one writer for each of the two CSV files
+    assert len(solves.read()) == 3 * -(-n // BUDGET_BLOCK_ROWS)
     # and for every other grid the scenario is evaluated on
     assemble_budget(scenario)
     assemble_budget(scenario, FrequencyGrid(scenario.grid.values[::7]))
     assemble_budget(scenario, make_log_grid(2.0, 3.0, 5))
     run_suspension_tf(scenario, tmp_path / "s")
-    assert sorted(builds) == ["horizontal", "vertical"]
-    assert len(roots) == 2      # each isolation loop's stability, once
+    assert sorted(builds.read()) == ["horizontal", "vertical"]
+    assert len(roots.read()) == 2      # each isolation loop's stability, once
 
 
 def test_budget_never_finds_loop_crossings(default_scenario, monkeypatch, tmp_path):
@@ -244,13 +269,13 @@ def test_budget_never_finds_loop_crossings(default_scenario, monkeypatch, tmp_pa
         run_isolation(default_scenario, tmp_path)
 
 
-def test_switched_off_parts_skip_their_responses(config_factory, monkeypatch):
+def test_switched_off_parts_skip_their_responses(config_factory, monkeypatch, tmp_path):
     cfg = config_factory()
     cfg["budget"] = {"include": {"seismic": False, "thermal": False, "intensity": False}}
     scenario = Scenario.from_dict(cfg)
-    builds, solves = _counting(monkeypatch)
+    builds, solves = _counting(monkeypatch, tmp_path)
     assemble_budget(scenario)
-    assert builds == [] and solves == []
+    assert builds.read() == [] and solves.read() == []
 
 
 def test_zero_mismatch_warns_and_zero_trace(config_factory, tmp_path):
@@ -577,6 +602,145 @@ def test_failure_in_the_last_block_writes_nothing(config_factory, tmp_path, caps
     assert main(failing) == 2
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
     assert sorted(os.listdir(tmp_path)) == ["o", "pole.json"]
+
+
+def _forking(monkeypatch, cpus):
+    """Make `run_budget` see the CPU set `cpus`; returns a list that gets one
+    item per fork."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _files(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("config, n", [
+    ("paper_default", 2 * BUDGET_BLOCK_ROWS + 100),
+    ("sql_design", 2 * BUDGET_BLOCK_ROWS + 100),
+    ("cryo_projection", 2 * BUDGET_BLOCK_ROWS + 100),
+    ("terms_off", 2 * BUDGET_BLOCK_ROWS + 100),
+    ("paper_default", 100_000),
+])
+def test_split_budget_is_byte_identical_to_one_process(monkeypatch, tmp_path, config, n):
+    if config == "terms_off":
+        cfg = load_config(resolve_config("paper_default"))
+        cfg["budget"] = {"include": {"seismic": False, "pll": False, "acoustic": False}}
+        config = str(tmp_path / "terms_off.json")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+    outputs = []
+    for cpus in ({0}, {0, 1}):
+        forks = _forking(monkeypatch, cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert main(["budget", "--config", config, "--grid", f"0.1,1e4,{n}",
+                     "--out", str(out)]) == 0
+        assert len(forks) == 2 * (len(cpus) - 1)    # a writer for each CSV file
+        outputs.append(_files(out))
+    assert sorted(outputs[0]) == sorted(outputs[1])
+    for name in outputs[0]:
+        assert outputs[0][name] == outputs[1][name], name
+    assert not [p for p in tmp_path.rglob("*") if p.name.startswith(".suscav-staging-")]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("grid, side", [("0.1,1e100,40000", "forked"),
+                                        ("0.1,1e308,40000", "parent")])
+def test_split_budget_fails_as_one_process_does(monkeypatch, tmp_path, capsys, grid, side):
+    """The first error in row order, whichever process met it; the previous
+    output stays, and no staging file nor child process is left."""
+    out = tmp_path / "o"
+    assert main(["budget", "--out", str(out)]) == 0
+    before = _files(out)
+    errors = []
+    for cpus in ({0}, {0, 1}):
+        forks = _forking(monkeypatch, cpus)
+        capsys.readouterr()
+        assert main(["budget", "--grid", grid, "--out", str(out)]) == 2
+        errors.append(capsys.readouterr().err)
+        assert len(forks) == len(cpus) - 1
+        assert _files(out) == before
+        assert os.listdir(tmp_path) == ["o"]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("suscav: numerical error: ") and errors[0].count("\n") == 1
+    # the failing frequency lies in the rows of the process the case names
+    frequency = float(errors[0].rsplit("(at ", 1)[1].split(" Hz)")[0])
+    row = np.searchsorted(parse_grid(grid).values, frequency)
+    assert (row >= _split_row(40_000)) == (side == "forked")
+
+
+def _rows(fail=(), exit_at=(), sleep_at=()):
+    """A `_write_split` work function that writes a header and one line per
+    row, and raises, exits or sleeps in the processes whose first row is
+    listed."""
+    def work(path, lo, hi):
+        if lo in exit_at:
+            os._exit(3)
+        if lo in sleep_at:
+            time.sleep(60)
+        if lo in fail:
+            raise ValueError(f"rows {lo}..")
+        with open(path, "w") as fh:
+            fh.write("row\n" + "".join(f"{i}\n" for i in range(lo, hi)))
+    return work
+
+
+def test_split_writer_appends_the_forked_rows(monkeypatch, tmp_path):
+    _forking(monkeypatch, {0, 1})
+    n = 3 * BUDGET_BLOCK_ROWS - 5
+    path = tmp_path / "t.csv"
+    _write_split(str(path), n, _rows())
+    assert path.read_text() == "row\n" + "".join(f"{i}\n" for i in range(n))
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def test_split_writer_raises_the_first_error_in_row_order(monkeypatch, tmp_path):
+    _forking(monkeypatch, {0, 1})
+    n, path = 3 * BUDGET_BLOCK_ROWS, str(tmp_path / "t.csv")
+    mid = _split_row(n)
+    with pytest.raises(ValueError, match=rf"^rows {mid}\.\.$"):
+        _write_split(path, n, _rows(fail={mid}))
+    with pytest.raises(ValueError, match=r"^rows 0\.\.$"):
+        _write_split(path, n, _rows(fail={0, mid}))
+    with pytest.raises(ChildProcessError, match="ended with status 3"):
+        _write_split(path, n, _rows(exit_at={mid}))
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_split_writer_kills_the_child_when_its_own_rows_fail(monkeypatch, tmp_path):
+    _forking(monkeypatch, {0, 1})
+    n = 3 * BUDGET_BLOCK_ROWS
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=r"^rows 0\.\.$"):
+        _write_split(str(tmp_path / "t.csv"), n, _rows(fail={0}, sleep_at={_split_row(n)}))
+    assert time.monotonic() - start < 30.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus, threads, n, split", [
+    ({0, 1}, 1, 3 * BUDGET_BLOCK_ROWS, True),
+    ({0, 1}, 1, 2 * BUDGET_BLOCK_ROWS + 1, True),
+    ({0, 1}, 1, 2 * BUDGET_BLOCK_ROWS, False),
+    ({0}, 1, 100_000, False),
+    ({0, 1}, 2, 100_000, False),
+])
+def test_budget_splits_with_three_blocks_two_cpus_and_one_thread(monkeypatch, cpus, threads,
+                                                                  n, split):
+    import threading
+
+    _forking(monkeypatch, cpus)
+    monkeypatch.setattr(threading, "active_count", lambda: threads)
+    mid = _split_row(n)
+    assert (mid is not None) == split
+    if split:
+        assert 0 < mid < n and mid % BUDGET_BLOCK_ROWS == 0
 
 
 def test_budget_working_set_is_the_total_and_a_block(default_config, tmp_path):

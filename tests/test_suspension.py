@@ -24,13 +24,12 @@ from suscav.suspension import (
     eigenmodes,
     mirror_force_susceptibility,
     seismic_to_cavity,
-    simple_chain_model,
-    single_oscillator,
     tf_suspoint_to_differential,
     tf_suspoint_to_mirror,
     write_mode_table,
 )
-from suscav.thermal import mirror_admittance
+
+from oracles import mirror_admittance, simple_chain_model, single_oscillator
 
 # analytic pendulum frequencies, (1/2pi)*sqrt(g/l)
 F_SINGLE_19CM = 1.1434144305348943

@@ -7,8 +7,9 @@ from suscav.constants import K_B
 from suscav.errors import GridError
 from suscav.scenario import assemble_budget
 from suscav.spectra import FrequencyGrid, make_log_grid
-from suscav.suspension import mirror_force_susceptibility, single_oscillator
-from suscav.thermal import ThermalConfig, mirror_admittance, thermal_displacement
+from suscav.suspension import mirror_force_susceptibility
+from suscav.thermal import ThermalConfig, thermal_displacement
+from oracles import mirror_admittance, single_oscillator
 from test_suspension import default_chain
 from suscav.suspension import build_model
 
