@@ -11,7 +11,9 @@
 # every number of the terms-off budget's two CSVs must be its own "%.17g"
 # text.  A
 # copy of paper_default with a misspelled key must fail with one hinted line,
-# one that sets the retired cavity.input_power_w with one line saying why,
+# one that sets the retired cavity.input_power_w with one line saying why, one
+# that sets the retired cavity.mirror_mass_kg with one line naming
+# suspension.final_stage.mass_kg,
 # a budget on a grid too high for its summary must fail with one line before
 # its first block and leave no output directory and no staging file, a
 # default `quantum` must print one stderr line, the free-mass warning, and
@@ -112,25 +114,32 @@ if [ "$code" != 1 ] || [ "$(wc -l <misspelled.err)" -ne 1 ] \
   cat misspelled.err >&2
   exit 1
 fi
-# a copy of paper_default that sets the retired cavity.input_power_w: exit 1,
-# one config error line that says why
-python - retired.json <<'PY'
-import json, sys
+# copies of paper_default that set a retired cavity key: exit 1, one config
+# error line with the reason, that cavity.input_power_w was never read and
+# that the mass cavity.mirror_mass_kg gave is suspension.final_stage.mass_kg
+python - <<'PY'
+import json
 from importlib.resources import files
 cfg = json.loads(files("suscav").joinpath("configs", "paper_default.json").read_text())
-cfg["cavity"]["input_power_w"] = 0.000128
-with open(sys.argv[1], "w") as fh:
-    json.dump(cfg, fh)
+for key, value in (("input_power_w", 0.000128), ("mirror_mass_kg", 0.01)):
+    with open(f"retired_{key}.json", "w") as fh:
+        json.dump(dict(cfg, cavity=dict(cfg["cavity"], **{key: value})), fh)
 PY
-code=0
-suscav budget --config retired.json --out retired 2>retired.err || code=$?
-if [ "$code" != 1 ] || [ "$(wc -l <retired.err)" -ne 1 ] \
-    || ! grep -q "^suscav: config error: .*retired, it was never read" retired.err; then
-  echo "retired key: want exit 1 and one 'retired, it was never read' config error" \
-    "line, got exit $code:" >&2
-  cat retired.err >&2
-  exit 1
-fi
+for key in input_power_w mirror_mass_kg; do
+  case $key in
+    input_power_w) reason="retired, it was never read" ;;
+    mirror_mass_kg) reason="retired, .*suspension\.final_stage\.mass_kg" ;;
+  esac
+  code=0
+  suscav budget --config "retired_$key.json" --out "retired_$key" 2>retired.err || code=$?
+  if [ "$code" != 1 ] || [ "$(wc -l <retired.err)" -ne 1 ] \
+      || ! grep -q "^suscav: config error: cavity: unknown key '$key' ($reason" retired.err; then
+    echo "retired cavity.$key: want exit 1 and one config error line matching" \
+      "'$reason', got exit $code:" >&2
+    cat retired.err >&2
+    exit 1
+  fi
+done
 
 # a budget whose grid starts above 0.5 Hz fails before its first block: exit
 # 1 with one stderr line, the config error and no warning before it, no

@@ -239,7 +239,6 @@ SCHEMA = {
         "input_transmission": Key(NUMBER, arg="input_transmission"),
         "end_transmission": Key(NUMBER, 0.0, "end_transmission"),
         "excess_loss": Key(NUMBER, 0.0, "excess_loss"),
-        "mirror_mass_kg": Key(NUMBER, arg="mirror_mass"),
     },
     "quantum": {    # exactly one of the first two
         "circulating_power_w": Key(NUMBER, None),
@@ -314,6 +313,8 @@ _RETIRED = {
     "cavity.input_power_w":
         "retired, it was never read: the power is quantum.circulating_power_w"
         " or quantum.power_for_sql_at_hz",
+    "cavity.mirror_mass_kg":
+        "retired, the mirror is stated once: its mass is suspension.final_stage.mass_kg",
 }
 
 
@@ -465,14 +466,11 @@ class Scenario:
                 raise GridError(f"grid: {exc}") from exc
         grid = grid_override if grid_override is not None else make_log_grid(
             **_args(SCHEMA["grid"], config["grid"]))
-        cavity = CavityParams(**_args(SCHEMA["cavity"], config["cavity"]))
         s = config["suspension"]
-        final = Stage(**_args(_FINAL_STAGE, s["final_stage"]))
-        if final.mass != cavity.mirror_mass:
-            raise ConfigError(f"cavity.mirror_mass_kg = {cavity.mirror_mass} differs from "
-                              f"suspension.final_stage.mass_kg = {final.mass}, the same mirror's")
+        mirror = Stage(**_args(_FINAL_STAGE, s["final_stage"]))
+        cavity = CavityParams(mirror_mass=mirror.mass, **_args(SCHEMA["cavity"], config["cavity"]))
         chain = SuspensionChain(stages=tuple(Stage(**_args(_STAGE, e)) for e in s["stages"]),
-                                final_stages=(final, final), **_args(SCHEMA["suspension"], s))
+                                final_stage=mirror, **_args(SCHEMA["suspension"], s))
 
         iso, isolation = config["isolation"], SCHEMA["isolation"]
         g, rin = iso["ground"], config["intensity"]["rin_per_rthz"]
@@ -714,13 +712,14 @@ def run_budget(scenario, outdir):
             warnings.warn(f"predicted beat RMS {report.rms_hz:.3g} Hz exceeds the VCO range "
                           f"{scenario.readout.vco_range:.3g} Hz", SaturationWarning, stacklevel=2)
         summary.update({
-            "asd_at_100_hz_m_rthz": _asd_at(grid, total, 100.0),
             "rms_m": report.rms_m,
             "rms_hz": report.rms_hz,
             "vco_margin_ratio": (report.margin_ratio if np.isfinite(report.margin_ratio)
                                  else "unbounded"),
             "iss_enabled": _iss_on(scenario),
         })
+        if grid.fmin <= 100.0 <= grid.fmax:
+            summary["asd_at_100_hz_m_rthz"] = _asd_at(grid, total, 100.0)
         lo = np.searchsorted(grid.values, 100.0, side="left")
         hi = np.searchsorted(grid.values, 1000.0, side="right")
         if hi > lo:
@@ -759,7 +758,7 @@ def run_suspension_tf(scenario, outdir):
     f = grid.values
     i0, i1 = np.searchsorted(f, 0.1), np.searchsorted(f, 0.25)
     slope = None
-    if i1 > i0 and mag[i0] > 0.0 and mag[i1] > 0.0:
+    if i0 < i1 < len(f) and mag[i0] > 0.0 and mag[i1] > 0.0:
         slope = float((np.log10(mag[i1]) - np.log10(mag[i0]))
                       / (np.log10(f[i1]) - np.log10(f[i0])))
     if scenario.chain.stiffness_mismatch == 0.0:
@@ -819,8 +818,9 @@ def run_quantum_design(scenario, outdir):
         "kappa_unity_hz": qn.kappa_unity_frequency(config),
         "free_mass_floor_hz": config.validity_floor_hz,
         "grid_extends_below_floor": below,
-        "sql_asd_at_100_hz_m_rthz": _asd_at(grid, budget.references["sql"].asd, 100.0),
     }
+    if grid.fmin <= 100.0 <= grid.fmax:
+        summary["sql_asd_at_100_hz_m_rthz"] = _asd_at(grid, budget.references["sql"].asd, 100.0)
     target = scenario.config["quantum"]["power_for_sql_at_hz"]
     if target is not None:
         summary["sql_target_hz"] = target

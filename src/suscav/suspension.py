@@ -72,7 +72,8 @@ class Stage:
 
 @dataclass(frozen=True)
 class SuspensionChain:
-    """Main chain (top to penultimate) plus the two mirror stages.
+    """Main chain (top to penultimate) plus the final stage that hangs each
+    of the two mirrors.
 
     `stiffness_mismatch` is the relative difference of the two final-stage
     pendulum stiffnesses: they are scaled by (1 +/- eps/2).  It is the one
@@ -80,23 +81,19 @@ class SuspensionChain:
     """
 
     stages: tuple                       # Stage, top -> penultimate
-    final_stages: tuple                 # (Stage, Stage), the two mirrors
+    final_stage: Stage                  # each mirror and its wire
     stiffness_mismatch: float = 0.01
     vertical_coupling: float = 1e-3     # vertical-to-cavity-axis projection
 
     def __post_init__(self):
         stages = tuple(self.stages)
-        finals = tuple(self.final_stages)
         if len(stages) < 1:
             raise ConfigError("need at least one main-chain stage")
-        if len(finals) != 2:
-            raise ConfigError("exactly two mirror stages hang from the penultimate mass")
         if self.stiffness_mismatch < 0.0:
             raise ConfigError("stiffness mismatch must be >= 0")
         if self.vertical_coupling < 0.0:
             raise ConfigError("vertical coupling must be >= 0")
         object.__setattr__(self, "stages", stages)
-        object.__setattr__(self, "final_stages", finals)
 
 
 @dataclass(frozen=True)
@@ -198,19 +195,16 @@ def build_model(chain, axis):
     vertical: a blade-spring stiffness on each stage (the mirror masses
     ride on the last vertical coordinate).
     """
-    fa, fb = chain.final_stages
+    m = chain.final_stage
     if axis == HORIZONTAL:
-        masses, springs, names = _chain(chain.stages, axis, below=(fa.mass, fb.mass))
+        masses, springs, names = _chain(chain.stages, axis, below=(m.mass, m.mass))
         n_main = len(masses)
-        names += [fa.name or "mirror_a", fb.name or "mirror_b"]
-        if names[n_main] == names[n_main + 1]:
-            names[n_main] += "_a"
-            names[n_main + 1] += "_b"
+        names += [f"{m.name or 'mirror'}_{side}" for side in "ab"]
         eps = chain.stiffness_mismatch
-        for j, (stage, split) in enumerate(((fa, 1.0 + eps / 2.0), (fb, 1.0 - eps / 2.0))):
-            masses.append(stage.mass)
-            springs.append(_spring(n_main - 1, n_main + j, stage,
-                                   G_STD * stage.mass / stage.wire_length * split))
+        for j, split in enumerate((1.0 + eps / 2.0, 1.0 - eps / 2.0)):
+            masses.append(m.mass)
+            springs.append(_spring(n_main - 1, n_main + j, m,
+                                   G_STD * m.mass / m.wire_length * split))
         return LinearModel(masses=masses, springs=springs, coord_names=tuple(names),
                            axis=axis, mirror_a=n_main, mirror_b=n_main + 1)
 
@@ -219,7 +213,7 @@ def build_model(chain, axis):
             raise ConfigError("each vertical stage needs a blade stiffness")
         masses, springs, names = _chain(chain.stages, axis)
         # mirrors ride the penultimate mass along the vertical axis
-        masses[-1] += fa.mass + fb.mass
+        masses[-1] += m.mass + m.mass
         return LinearModel(masses=masses, springs=springs, coord_names=tuple(names),
                            axis=axis, mirror_a=len(masses) - 1)
 

@@ -142,25 +142,19 @@ def test_grid_range_error_names_its_key(tmp_path, capsys, config_factory, grid, 
     assert config_error(tmp_path, capsys, cfg, *args) == "suscav: config error: " + message
 
 
-def test_two_mirror_masses_are_refused(tmp_path, capsys, config_factory):
-    cfg = config_factory()
-    cfg["cavity"]["mirror_mass_kg"] = 0.5
-    err = config_error(tmp_path, capsys, cfg)
-    assert "cavity.mirror_mass_kg = 0.5" in err
-    assert "suspension.final_stage.mass_kg = 0.01" in err
-
-
 RETIRED = {
     "suspension.final_stage.vertical_stiffness_n_per_m":
-        "vertically the mirrors ride the last of suspension.stages",
-    "cavity.input_power_w":
-        "the power is quantum.circulating_power_w or quantum.power_for_sql_at_hz",
+        "retired, it was never read: vertically the mirrors ride the last of suspension.stages",
+    "cavity.input_power_w": "retired, it was never read: the power is "
+        "quantum.circulating_power_w or quantum.power_for_sql_at_hz",
+    "cavity.mirror_mass_kg":
+        "retired, the mirror is stated once: its mass is suspension.final_stage.mass_kg",
 }
 
 
 @pytest.mark.parametrize("dotted", sorted(RETIRED.keys() | _RETIRED.keys()))
 def test_retired_key_is_refused_with_its_reason(tmp_path, capsys, config_factory, dotted):
-    """A key no command ever read is refused on one line that says why."""
+    """A retired key is refused on one line that says why."""
     *path, key = dotted.split(".")
     cfg = config_factory()
     section = cfg
@@ -168,8 +162,7 @@ def test_retired_key_is_refused_with_its_reason(tmp_path, capsys, config_factory
         section = section[part]
     section[key] = 1.0
     assert config_error(tmp_path, capsys, cfg) == (
-        f"suscav: config error: {'.'.join(path)}: unknown key {key!r} "
-        f"(retired, it was never read: {RETIRED[dotted]})")
+        f"suscav: config error: {'.'.join(path)}: unknown key {key!r} ({RETIRED[dotted]})")
 
 
 @pytest.mark.parametrize("count", [1, 2, 4])
@@ -247,16 +240,22 @@ def _outputs(tmp_path, capsys, cfg, command):
 
 
 def test_every_config_value_moves_an_output(tmp_path, capsys, default_scenario):
-    """No config value is silently ignored: changing any one of them changes
-    an output file or the exit code of some command, under paper_default or
-    under its total_loss pole model."""
+    """No config value is silently ignored: changing any one of them, under
+    paper_default or under its total_loss pole model, makes some command
+    exit 0 with an output file changed.  A lone imaginary part of a root is
+    refused by the conjugate-pair rule, so for those leaves a changed exit
+    code is enough."""
     bases = []
     for pole_model in POLE_MODELS:
         cfg = copy.deepcopy(default_scenario.config)
         cfg["quantum"]["pole_model"] = pole_model
-        bases.append((cfg, [_outputs(tmp_path, capsys, cfg, command) for command in COMMANDS]))
+        outputs = [_outputs(tmp_path, capsys, cfg, command) for command in COMMANDS]
+        assert [code for code, _ in outputs] == [0] * len(COMMANDS)
+        bases.append((cfg, outputs))
     paths = [path for path, _ in _value_leaves(default_scenario.config)]
     assert len(paths) > 80
+    lone_imag = [path for path in paths if path[-1] == "imag"]
+    assert len(lone_imag) == 8
 
     def moves(path, cfg, outputs):
         cfg = copy.deepcopy(cfg)
@@ -264,8 +263,11 @@ def test_every_config_value_moves_an_output(tmp_path, capsys, default_scenario):
         for part in path[:-1]:
             section = section[part]
         section[path[-1]] = _moved(section[path[-1]])
-        return any(_outputs(tmp_path, capsys, cfg, command) != base
-                   for command, base in zip(COMMANDS, outputs))
+        for command, (_, base) in zip(COMMANDS, outputs):
+            code, files = _outputs(tmp_path, capsys, cfg, command)
+            if (code == 0 and files != base) or (code != 0 and path in lone_imag):
+                return True
+        return False
 
     unread = [".".join(map(str, path)) for path in paths
               if not any(moves(path, cfg, outputs) for cfg, outputs in bases)]

@@ -852,7 +852,7 @@ MISTYPED = [
     (("thermal", "temperature_k"), True),
     (("thermal", "temperature_k"), float("nan")),
     (("isolation", "ground", "level_m_rthz"), float("inf")),
-    (("cavity", "mirror_mass_kg"), None),
+    (("cavity", "wavelength_m"), None),
     (("cavity", "length_m"), [0.095]),
     (("suspension", "stiffness_mismatch"), "0.01"),
     (("suspension", "stages"), 5),
@@ -887,6 +887,24 @@ class TestCli:
         assert code == 0
         rows = (tmp_path / "q" / "quantum.csv").read_text().strip().splitlines()
         assert len(rows) == 17
+
+    def test_slope_is_null_on_a_grid_below_0p25_hz(self, tmp_path):
+        code = main(["suspension-tf", "--out", str(tmp_path / "s"), "--grid", "0.01,0.2,100"])
+        assert code == 0
+        summary = json.loads((tmp_path / "s" / "suspension_summary.json").read_text())
+        assert summary["low_frequency_slope"] is None
+
+    @pytest.mark.parametrize("command, grid, key", [
+        ("quantum", "200,1e4,50", "sql_asd_at_100_hz_m_rthz"),
+        ("budget", "0.1,50,200", "asd_at_100_hz_m_rthz"),
+    ])
+    def test_no_100_hz_value_off_the_grid(self, tmp_path, command, grid, key):
+        """A grid that does not reach 100 Hz gives no value there, rather
+        than the value at its nearest end."""
+        code = main([command, "--out", str(tmp_path / "o"), "--grid", grid])
+        assert code == 0
+        summary = json.loads((tmp_path / "o" / f"{command}_summary.json").read_text())
+        assert key not in summary
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = main(["budget", "--config", "no_such_config",

@@ -53,8 +53,8 @@ def default_chain(eps=0.01, damping=2.0, phi=1e-4):
         main_stage(phi=phi, kv=600.0),
         main_stage(damping=damping, phi=phi, kv=800.0),
     )
-    m = mirror_stage(phi=phi)
-    return SuspensionChain(stages=stages, final_stages=(m, m), stiffness_mismatch=eps)
+    return SuspensionChain(stages=stages, final_stage=mirror_stage(phi=phi),
+                           stiffness_mismatch=eps)
 
 
 class TestValidation:
@@ -64,14 +64,10 @@ class TestValidation:
         with pytest.raises(ConfigError):
             Stage(mass=1.0, wire_length=-0.1)
 
-    def test_chain_needs_two_finals(self):
-        with pytest.raises(ConfigError):
-            SuspensionChain(stages=(main_stage(),), final_stages=(mirror_stage(),))
-
     def test_vertical_needs_blade_stiffness(self):
         chain = SuspensionChain(
             stages=(main_stage(kv=0.0), main_stage(), main_stage()),
-            final_stages=(mirror_stage(), mirror_stage()),
+            final_stage=mirror_stage(),
         )
         with pytest.raises(ConfigError):
             build_model(chain, "vertical")
@@ -104,8 +100,8 @@ class TestBuild:
 
     def test_named_final_stage_gives_a_and_b(self):
         chain = default_chain()
-        mirror = dataclasses.replace(chain.final_stages[0], name="test_mass")
-        chain = dataclasses.replace(chain, final_stages=(mirror, mirror))
+        mirror = dataclasses.replace(chain.final_stage, name="test_mass")
+        chain = dataclasses.replace(chain, final_stage=mirror)
         names = build_model(chain, "horizontal").coord_names
         assert names[-2:] == ("test_mass_a", "test_mass_b")
 
@@ -122,7 +118,7 @@ class TestBuild:
         """One blade stage carrying both mirrors: the closed form
         kappa/(kappa - M omega^2), kappa = k(1 + i phi) + i omega c."""
         stage = main_stage(damping=2.0, phi=1e-3, kv=500.0)
-        chain = SuspensionChain(stages=(stage,), final_stages=(mirror_stage(), mirror_stage()))
+        chain = SuspensionChain(stages=(stage,), final_stage=mirror_stage())
         omega = grid_band.angular
         kappa = 500.0 * (1.0 + 1e-3j) + 1j * omega * 2.0
         mass = 0.8 + 0.01 + 0.01
@@ -152,9 +148,7 @@ class TestEigenmodes:
         chain = default_chain()
         scaled = SuspensionChain(
             stages=tuple(dataclasses.replace(s, mass=3.0 * s.mass) for s in chain.stages),
-            final_stages=tuple(
-                dataclasses.replace(s, mass=3.0 * s.mass) for s in chain.final_stages
-            ),
+            final_stage=dataclasses.replace(chain.final_stage, mass=3.0 * chain.final_stage.mass),
             stiffness_mismatch=chain.stiffness_mismatch,
         )
         f1 = [m.frequency_hz for m in eigenmodes(build_model(chain, "horizontal"))]
