@@ -18,7 +18,10 @@
 # its first block and leave no output directory and no staging file, a
 # default `quantum` must print one stderr line, the free-mass warning, and
 # one on a grid whose noise overflows must exit 2 and print only its
-# numerical error, and
+# numerical error, `quantum --config paper_default --out paper_default` must
+# run twice (a directory named like a config is not a config), `quantum` on a
+# grid above 100 Hz must give the default run's 100 Hz SQL text, `isolation`
+# on a grid above 0.5 Hz must write no 0.5-50 Hz RMS, and
 # a copy whose ground CSV file is absent must run the commands that do not
 # read it and fail `isolation`, which does, with one line and no output.
 # One seeded ground CSV written with LF and with CRLF line ends, read by the
@@ -173,6 +176,27 @@ if [ "$code" != 2 ] || [ "$(wc -l <quantum-failed.err)" -ne 1 ] \
   cat quantum-failed.err >&2
   exit 1
 fi
+# the output directory of one run, named like the config, is not read as the
+# config by the next
+for run in 1 2; do
+  suscav quantum --config paper_default --out paper_default
+done
+# a value named for a frequency is taken there on any grid; a band value
+# is left out when the grid does not cover the band
+suscav quantum --grid 200,1e4,50 --out quantum-200
+sql_100='"sql_asd_at_100_hz_m_rthz": [^,]*'
+want=$(grep -o "$sql_100" quantum/quantum_summary.json || true)
+if [ -z "$want" ] || [ "$(grep -o "$sql_100" quantum-200/quantum_summary.json || true)" != "$want" ]; then
+  echo "quantum on 200 Hz-10 kHz: want the default run's 100 Hz SQL text, got:" >&2
+  grep sql_asd quantum-200/quantum_summary.json quantum/quantum_summary.json >&2
+  exit 1
+fi
+suscav isolation --grid 60,1e4,100 --out isolation-60
+if grep -q '"rms_[a-z]*_0p5_50hz"' isolation-60/isolation_summary.json; then
+  echo "isolation on 60 Hz-10 kHz: want no 0.5-50 Hz RMS, got:" >&2
+  cat isolation-60/isolation_summary.json >&2
+  exit 1
+fi
 # a copy of paper_default whose ground CSV file is absent: suspension-tf and
 # quantum do not read it and run; isolation exits 1 with one line naming it
 # and leaves no output directory
@@ -223,6 +247,7 @@ diff -r ground/lf ground/crlf
 echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs" \
   "and listed by their manifests; a misspelled key exits 1 with a hint" \
   "and a retired key with its reason;" \
+  "100 Hz values are the same on any grid and band values absent off the band;" \
   "a failing command writes nothing and warns of nothing; an absent input file" \
   "fails only the command that reads it; LF and CRLF ground files give the same" \
   "isolation output"

@@ -46,7 +46,7 @@ def packaged_config_dir():
 
 def resolve_config(name_or_path):
     """A real path wins; otherwise search the config directories."""
-    if os.path.exists(name_or_path):
+    if os.path.isfile(name_or_path):
         return name_or_path
     candidates = []
     base = name_or_path if name_or_path.endswith(".json") else name_or_path + ".json"
@@ -55,7 +55,7 @@ def resolve_config(name_or_path):
         candidates.append(os.path.join(env_dir, base))
     candidates.append(str(packaged_config_dir().joinpath(base)))
     for c in candidates:
-        if os.path.exists(c):
+        if os.path.isfile(c):
             return c
     raise ConfigError(
         f"config {name_or_path!r} not found (searched {candidates})"

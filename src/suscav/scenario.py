@@ -535,12 +535,6 @@ def assemble_budget(scenario, grid=None):
     return NoiseBudget.from_components(components, references=references)
 
 
-def _asd_at(grid, asd, f):
-    # np.interp copies a read-only array, so it gets the two points around f
-    i = min(max(np.searchsorted(grid.values, f, side="right") - 1, 0), max(len(grid) - 2, 0))
-    return float(np.interp(f, grid.values[i:i + 2], asd[i:i + 2]))
-
-
 # Warnings are decided here, by each command once its results are computed.
 def _below_floor(s):
     """Whether the grid starts below the free-mass validity floor of the
@@ -677,12 +671,13 @@ def run_budget(scenario, outdir):
 
     The budget is assembled and written a block of BUDGET_BLOCK_ROWS grid
     points at a time, holding only the total ASD from block to block; the
-    cumulative RMS, the summary and the warnings come from it once the last
-    block is written.  Each CSV file may be split between this process and
-    a forked one (`_write_split`), which assembles the upper blocks and
-    puts their total in the shared buffer.  `assemble_budget(scenario)`
-    gives the whole budget.  A grid too high for the summary is refused
-    before the first block.
+    cumulative RMS, the summary (but its 100 Hz value, assembled at 100 Hz)
+    and the warnings come from it once the last block is written.  Each
+    CSV file may be split between this process and a forked one
+    (`_write_split`), which assembles the upper blocks and puts their
+    total in the shared buffer.  `assemble_budget(scenario)` gives the
+    whole budget.  A grid too high for the summary is refused before the
+    first block.
     """
     grid = scenario.grid
     check_saturation_grid(grid)
@@ -703,6 +698,7 @@ def run_budget(scenario, outdir):
 
     def write_rms(path):
         total.setflags(write=False)
+        at_100 = assemble_budget(scenario, FrequencyGrid([100.0])).total.asd[0]
         rms = cumulative_rms(Spectrum(grid, total, UNIT_DISPLACEMENT))
         report = saturation_margin(rms, scenario.readout, scenario.cavity)
         if (scenario.config["budget"]["include"]["quantum"]
@@ -717,12 +713,11 @@ def run_budget(scenario, outdir):
             "vco_margin_ratio": (report.margin_ratio if np.isfinite(report.margin_ratio)
                                  else "unbounded"),
             "iss_enabled": _iss_on(scenario),
+            "asd_at_100_hz_m_rthz": float(at_100),
         })
-        if grid.fmin <= 100.0 <= grid.fmax:
-            summary["asd_at_100_hz_m_rthz"] = _asd_at(grid, total, 100.0)
         lo = np.searchsorted(grid.values, 100.0, side="left")
         hi = np.searchsorted(grid.values, 1000.0, side="right")
-        if hi > lo:
+        if grid.fmin <= 100.0 and 1000.0 <= grid.fmax and hi > lo:
             summary["min_asd_100_1000_hz_m_rthz"] = float(np.min(total[lo:hi]))
         _write_split(path, n, lambda part, lo, hi: write_csv(
             part, ["frequency_hz", "rms_m"], [grid.values[lo:hi], rms.asd[lo:hi]]))
@@ -755,12 +750,11 @@ def run_suspension_tf(scenario, outdir):
         columns.append(mag / peak if peak > 0.0 else mag)
     modes = eigenmodes(scenario.horizontal_model)
 
-    f = grid.values
-    i0, i1 = np.searchsorted(f, 0.1), np.searchsorted(f, 0.25)
+    ends = FrequencyGrid([0.1, 0.25])
+    mag_ends = np.abs(tf_suspoint_to_differential(scenario.horizontal_model, ends))
     slope = None
-    if i0 < i1 < len(f) and mag[i0] > 0.0 and mag[i1] > 0.0:
-        slope = float((np.log10(mag[i1]) - np.log10(mag[i0]))
-                      / (np.log10(f[i1]) - np.log10(f[i0])))
+    if np.all(mag_ends > 0.0):
+        slope = float(np.diff(np.log10(mag_ends))[0] / np.diff(np.log10(ends.values))[0])
     if scenario.chain.stiffness_mismatch == 0.0:
         warnings.warn("stiffness mismatch is zero: the differential transfer "
                       "function vanishes identically", UserWarning, stacklevel=2)
@@ -783,16 +777,19 @@ def run_isolation(scenario, outdir):
                          scenario.servo, grid)
     passive = Spectrum(grid, np.abs(result.passive) * ground, UNIT_DISPLACEMENT)
     active = Spectrum(grid, np.abs(result.suppression) * ground, UNIT_DISPLACEMENT)
-    rms_passive = band_rms(passive, 0.5, 50.0)
-    rms_active = band_rms(active, 0.5, 50.0)
-    summary = {
-        "rms_passive_m_0p5_50hz": rms_passive,
-        "rms_active_m_0p5_50hz": rms_active,
-        "rms_reduction_ratio": rms_passive / rms_active if rms_active > 0.0 else "unbounded",
+    summary = {}
+    if grid.fmin <= 0.5 and 50.0 <= grid.fmax:
+        rms_passive, rms_active = band_rms(passive, 0.5, 50.0), band_rms(active, 0.5, 50.0)
+        summary = {
+            "rms_passive_m_0p5_50hz": rms_passive,
+            "rms_active_m_0p5_50hz": rms_active,
+            "rms_reduction_ratio": rms_passive / rms_active if rms_active > 0.0 else "unbounded",
+        }
+    summary.update({
         "unity_gain_hz": list(result.unity_gain_hz),
         "phase_margins_deg": list(result.phase_margins_deg),
         "closed_loop_stable": scenario.loop_stable[HORIZONTAL],
-    }
+    })
     del result      # its three complex arrays are not written
     spectra = ["ground", "payload_passive", "payload_active"]
     _emit(outdir, "isolation", {
@@ -812,15 +809,15 @@ def run_quantum_design(scenario, outdir):
     if config.circulating_power <= 0.0:
         raise ConfigError("quantum design needs a positive circulating power")
     budget = qn.quantum_noise_psd(config, grid)
+    sql_at_100 = qn.sql_psd(config.cavity.mirror_mass, FrequencyGrid([100.0])).asd[0]
     below = _below_floor(scenario)
     summary = {
         "circulating_power_w": config.circulating_power,
         "kappa_unity_hz": qn.kappa_unity_frequency(config),
         "free_mass_floor_hz": config.validity_floor_hz,
         "grid_extends_below_floor": below,
+        "sql_asd_at_100_hz_m_rthz": float(sql_at_100),
     }
-    if grid.fmin <= 100.0 <= grid.fmax:
-        summary["sql_asd_at_100_hz_m_rthz"] = _asd_at(grid, budget.references["sql"].asd, 100.0)
     target = scenario.config["quantum"]["power_for_sql_at_hz"]
     if target is not None:
         summary["sql_target_hz"] = target

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from suscav.cli import COMMANDS, main, parse_grid, resolve_config
 from suscav.errors import ConfigError
-from suscav.quantum import FreeMassValidityWarning
+from suscav.quantum import FreeMassValidityWarning, sql_psd
 from suscav.scenario import (
     BUDGET_BLOCK_ROWS,
     Scenario,
@@ -36,7 +36,11 @@ from suscav.spectra import (
     make_log_grid,
     read_budget_csv,
 )
-from suscav.suspension import seismic_to_cavity, tf_suspoint_to_mirror
+from suscav.suspension import (
+    seismic_to_cavity,
+    tf_suspoint_to_differential,
+    tf_suspoint_to_mirror,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -233,7 +237,8 @@ def test_suspension_tf_builds_the_model_once(default_scenario, monkeypatch, tmp_
     builds, solves = _counting(monkeypatch, tmp_path)
     run_suspension_tf(default_scenario, tmp_path)
     assert builds.read() == ["horizontal"]
-    assert solves.read() == [("horizontal", False)]
+    # on the grid, then at the slope's two frequencies
+    assert solves.read() == [("horizontal", False)] * 2
 
 
 def test_streamed_budget_builds_the_grid_free_parts_once(config_factory, monkeypatch,
@@ -248,7 +253,8 @@ def test_streamed_budget_builds_the_grid_free_parts_once(config_factory, monkeyp
     forks = _forking(monkeypatch, cpus={0, 1})
     run_budget(scenario, tmp_path / "b")
     assert len(forks) == 2      # one writer for each of the two CSV files
-    assert len(solves.read()) == 3 * -(-n // BUDGET_BLOCK_ROWS)
+    # each block's, and the summary's at 100 Hz
+    assert len(solves.read()) == 3 * (-(-n // BUDGET_BLOCK_ROWS) + 1)
     # and for every other grid the scenario is evaluated on
     assemble_budget(scenario)
     assemble_budget(scenario, FrequencyGrid(scenario.grid.values[::7]))
@@ -835,17 +841,6 @@ def test_each_input_file_is_read_once_by_the_commands_that_use_it(csv_inputs, tm
         assert sorted(reads) == sorted(files), command
 
 
-GRID_50 = make_log_grid(0.1, 1e4, 50)
-
-
-@given(f=st.one_of(st.floats(0.01, 2e4), st.sampled_from(GRID_50.values.tolist())))
-def test_asd_at_is_np_interp_on_the_whole_grid(f):
-    from suscav.scenario import _asd_at
-
-    asd = np.random.default_rng(5).random(50)
-    assert _asd_at(GRID_50, asd, f) == float(np.interp(f, GRID_50.values, asd))
-
-
 MISTYPED = [
     (("isolation", "platform", "quality_factor"), "10"),
     (("thermal", "temperature_k"), "293"),
@@ -888,23 +883,61 @@ class TestCli:
         rows = (tmp_path / "q" / "quantum.csv").read_text().strip().splitlines()
         assert len(rows) == 17
 
-    def test_slope_is_null_on_a_grid_below_0p25_hz(self, tmp_path):
-        code = main(["suspension-tf", "--out", str(tmp_path / "s"), "--grid", "0.01,0.2,100"])
-        assert code == 0
-        summary = json.loads((tmp_path / "s" / "suspension_summary.json").read_text())
-        assert summary["low_frequency_slope"] is None
-
-    @pytest.mark.parametrize("command, grid, key", [
-        ("quantum", "200,1e4,50", "sql_asd_at_100_hz_m_rthz"),
-        ("budget", "0.1,50,200", "asd_at_100_hz_m_rthz"),
+    @pytest.mark.parametrize("command, key, own_grid", [
+        ("budget", "asd_at_100_hz_m_rthz", "0.1,50,200"),
+        ("quantum", "sql_asd_at_100_hz_m_rthz", "200,1e4,50"),
+        ("suspension-tf", "low_frequency_slope", "0.01,0.2,100"),
     ])
-    def test_no_100_hz_value_off_the_grid(self, tmp_path, command, grid, key):
-        """A grid that does not reach 100 Hz gives no value there, rather
-        than the value at its nearest end."""
-        code = main([command, "--out", str(tmp_path / "o"), "--grid", grid])
-        assert code == 0
-        summary = json.loads((tmp_path / "o" / f"{command}_summary.json").read_text())
-        assert key not in summary
+    def test_named_frequency_value_is_taken_there_on_every_grid(self, tmp_path, command, key,
+                                                                own_grid):
+        """A value named for a frequency is computed at that frequency, not
+        read off the grid: every grid gives the bits of a direct evaluation
+        there, including grids that stop short of it, and the same keys
+        apart from the band values a grid does not cover."""
+        summaries = []
+        for grid in ("0.1,1e4,300", "0.1,1e4,1001", "0.1,1e4,10000", own_grid):
+            out = tmp_path / grid
+            assert main([command, "--out", str(out), "--grid", grid]) == 0
+            name = "suspension" if command == "suspension-tf" else command
+            summaries.append(json.loads((out / f"{name}_summary.json").read_text()))
+        s = load_scenario(resolve_config("paper_default"))
+        at_100 = FrequencyGrid([100.0])
+        if command == "budget":
+            direct = float(assemble_budget(s, at_100).total.asd[0])
+        elif command == "quantum":
+            direct = float(sql_psd(s.cavity.mirror_mass, at_100).asd[0])
+        else:
+            ends = FrequencyGrid([0.1, 0.25])
+            log_mag = np.log10(np.abs(tf_suspoint_to_differential(s.horizontal_model, ends)))
+            direct = float((log_mag[1] - log_mag[0]) / np.diff(np.log10(ends.values))[0])
+        assert [summary[key] for summary in summaries] == [direct] * 4
+        band = {"min_asd_100_1000_hz_m_rthz"}
+        assert len({frozenset(set(summary) - band) for summary in summaries}) == 1
+
+    def test_directory_named_like_a_config_is_not_a_config(self, tmp_path, monkeypatch):
+        """`--config NAME` skips a directory called NAME, such as the
+        output of an earlier `--out NAME`, and finds the shipped config."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "paper_default").mkdir()
+        for _ in range(2):
+            assert main(["quantum", "--config", "paper_default", "--out", "paper_default"]) == 0
+        assert resolve_config("paper_default") != "paper_default"
+
+    @pytest.mark.parametrize("command, grid", [
+        ("isolation", "10,1e4,1000"), ("isolation", "60,1e4,100"), ("budget", "0.1,150,1000"),
+    ])
+    def test_no_band_value_over_a_band_the_grid_only_partly_covers(self, tmp_path, command,
+                                                                   grid):
+        """A band RMS or minimum over a band clipped by the grid would be
+        the value over another band; the summary leaves it out."""
+        keys = {"isolation": ["rms_passive_m_0p5_50hz", "rms_active_m_0p5_50hz",
+                              "rms_reduction_ratio"],
+                "budget": ["min_asd_100_1000_hz_m_rthz"]}[command]
+        for args in ([], ["--grid", grid]):
+            out = tmp_path / str(len(args))
+            assert main([command, "--out", str(out), *args]) == 0
+            summary = json.loads((out / f"{command}_summary.json").read_text())
+            assert all((key in summary) == (not args) for key in keys)
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = main(["budget", "--config", "no_such_config",
@@ -930,6 +963,23 @@ class TestCli:
         code = main(["isolation", "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert "numerical error" in capsys.readouterr().err
+
+    def test_singular_at_100_hz_is_a_numerical_error_on_any_grid(self, tmp_path,
+                                                                 config_factory, capsys):
+        """The summary's 100 Hz value is computed at 100 Hz, so a budget
+        singular there fails, naming it, on a grid that does not hold it."""
+        cfg = config_factory()
+        w = 2.0 * np.pi * 100.0
+        cfg["readout"]["whitening"]["poles"] = [{"real": 0.0, "imag": w},
+                                                {"real": 0.0, "imag": -w}]
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(cfg))
+        assert 100.0 not in Scenario.from_dict(cfg).grid.values
+        code = main(["budget", "--config", str(path), "--out", str(tmp_path / "b")])
+        assert code == 2
+        assert capsys.readouterr().err == ("suscav: numerical error: transfer-function pole "
+                                           "lies on the evaluation grid (at 100 Hz)\n")
+        assert not (tmp_path / "b").exists()
 
     def test_env_config_dir(self, tmp_path, config_factory, monkeypatch):
         cfg = config_factory()
