@@ -4,16 +4,16 @@
 # than given as a path so the configs must have been packaged, a budget on a
 # 1e5-point grid (above 16,384 points numpy evaluates some expressions in
 # place), one on 20001 points (not a whole number of the budget's blocks)
-# and one on 1e5 points with two budget.include terms off (zero columns),
-# twice; the two output trees must be byte-identical, and so must the 1e5
-# budget run on one CPU with `taskset`, which writes it in one process; each
-# run's manifest.json must list exactly the other files of its directory, and
+# and one on 1e5 points with two budget.include terms off (zero columns) and
+# the ISS off (the two intensity columns swap roles), twice; the two output
+# trees must be byte-identical, and so must the two 1e5 budget runs on one
+# CPU with `taskset`, which writes each in one process; each run's
+# manifest.json must list exactly the other files of its directory, and
 # every number of the terms-off budget's two CSVs must be its own "%.17g"
-# text.  A
-# copy of paper_default with a misspelled key must fail with one hinted line,
-# one that sets the retired cavity.input_power_w with one line saying why, one
-# that sets the retired cavity.mirror_mass_kg with one line naming
-# suspension.final_stage.mass_kg,
+# text.  A copy of paper_default with a misspelled key must fail with one
+# hinted line, one that sets the retired cavity.input_power_w with one line
+# saying why, one that sets the retired cavity.mirror_mass_kg with one line
+# naming suspension.final_stage.mass_kg,
 # a budget on a grid too high for its summary must fail with one line before
 # its first block and leave no output directory and no staging file, a
 # default `quantum` must print one stderr line, the free-mass warning, and
@@ -44,12 +44,13 @@ case "$module" in
 esac
 echo "suscav from $module"
 
-# paper_default with the acoustic and pll terms switched off
+# paper_default with the acoustic and pll terms and the ISS switched off
 python - terms_off.json <<'PY'
 import json, sys
 from importlib.resources import files
 cfg = json.loads(files("suscav").joinpath("configs", "paper_default.json").read_text())
 cfg.setdefault("budget", {}).setdefault("include", {}).update(acoustic=False, pll=False)
+cfg["intensity"]["iss"]["enabled"] = False
 with open(sys.argv[1], "w") as fh:
     json.dump(cfg, fh)
 PY
@@ -67,13 +68,17 @@ for run in 1 2; do
 done
 diff -r run1 run2
 
-# the 1e5 budget once more on one CPU, where one process writes it: the same
-# bytes as the default run, which splits it between two processes when it
-# may use two CPUs
+# the 1e5 budgets once more on one CPU, where one process writes each: the
+# same bytes as the default runs, which split them between two processes
+# when they may use two CPUs
 taskset -c 0 suscav budget --grid 0.1,1e4,100000 --out serial/budget-1e5
-[ "$(ls run1/budget-1e5)" = "$(ls serial/budget-1e5)" ]
-for name in $(ls run1/budget-1e5); do
-  cmp "run1/budget-1e5/$name" "serial/budget-1e5/$name"
+taskset -c 0 suscav budget --config terms_off.json --grid 0.1,1e4,100000 \
+  --out serial/budget-1e5-terms-off
+for run in budget-1e5 budget-1e5-terms-off; do
+  [ "$(ls "run1/$run")" = "$(ls "serial/$run")" ]
+  for name in $(ls "run1/$run"); do
+    cmp "run1/$run/$name" "serial/$run/$name"
+  done
 done
 
 # every run's manifest lists exactly the other files of its directory
@@ -88,7 +93,7 @@ for top, _, names in os.walk(sys.argv[1]):
 PY
 
 # the installed writer against its definition at full size, over the zero
-# columns of the terms switched off and the flat pll column
+# columns of the terms switched off and the ISS-off intensity columns
 python - run1/budget-1e5-terms-off/budget.csv run1/budget-1e5-terms-off/budget_rms.csv <<'PY'
 import sys
 for path in sys.argv[1:]:

@@ -26,7 +26,6 @@ from .quantum import (
 )
 from .readout import (
     AcousticPeak,
-    IntensityNoiseConfig,
     ReadoutConfig,
     SaturationWarning,
     acoustic_peaks,

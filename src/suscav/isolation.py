@@ -71,7 +71,7 @@ class ZPK:
                 bad = np.nonzero(d == 0.0)[0]
                 if bad.size:
                     raise NumericalError(
-                        "transfer-function pole lies on the evaluation grid",
+                        "transfer-function pole on the imaginary axis at an evaluated frequency",
                         frequency_hz=grid.values[bad[0]],
                     )
             h = h / d

@@ -78,43 +78,22 @@ def pll_noise_asd(config, cav, grid):
     return Spectrum(grid, np.full(len(grid), level), UNIT_DISPLACEMENT)
 
 
-@dataclass(frozen=True, eq=False)
-class IntensityNoiseConfig:
-    rin: Spectrum                    # relative intensity noise [1/rtHz]
-    iss_suppression: np.ndarray      # >= 1 everywhere, aligned with rin.grid
-    circulating_power: float         # [W]
-    susceptibility: np.ndarray       # mirror force response [m/N] on the grid
-
-    def __post_init__(self):
-        if self.rin.unit != UNIT_RELATIVE:
-            raise UnitError(f"RIN spectrum must be {UNIT_RELATIVE!r}")
-        iss = np.asarray(self.iss_suppression, dtype=float)
-        chi = np.asarray(self.susceptibility)
-        if iss.shape != self.rin.grid.values.shape:
-            raise GridError("ISS suppression does not match the grid")
-        if chi.shape != self.rin.grid.values.shape:
-            raise GridError("susceptibility does not match the grid")
-        if np.any(iss < 1.0):
-            raise ConfigError("ISS suppression must be >= 1 everywhere")
-        if self.circulating_power < 0.0:
-            raise ConfigError("circulating power must be >= 0")
-        object.__setattr__(self, "iss_suppression", iss)
-        object.__setattr__(self, "susceptibility", chi)
-
-
-def intensity_rp_displacement(config, grid, iss_on=True):
-    """Classical radiation-pressure displacement from intensity noise.
+def intensity_rp_displacement(rin, circulating_power, susceptibility, grid):
+    """Classical radiation-pressure displacement from intensity noise, without
+    the ISS (`iss_profile` gives the factor the ISS divides it by).
 
     Force ASD = 2 * P_c * RIN / c on the mirror, times the mirror's
-    mechanical susceptibility; the ISS divides the result in its band.
+    mechanical susceptibility `susceptibility` [m/N] on the grid.
     """
-    if not config.rin.grid.same_as(grid):
+    if rin.unit != UNIT_RELATIVE:
+        raise UnitError(f"RIN spectrum must be {UNIT_RELATIVE!r}")
+    if not rin.grid.same_as(grid):
         raise GridError("RIN spectrum grid does not match the analysis grid")
-    force = 2.0 * config.circulating_power * config.rin.asd / C_LIGHT
-    asd = np.abs(config.susceptibility) * force
-    if iss_on:
-        asd = asd / config.iss_suppression
-    return Spectrum(grid, asd, UNIT_DISPLACEMENT)
+    chi = np.asarray(susceptibility)
+    if chi.shape != grid.values.shape:
+        raise GridError("susceptibility does not match the grid")
+    force = 2.0 * circulating_power * rin.asd / C_LIGHT
+    return Spectrum(grid, np.abs(chi) * force, UNIT_DISPLACEMENT)
 
 
 def iss_profile(grid, peak=5.0, band=(30.0, 100.0)):

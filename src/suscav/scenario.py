@@ -40,7 +40,6 @@ from .isolation import (
 )
 from .readout import (
     AcousticPeak,
-    IntensityNoiseConfig,
     ReadoutConfig,
     SaturationWarning,
     acoustic_peaks,
@@ -120,13 +119,8 @@ class _Shared:
     @cached_property
     def intensity(self):
         s, grid = self.scenario, self.grid
-        iss = s.config["intensity"]["iss"]
-        return IntensityNoiseConfig(
-            rin=Spectrum(grid, s.rin.asd(grid), UNIT_RELATIVE),
-            iss_suppression=iss_profile(grid, iss["peak_suppression"], iss["band_hz"]),
-            circulating_power=s.quantum.circulating_power,
-            susceptibility=self.chi,
-        )
+        return intensity_rp_displacement(Spectrum(grid, s.rin.asd(grid), UNIT_RELATIVE),
+                                         s.quantum.circulating_power, self.chi, grid)
 
 
 def _seismic(s, grid, shared):
@@ -146,6 +140,13 @@ def _quantum_total(s, grid, shared):
 
 def _iss_on(s):
     return s.config["intensity"]["iss"]["enabled"]
+
+
+def _intensity_iss_on(s, grid, shared):
+    # the ISS divides the shared radiation-pressure displacement in its band
+    iss = s.config["intensity"]["iss"]
+    suppression = iss_profile(grid, iss["peak_suppression"], iss["band_hz"])
+    return Spectrum(grid, shared.intensity.asd / suppression, UNIT_DISPLACEMENT).scaled(ROOT2)
 
 
 class Term(NamedTuple):
@@ -169,10 +170,9 @@ TERMS = (
     Term("seismic", "seismic", _seismic),
     Term("suspension_thermal", "thermal", lambda s, grid, shared: thermal_displacement(
         s.thermal, shared.chi, grid).scaled(ROOT2).scaled(ROOT2)),
-    Term("intensity_rp_iss_on", "intensity", lambda s, grid, shared: intensity_rp_displacement(
-        shared.intensity, grid, iss_on=True).scaled(ROOT2), _iss_on),
-    Term("intensity_rp_iss_off", "intensity", lambda s, grid, shared: intensity_rp_displacement(
-        shared.intensity, grid, iss_on=False).scaled(ROOT2), lambda s: not _iss_on(s)),
+    Term("intensity_rp_iss_on", "intensity", _intensity_iss_on, _iss_on),
+    Term("intensity_rp_iss_off", "intensity",
+         lambda s, grid, shared: shared.intensity.scaled(ROOT2), lambda s: not _iss_on(s)),
     Term("adc", "adc", lambda s, grid, shared: adc_noise_asd(s.readout, s.cavity, grid)),
     Term("pll", "pll", lambda s, grid, shared: pll_noise_asd(s.readout, s.cavity, grid)),
     Term("acoustic", "acoustic", lambda s, grid, shared: acoustic_peaks(s.acoustic, grid)),
@@ -717,7 +717,7 @@ def run_budget(scenario, outdir):
         })
         lo = np.searchsorted(grid.values, 100.0, side="left")
         hi = np.searchsorted(grid.values, 1000.0, side="right")
-        if grid.fmin <= 100.0 and 1000.0 <= grid.fmax and hi > lo:
+        if grid.covers(100.0, 1000.0) and hi > lo:
             summary["min_asd_100_1000_hz_m_rthz"] = float(np.min(total[lo:hi]))
         _write_split(path, n, lambda part, lo, hi: write_csv(
             part, ["frequency_hz", "rms_m"], [grid.values[lo:hi], rms.asd[lo:hi]]))
@@ -778,7 +778,7 @@ def run_isolation(scenario, outdir):
     passive = Spectrum(grid, np.abs(result.passive) * ground, UNIT_DISPLACEMENT)
     active = Spectrum(grid, np.abs(result.suppression) * ground, UNIT_DISPLACEMENT)
     summary = {}
-    if grid.fmin <= 0.5 and 50.0 <= grid.fmax:
+    if grid.covers(0.5, 50.0):
         rms_passive, rms_active = band_rms(passive, 0.5, 50.0), band_rms(active, 0.5, 50.0)
         summary = {
             "rms_passive_m_0p5_50hz": rms_passive,

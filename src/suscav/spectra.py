@@ -98,6 +98,10 @@ class FrequencyGrid:
     def fmax(self):
         return float(self.values[-1])
 
+    def covers(self, fmin, fmax):
+        """Whether the grid spans the whole band [fmin, fmax]."""
+        return self.fmin <= fmin and fmax <= self.fmax
+
     def same_as(self, other):
         return self.values.shape == other.values.shape and np.array_equal(
             self.values, other.values
@@ -230,19 +234,19 @@ def cumulative_rms(spectrum):
 
 
 def band_rms(spectrum, fmin, fmax):
-    """RMS over [fmin, fmax]; PSD is interpolated linearly at the edges."""
+    """RMS over [fmin, fmax]; PSD is interpolated linearly at the edges.
+    A band the grid does not cover is refused: its RMS would be another band's."""
     if not (fmin < fmax):
         raise GridError(f"need fmin < fmax, got ({fmin}, {fmax})")
-    f = spectrum.grid.values
-    lo = max(fmin, f[0])
-    hi = min(fmax, f[-1])
-    if lo >= hi:
-        return 0.0
-    psd = spectrum.psd
-    inside = (f > lo) & (f < hi)
-    fs = np.concatenate([[lo], f[inside], [hi]])
+    grid = spectrum.grid
+    if not grid.covers(fmin, fmax):
+        raise GridError(f"band {fmin:g}-{fmax:g} Hz is not covered by the grid "
+                        f"{grid.fmin:g}-{grid.fmax:g} Hz")
+    f, psd = grid.values, spectrum.psd
+    inside = (f > fmin) & (f < fmax)
+    fs = np.concatenate([[fmin], f[inside], [fmax]])
     ps = np.concatenate([
-        [np.interp(lo, f, psd)], psd[inside], [np.interp(hi, f, psd)]
+        [np.interp(fmin, f, psd)], psd[inside], [np.interp(fmax, f, psd)]
     ])
     return float(np.sqrt(np.trapezoid(ps, fs)))
 

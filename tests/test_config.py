@@ -474,3 +474,31 @@ def test_readme_lists_every_config_key():
     assert len(leaves) > 70
     assert leaves <= rows, sorted(leaves - rows)
     assert rows <= leaves, sorted(rows - leaves)
+
+
+# -- the README Python API block ---------------------------------------------
+
+def test_readme_python_block_gives_its_quoted_numbers(tmp_path, monkeypatch):
+    """The block runs as written, its config path aside, which names the
+    packaged config here, and gives each number its comments quote to the
+    digits quoted."""
+    import suscav
+
+    text = README.read_text()
+    block = text[text.index("```python\n") + len("```python\n"):]
+    block = block[:block.index("```")]
+    relative = "src/suscav/configs/paper_default.json"
+    assert relative in block
+    block = block.replace(relative, str(resolve_config("paper_default")))
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FreeMassValidityWarning)
+        exec(block, namespace)
+    assert (tmp_path / "out_budget" / "budget.csv").exists()
+    quoted = re.findall(r"~([0-9.e]+)", block)
+    assert quoted == ["3.93e5", "4018", "0.138"]
+    cav = namespace["cav"]
+    for value, text in zip((suscav.finesse(cav), suscav.fwhm(cav), namespace["pc"]), quoted):
+        digits = len(text.split("e")[0].replace(".", "").lstrip("0"))
+        assert float(f"{value:.{digits - 1}e}") == float(text), (value, text)

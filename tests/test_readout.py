@@ -5,7 +5,6 @@ from suscav.errors import ConfigError, GridError, UnitError
 from suscav.isolation import ZPK
 from suscav.readout import (
     AcousticPeak,
-    IntensityNoiseConfig,
     ReadoutConfig,
     acoustic_peaks,
     adc_noise_asd,
@@ -14,6 +13,7 @@ from suscav.readout import (
     pll_noise_asd,
     saturation_margin,
 )
+from suscav.scenario import assemble_budget
 from suscav.spectra import (
     UNIT_DISPLACEMENT,
     UNIT_RELATIVE,
@@ -96,48 +96,41 @@ class TestPllNoise:
             sum_uncorrelated([displacement, relative])
 
 
-def intensity_config(grid, pc=15.0, rin=1.8e-4, iss=None, chi=None):
-    if iss is None:
-        iss = iss_profile(grid)
-    if chi is None:
-        chi = 1.0 / (0.01 * grid.angular ** 2)
-    return IntensityNoiseConfig(
-        rin=Spectrum(grid, np.full(len(grid), rin), UNIT_RELATIVE),
-        iss_suppression=iss,
-        circulating_power=pc,
-        susceptibility=chi,
-    )
+def intensity(grid, pc=15.0, rin=1.8e-4, unit=UNIT_RELATIVE, rin_grid=None):
+    """Intensity displacement of a free 10 g mass, chi = 1/(m w^2)."""
+    rin_grid = grid if rin_grid is None else rin_grid
+    return intensity_rp_displacement(
+        Spectrum(rin_grid, np.full(len(rin_grid), rin), unit), pc,
+        1.0 / (0.01 * grid.angular ** 2), grid)
 
 
 class TestIntensityNoise:
     def test_zero_rin_zero_output(self, grid_band):
-        cfg = intensity_config(grid_band, rin=0.0)
-        assert np.all(intensity_rp_displacement(cfg, grid_band).asd == 0.0)
-
-    def test_iss_divides_pointwise(self, grid_band):
-        cfg = intensity_config(grid_band)
-        on = intensity_rp_displacement(cfg, grid_band, iss_on=True)
-        off = intensity_rp_displacement(cfg, grid_band, iss_on=False)
-        assert np.allclose(on.asd, off.asd / cfg.iss_suppression, rtol=1e-12)
-        assert np.all(on.asd <= off.asd)
+        assert np.all(intensity(grid_band, rin=0.0).asd == 0.0)
 
     def test_free_mass_asymptote(self, grid_band):
         # chi = 1/(m w^2): ASD = 2 Pc RIN / (c m w^2)
         from suscav.constants import C_LIGHT
-        cfg = intensity_config(grid_band)
-        off = intensity_rp_displacement(cfg, grid_band, iss_on=False)
         expected = 2.0 * 15.0 * 1.8e-4 / (C_LIGHT * 0.01 * grid_band.angular ** 2)
-        assert np.allclose(off.asd, expected, rtol=1e-12)
-
-    def test_iss_below_one_rejected(self, grid_band):
-        with pytest.raises(ConfigError):
-            intensity_config(grid_band, iss=np.full(len(grid_band), 0.5))
+        assert np.allclose(intensity(grid_band).asd, expected, rtol=1e-12)
 
     def test_grid_mismatch_rejected(self, grid_band):
-        other = make_log_grid(0.1, 1e4, 999)
-        cfg = intensity_config(other)
         with pytest.raises(GridError):
-            intensity_rp_displacement(cfg, grid_band)
+            intensity(grid_band, rin_grid=make_log_grid(0.1, 1e4, 999))
+
+    def test_rin_of_another_unit_rejected(self, grid_band):
+        with pytest.raises(UnitError):
+            intensity(grid_band, unit=UNIT_DISPLACEMENT)
+
+    def test_iss_divides_the_budget_columns_pointwise(self, default_scenario):
+        budget = assemble_budget(default_scenario)
+        on = budget.components["intensity_rp_iss_on"].asd
+        off = budget.references["intensity_rp_iss_off"].asd
+        iss = default_scenario.config["intensity"]["iss"]
+        suppression = iss_profile(default_scenario.grid, iss["peak_suppression"],
+                                  iss["band_hz"])
+        assert np.allclose(on * suppression, off, rtol=1e-12)
+        assert np.all(on <= off)
 
 
 class TestIssProfile:
@@ -152,6 +145,10 @@ class TestIssProfile:
         prof = iss_profile(grid_band, peak=5.0, band=(30.0, 100.0))
         assert prof[0] == pytest.approx(1.0, abs=1e-3)
         assert prof[-1] == pytest.approx(1.0, abs=1e-3)
+
+    def test_peak_below_one_rejected(self, grid_band):
+        with pytest.raises(ConfigError, match="peak suppression must be >= 1"):
+            iss_profile(grid_band, peak=0.5)
 
 
 class TestAcousticPeaks:

@@ -275,6 +275,26 @@ def test_budget_never_finds_loop_crossings(default_scenario, monkeypatch, tmp_pa
         run_isolation(default_scenario, tmp_path)
 
 
+@pytest.mark.parametrize("iss", [True, False])
+def test_budget_computes_the_intensity_displacement_once_a_block(config_factory, monkeypatch,
+                                                                  tmp_path, iss):
+    """Both intensity columns come from one radiation-pressure response: one
+    call for each block of both processes and one for the 100 Hz value."""
+    import suscav.scenario
+
+    cfg = config_factory()
+    cfg["intensity"]["iss"]["enabled"] = iss
+    n = 2 * BUDGET_BLOCK_ROWS + 100
+    scenario = Scenario.from_dict(cfg, grid_override=make_log_grid(0.1, 1e4, n))
+    calls, compute = _Log(tmp_path / "calls.log"), suscav.scenario.intensity_rp_displacement
+    monkeypatch.setattr(suscav.scenario, "intensity_rp_displacement",
+                        lambda *a, **k: calls.append(1) or compute(*a, **k))
+    forks = _forking(monkeypatch, cpus={0, 1})
+    run_budget(scenario, tmp_path / "b")
+    assert len(forks) == 2
+    assert len(calls.read()) == -(-n // BUDGET_BLOCK_ROWS) + 1
+
+
 def test_switched_off_parts_skip_their_responses(config_factory, monkeypatch, tmp_path):
     cfg = config_factory()
     cfg["budget"] = {"include": {"seismic": False, "thermal": False, "intensity": False}}
@@ -601,7 +621,8 @@ def test_failure_in_the_last_block_writes_nothing(config_factory, tmp_path, caps
     out = tmp_path / "o"
     failing = ["budget", "--config", str(path), "--grid", grid, "--out", str(out)]
     assert main(failing) == 2
-    assert "pole lies on the evaluation grid (at 10000 Hz)" in capsys.readouterr().err
+    assert ("pole on the imaginary axis at an evaluated frequency (at 10000 Hz)"
+            in capsys.readouterr().err)
     assert os.listdir(tmp_path) == ["pole.json"]
     assert main(["budget", "--grid", grid, "--out", str(out)]) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -939,6 +960,16 @@ class TestCli:
             summary = json.loads((out / f"{command}_summary.json").read_text())
             assert all((key in summary) == (not args) for key in keys)
 
+    def test_iss_peak_below_one_is_a_config_error(self, tmp_path, config_factory, capsys):
+        cfg = config_factory()
+        cfg["intensity"]["iss"]["peak_suppression"] = 0.5
+        path = tmp_path / "iss.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["budget", "--config", str(path), "--out", str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().err == (
+            "suscav: config error: peak suppression must be >= 1\n")
+        assert not (tmp_path / "b").exists()
+
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         code = main(["budget", "--config", "no_such_config",
                      "--out", str(tmp_path)])
@@ -977,8 +1008,9 @@ class TestCli:
         assert 100.0 not in Scenario.from_dict(cfg).grid.values
         code = main(["budget", "--config", str(path), "--out", str(tmp_path / "b")])
         assert code == 2
-        assert capsys.readouterr().err == ("suscav: numerical error: transfer-function pole "
-                                           "lies on the evaluation grid (at 100 Hz)\n")
+        assert capsys.readouterr().err == ("suscav: numerical error: transfer-function pole on "
+                                           "the imaginary axis at an evaluated frequency "
+                                           "(at 100 Hz)\n")
         assert not (tmp_path / "b").exists()
 
     def test_env_config_dir(self, tmp_path, config_factory, monkeypatch):

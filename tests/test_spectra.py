@@ -246,9 +246,14 @@ class TestBandRms:
             a * np.sqrt(49.5), rel=1e-6
         )
 
-    def test_band_outside_grid_clamps(self):
-        grid = make_log_grid(1.0, 10.0, 50)
-        assert band_rms(flat(grid, 1.0), 20.0, 30.0) == 0.0
+    @pytest.mark.parametrize("fmin, fmax", [(20.0, 30.0), (5.0, 30.0), (0.01, 1.0)])
+    def test_band_the_grid_does_not_cover_is_refused(self, fmin, fmax):
+        """Clipped to the grid, these bands would give 0, the RMS over 5-10 Hz
+        and that over 0.1-1 Hz."""
+        grid = make_log_grid(0.1, 10.0, 100)
+        with pytest.raises(GridError, match=f"band {fmin:g}-{fmax:g} Hz is not covered "
+                                            "by the grid 0.1-10 Hz"):
+            band_rms(flat(grid, 1.0), fmin, fmax)
 
 
 class TestNoiseBudget:
