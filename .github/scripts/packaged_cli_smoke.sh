@@ -5,7 +5,8 @@
 # 1e5-point grid (above 16,384 points numpy evaluates some expressions in
 # place), one on 20001 points (not a whole number of the budget's blocks)
 # and one on 1e5 points with two budget.include terms off (zero columns) and
-# the ISS off (the two intensity columns swap roles), twice; the two output
+# the ISS off (the two intensity columns swap roles), and one with the active
+# isolation off (the passive platform), twice; the two output
 # trees must be byte-identical, and so must the two 1e5 budget runs on one
 # CPU with `taskset`, which writes each in one process; each run's
 # manifest.json must list exactly the other files of its directory, and
@@ -15,7 +16,10 @@
 # saying why, one that sets the retired cavity.mirror_mass_kg with one line
 # naming suspension.final_stage.mass_kg,
 # a budget on a grid too high for its summary must fail with one line before
-# its first block and leave no output directory and no staging file, a
+# its first block and leave no output directory and no staging file, a copy
+# with the servo gain negated must fail `budget` with one line naming the
+# unstable loop and no output directory, and run `isolation`, which reports
+# the loop unstable, a
 # default `quantum` must print one stderr line, the free-mass warning, and
 # one on a grid whose noise overflows must exit 2 and print only its
 # numerical error, `quantum --config paper_default --out paper_default` must
@@ -54,6 +58,17 @@ cfg["intensity"]["iss"]["enabled"] = False
 with open(sys.argv[1], "w") as fh:
     json.dump(cfg, fh)
 PY
+# paper_default with the active isolation off, and with the servo gain negated
+python - <<'PY'
+import json
+from importlib.resources import files
+cfg = json.loads(files("suscav").joinpath("configs", "paper_default.json").read_text())
+iso = cfg["isolation"]
+servo = dict(iso["servo"], gain=-iso["servo"]["gain"])
+for name, changed in (("passive", {"active": False}), ("unstable", {"servo": servo})):
+    with open(f"{name}.json", "w") as fh:
+        json.dump(dict(cfg, isolation=dict(iso, **changed)), fh)
+PY
 
 for run in 1 2; do
   for config in paper_default cryo_projection sql_design; do
@@ -65,6 +80,7 @@ for run in 1 2; do
   suscav budget --grid 0.1,1e4,20001 --out "run$run/budget-20001"
   suscav budget --config terms_off.json --grid 0.1,1e4,100000 \
     --out "run$run/budget-1e5-terms-off"
+  suscav budget --config passive.json --out "run$run/budget-passive"
 done
 diff -r run1 run2
 
@@ -163,6 +179,24 @@ if [ "$code" != 1 ] || [ "$(wc -l <failed.err)" -ne 1 ] \
   cat failed.err >&2
   exit 1
 fi
+# an unstable isolation loop: budget exits 1 with one config error line and
+# writes nothing; isolation exits 0 and reports the loop unstable
+code=0
+suscav budget --config unstable.json --out unstable 2>unstable.err || code=$?
+if [ "$code" != 1 ] || [ "$(wc -l <unstable.err)" -ne 1 ] \
+    || ! grep -qxF "suscav: config error: the horizontal isolation loop is unstable" unstable.err \
+    || [ -e unstable ]; then
+  echo "unstable loop: want budget to exit 1 with one config error line and no" \
+    "output directory, got exit $code:" >&2
+  cat unstable.err >&2
+  exit 1
+fi
+suscav isolation --config unstable.json --out unstable-isolation
+if ! grep -q '"closed_loop_stable": false' unstable-isolation/isolation_summary.json; then
+  echo "unstable loop: want isolation to report closed_loop_stable false, got:" >&2
+  cat unstable-isolation/isolation_summary.json >&2
+  exit 1
+fi
 # a command warns once its results are computed: a default quantum run prints
 # the free-mass warning alone, one whose noise overflows only its numerical
 # error
@@ -251,7 +285,7 @@ diff -r ground/lf ground/crlf
 
 echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical across runs" \
   "and listed by their manifests; a misspelled key exits 1 with a hint" \
-  "and a retired key with its reason;" \
+  "and a retired key with its reason; an unstable loop fails budget alone;" \
   "100 Hz values are the same on any grid and band values absent off the band;" \
   "a failing command writes nothing and warns of nothing; an absent input file" \
   "fails only the command that reads it; LF and CRLF ground files give the same" \

@@ -14,6 +14,7 @@ from .isolation import (
     PlatformParams,
     ZPK,
     closed_loop,
+    loop_gain,
 )
 from .quantum import (
     FreeMassValidityWarning,

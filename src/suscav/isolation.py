@@ -3,13 +3,14 @@
 The platform is a payload on soft rubber feet (second-order ground-to-
 payload transmissibility).  Geophones sense payload velocity, a servo
 filters the signal and coil-magnet actuators push against the rigid
-support frame, closing a per-axis feedback loop.  All analysis is in the
-frequency domain on a shared grid.
+support frame, closing a per-axis feedback loop.
 
 Loop sign convention: the servo output drives a force opposing payload
 velocity, so a positive servo gain damps.  The ground-to-payload
 suppression is passive/(1 + G) with loop gain
-G = (force response) * s * geophone * servo * actuator.
+G = (force response) * s * geophone * servo * actuator.  `loop_gain`
+builds G of one axis as one ZPK with no grid, which gives the stability
+verdict; `closed_loop` evaluates a given G on a grid.
 """
 
 from __future__ import annotations
@@ -67,13 +68,10 @@ class ZPK:
             d = s - p
             # the real part of s is exactly +0.0: only a pole on the
             # imaginary axis can meet a grid point
-            if p.real == 0.0:
-                bad = np.nonzero(d == 0.0)[0]
-                if bad.size:
-                    raise NumericalError(
-                        "transfer-function pole on the imaginary axis at an evaluated frequency",
-                        frequency_hz=grid.values[bad[0]],
-                    )
+            if p.real == 0.0 and not d.all():
+                raise NumericalError(
+                    "transfer-function pole on the imaginary axis at an evaluated frequency",
+                    frequency_hz=grid.values[np.argmin(d != 0.0)])
             h = h / d
         return h
 
@@ -197,7 +195,6 @@ class LoopResult:
     loop_gain: np.ndarray
     suppression: np.ndarray        # ground -> payload with the loop closed
     passive: np.ndarray            # ground -> payload with the loop open
-    gain: ZPK                      # the loop gain G
 
     @cached_property
     def _margins(self):
@@ -244,27 +241,18 @@ def loop_gain(platform, geophone, actuator, servo, axis=HORIZONTAL):
     return platform.force(axis) * velocity * geophone.zpk() * servo * actuator.zpk()
 
 
-def closed_loop(platform, geophone, actuator, servo, grid, axis=HORIZONTAL):
-    """Close the inertial loop of one axis on `grid`.
+def closed_loop(gain, passive, grid):
+    """Close the loop gain `gain` (a ZPK from `loop_gain`) on `grid` around
+    `passive`, the open-loop ZPK of the same axis (`PlatformParams.passive`).
 
     The loop gain's frequency response gives the suppression and, on
-    first read, the unity-gain frequencies and phase margins; the gain
-    itself gives the stability verdict with no grid.
+    first read, the unity-gain frequencies and phase margins.
     """
-    gain = loop_gain(platform, geophone, actuator, servo, axis)
     loop = gain.evaluate(grid)
     one_plus = 1.0 + loop
     small = np.abs(one_plus) < 1e-9
-    if np.any(small):
-        raise NumericalError(
-            "closed loop is ill-conditioned (|1+G| < 1e-9)",
-            frequency_hz=grid.values[np.nonzero(small)[0][0]],
-        )
-    passive = platform.passive(axis).evaluate(grid)
-    return LoopResult(
-        grid=grid,
-        loop_gain=loop,
-        suppression=passive / one_plus,
-        passive=passive,
-        gain=gain,
-    )
+    if small.any():
+        raise NumericalError("closed loop is ill-conditioned (|1+G| < 1e-9)",
+                             frequency_hz=grid.values[np.argmax(small)])
+    passive = passive.evaluate(grid)
+    return LoopResult(grid=grid, loop_gain=loop, suppression=passive / one_plus, passive=passive)

@@ -94,8 +94,8 @@ def _platform_suppression(s, grid, axis):
     passive/(1 + G) describes no physical platform.
     """
     if not s.config["isolation"]["active"]:
-        return s.platform.passive(axis).evaluate(grid)
-    result = closed_loop(s.platform, s.geophone, s.actuator, s.servo, grid, axis=axis)
+        return s.passive[axis].evaluate(grid)
+    result = closed_loop(s.loop_gain[axis], s.passive[axis], grid)
     if not s.loop_stable[axis]:
         raise ConfigError(f"the {axis} isolation loop is unstable")
     return result.suppression
@@ -190,6 +190,8 @@ def _is_number(value):
 
 # Kinds of leaf value: (accepts, description).
 NUMBER = (_is_number, "a finite number")
+POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+NON_NEGATIVE = (lambda v: _is_number(v) and v >= 0, "a number >= 0")
 INTEGER = (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), "an integer")
 FLAG = (lambda v: isinstance(v, bool), "true or false")
 PATH = (lambda v: isinstance(v, str), "a file path")
@@ -229,7 +231,8 @@ _CSV = {"csv": Key(PATH)}
 
 # The config in the shape of the JSON.  A section is a dict and may be left
 # out when every key in it has a default; [section] is a list of objects,
-# empty by default.  Range checks are the parameter objects' own.
+# empty by default.  Range checks are the parameter objects' own; the
+# closed-form input spectra check nothing, so their keys' kinds hold the range.
 SCHEMA = {
     "grid": {"fmin_hz": Key(NUMBER, arg="fmin"), "fmax_hz": Key(NUMBER, arg="fmax"),
              "n": Key(INTEGER, arg="n")},
@@ -271,7 +274,8 @@ SCHEMA = {
             "quality_factor": Key(NUMBER, 0.3, "quality_factor"),
         },
         "servo": _ZPK,
-        "ground": Choice(({"level_m_rthz": Key(NUMBER), "corner_hz": Key(NUMBER, 1.0)}, _CSV)),
+        "ground": Choice(({"level_m_rthz": Key(NON_NEGATIVE), "corner_hz": Key(POSITIVE, 1.0)},
+                          _CSV)),
         "active": Key(FLAG, True),
     },
     "readout": {
@@ -284,7 +288,7 @@ SCHEMA = {
         "whitening": _ZPK,
     },
     "intensity": {
-        "rin_per_rthz": Choice((_CSV, Key(NUMBER))),
+        "rin_per_rthz": Choice((_CSV, Key(NON_NEGATIVE))),
         "iss": {"enabled": Key(FLAG, True), "peak_suppression": Key(NUMBER, 5.0),
                 "band_hz": Key(PAIR, (30.0, 100.0))},
     },
@@ -438,8 +442,8 @@ class Scenario:
     config: dict
 
     # What no grid enters, made on first use and kept for every grid the
-    # scenario is evaluated on: the suspension models and each isolation
-    # loop's stability, from the poles of its loop gain.
+    # scenario is evaluated on: the suspension models, each axis's open-loop
+    # platform and isolation loop gain, and that loop's stability.
     @cached_property
     def horizontal_model(self):
         return build_model(self.chain, HORIZONTAL)
@@ -449,9 +453,17 @@ class Scenario:
         return build_model(self.chain, VERTICAL)
 
     @cached_property
+    def passive(self):
+        return {axis: self.platform.passive(axis) for axis in (HORIZONTAL, VERTICAL)}
+
+    @cached_property
+    def loop_gain(self):
+        return {axis: loop_gain(self.platform, self.geophone, self.actuator, self.servo, axis)
+                for axis in (HORIZONTAL, VERTICAL)}
+
+    @cached_property
     def loop_stable(self):
-        return {axis: loop_gain(self.platform, self.geophone, self.actuator, self.servo,
-                                axis).feedback_stable() for axis in (HORIZONTAL, VERTICAL)}
+        return {axis: gain.feedback_stable() for axis, gain in self.loop_gain.items()}
 
     @classmethod
     def from_dict(cls, cfg, grid_override=None):
@@ -723,8 +735,8 @@ def run_budget(scenario, outdir):
             part, ["frequency_hz", "rms_m"], [grid.values[lo:hi], rms.asd[lo:hi]]))
 
     # block 0 first, here: what the budget needs and no grid enters (the
-    # suspension models, the loops' stability, an input CSV) is made once,
-    # before a forked writer inherits it
+    # suspension models and their tree plans, the platform and loop ZPKs, the
+    # loops' stability, an input CSV) is made once, before a forked writer inherits it
     first = [assemble_budget(scenario, FrequencyGrid(grid.values[:BUDGET_BLOCK_ROWS]))]
     in_total = [t.column for t in TERMS if t.in_total(scenario)]
     references = [t.column for t in TERMS if not t.in_total(scenario)]
@@ -773,8 +785,7 @@ def run_isolation(scenario, outdir):
     """Passive/active platform comparison; returns the RMS summary."""
     grid = scenario.grid
     ground = scenario.ground.asd(grid)
-    result = closed_loop(scenario.platform, scenario.geophone, scenario.actuator,
-                         scenario.servo, grid)
+    result = closed_loop(scenario.loop_gain[HORIZONTAL], scenario.passive[HORIZONTAL], grid)
     passive = Spectrum(grid, np.abs(result.passive) * ground, UNIT_DISPLACEMENT)
     active = Spectrum(grid, np.abs(result.suppression) * ground, UNIT_DISPLACEMENT)
     summary = {}

@@ -103,9 +103,7 @@ class FrequencyGrid:
         return self.fmin <= fmin and fmax <= self.fmax
 
     def same_as(self, other):
-        return self.values.shape == other.values.shape and np.array_equal(
-            self.values, other.values
-        )
+        return self is other or np.array_equal(self.values, other.values)
 
     @property
     def angular(self):

@@ -109,7 +109,7 @@ class SpringElement:
 
 @dataclass(frozen=True, eq=False)
 class LinearModel:
-    """Assembled M, C, K system with its element list and output maps."""
+    """Assembled M, C, K system with its element list, output maps and tree plans."""
 
     masses: np.ndarray
     springs: tuple
@@ -135,10 +135,18 @@ class LinearModel:
         arr.setflags(write=False)
         object.__setattr__(self, "masses", arr)
         object.__setattr__(self, "springs", springs)
+        object.__setattr__(self, "_plans", {})
 
     @property
     def ndof(self):
         return self.masses.size
+
+    def plan(self, root, output, leaves=()):
+        """The `_tree_plan` of this root, output and leaves, derived once for every grid."""
+        key = root, output, leaves
+        if key not in self._plans:
+            self._plans[key] = _tree_plan(self, *key)
+        return self._plans[key]
 
     def _assemble(self, weight):
         mat = np.zeros((self.ndof, self.ndof))
@@ -268,12 +276,9 @@ def eigenmodes(model):
 
 
 def _nonzero_pivot(d, grid):
-    zero = np.flatnonzero(d == 0.0)
-    if zero.size:
-        raise NumericalError(
-            "zero pivot in the dynamic stiffness",
-            frequency_hz=float(grid.values[zero[0]]),
-        )
+    if not d.all():
+        raise NumericalError("zero pivot in the dynamic stiffness",
+                             frequency_hz=float(grid.values[np.argmin(d != 0.0)]))
     return d
 
 
@@ -294,17 +299,42 @@ def _kappa(spring, omega):
     return kappa
 
 
+def _tree_plan(model, root, output, leaves):
+    """How `_tree_solve` eliminates `model`'s tree rooted at `root` (ground
+    is -1), found breadth first with no grid.  Returns the steps, leaf to
+    root, one per node but the root: (node, next node towards the root, the
+    spring joining them, whether its (kappa, pivot) pair is kept, being on
+    the path or in `leaves`); the path from the root to `output`, root side
+    first; and, when a force drives, the spring of each node hung from ground."""
+    towards = {root: (None, None)}      # node -> (next node towards the root, spring)
+    order = [root]
+    for v in order:
+        for s in model.springs:
+            w = s.child if s.parent == v else s.parent if s.child == v else -1
+            if w != -1 and w not in towards:
+                towards[w] = v, s
+                order.append(w)
+    path = []
+    v = output
+    while v != root:
+        path.append(v)
+        v = towards[v][0]
+    kept = set(path) | set(leaves)
+    return (tuple((v, *towards[v], v in kept) for v in reversed(order[1:])), path[::-1],
+            {s.child: s for s in model.springs if s.parent == -1 and root != -1})
+
+
 def _tree_solve(model, grid, output, force_at=None, leaves=()):
     """Solve (-omega^2 M + i omega C + K) x = b on the suspension tree.
 
     The drive is a unit displacement of the suspension point (ground) when
     `force_at` is None, else a unit force on coordinate `force_at`.  The
-    tree is rooted at the driven node and eliminated leaf-to-root: a node's
-    impedance Z (its mass plus the branches folded into it) joins the next
-    node towards the root through its spring kappa as kappa*Z/(kappa + Z).
-    Back-substitution only multiplies gains, x = kappa*x_next/(kappa + Z),
-    and a forced root moves by 1/Z_root, so no sum can cancel the small
-    dissipative part of a response.
+    tree is rooted at the driven node and eliminated leaf-to-root in the
+    order of `model.plan`: a node's impedance Z (its mass plus the branches
+    folded into it) joins the next node towards the root through its spring
+    kappa as kappa*Z/(kappa + Z).  Back-substitution only multiplies gains,
+    x = kappa*x_next/(kappa + Z), and a forced root moves by 1/Z_root, so no
+    sum can cancel the small dissipative part of a response.
 
     Only what the caller reads is held: a node's Z lives from its first
     use until it is folded into the next node, and kappa and the pivot
@@ -315,31 +345,8 @@ def _tree_solve(model, grid, output, force_at=None, leaves=()):
     """
     omega = grid.angular
     omega2 = omega ** 2
-    # spring c hangs coordinate c from its parent, so the spring joining
-    # two neighbouring nodes is the one of the larger index (ground is -1)
-    spring = {s.child: s for s in model.springs}
-    neighbours = {v: [] for v in range(-1, model.ndof)}
-    for s in model.springs:
-        neighbours[s.parent].append(s.child)
-        neighbours[s.child].append(s.parent)
-
     root = -1 if force_at is None else force_at
-    towards = {root: None}      # node -> next node towards the root
-    order = [root]
-    for v in order:
-        for w in neighbours[v]:
-            if w != -1 and w not in towards:
-                towards[w] = v
-                order.append(w)
-
-    path = []                   # root side first, ending at `output`
-    v = output
-    while v != root:
-        path.append(v)
-        v = towards[v]
-    path.reverse()
-    held_nodes = set(path) | set(leaves)
-
+    steps, path, grounded = model.plan(root, output, leaves)
     z = {}
 
     def take(v):
@@ -347,19 +354,18 @@ def _tree_solve(model, grid, output, force_at=None, leaves=()):
         if v in z:
             return z.pop(v)
         zv = -model.masses[v] * omega2
-        if force_at is not None and spring[v].parent == -1:
-            zv = zv + _kappa(spring[v], omega)   # spring to the fixed ground
+        if v in grounded:
+            zv = zv + _kappa(grounded[v], omega)   # spring to the fixed ground
         return zv
 
     held = {}
-    for v in reversed(order[1:]):
-        q = towards[v]
-        k = _kappa(spring[max(v, q)], omega)
+    for v, q, spring, kept in steps:
+        k = _kappa(spring, omega)
         zv = take(v)
         d = _nonzero_pivot(k + zv, grid)
         if q >= 0:
             z[q] = take(q) + k * zv / d
-        if v in held_nodes:
+        if kept:
             held[v] = k, d
         del k, zv, d      # freed before the next node allocates
 

@@ -20,6 +20,7 @@ from suscav.isolation import (
     GeophoneParams,
     PlatformParams,
     closed_loop,
+    loop_gain,
 )
 from suscav.quantum import (
     FreeMassValidityWarning,
@@ -180,8 +181,9 @@ def test_criterion_5_active_isolation():
     platform = PlatformParams(140.0, 3.9, 7.0, 10.0)
     actuator = ActuatorParams(41.4, 0.0178, 1.7)
     grid = make_log_grid(0.1, 1e4, 1000)
-    result = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
-                         load_scenario(resolve_config("paper_default")).servo, grid)
+    gain = loop_gain(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
+                     load_scenario(resolve_config("paper_default")).servo)
+    result = closed_loop(gain, platform.passive("horizontal"), grid)
 
     ground = Spectrum(grid, 1e-7 * np.minimum(1.0, (1.0 / grid.values) ** 2),
                       UNIT_DISPLACEMENT)

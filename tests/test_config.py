@@ -20,10 +20,12 @@ from suscav.quantum import POLE_INPUT, POLE_TOTAL, FreeMassValidityWarning
 from suscav.scenario import (
     FLAG,
     INTEGER,
+    NON_NEGATIVE,
     NUMBER,
     PAIR,
     PATH,
     POLE_MODEL,
+    POSITIVE,
     SCHEMA,
     Choice,
     Key,
@@ -106,6 +108,43 @@ def test_csv_spectrum_excludes_other_keys(tmp_path, capsys, config_factory,
     cfg[section][key] = {"csv": str(csv_path), **extra}
     err = config_error(tmp_path, capsys, cfg)
     assert f"{section}.{key}" in err
+
+
+def _set(cfg, key, value):
+    """`cfg` with the dotted `key` set to `value`."""
+    *sections, name = key.split(".")
+    for section in sections:
+        cfg = cfg[section]
+    cfg[name] = value
+
+
+@pytest.mark.parametrize("key, value", [
+    ("isolation.ground.corner_hz", -1.0),     # once run as if it were +1
+    ("isolation.ground.corner_hz", 0),        # once a ground of zero, exit 0
+    ("isolation.ground.corner_hz", 0.0),
+    ("isolation.ground.level_m_rthz", -1e-7),
+    ("intensity.rin_per_rthz", -1e-8),
+])
+@pytest.mark.parametrize("command", ["budget", "isolation"])
+def test_closed_form_input_out_of_range_names_its_key(tmp_path, capsys, config_factory,
+                                                      key, value, command):
+    cfg = config_factory()
+    _set(cfg, key, value)
+    code, err = run_cli(tmp_path, capsys, cfg, command=command)
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith(f"suscav: config error: {key} must be ")
+    assert err[0].endswith(f"got {value!r}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key", ["isolation.ground.level_m_rthz", "intensity.rin_per_rthz"])
+def test_zero_closed_form_input_is_valid(tmp_path, capsys, config_factory, key):
+    cfg = config_factory()
+    _set(cfg, key, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FreeMassValidityWarning)
+        code, err = run_cli(tmp_path, capsys, cfg, "--grid", "0.1,1e4,60")
+    assert code == 0, err
 
 
 def test_present_grid_is_checked_under_grid_option(tmp_path, capsys, config_factory,
@@ -289,6 +328,8 @@ NUMBERS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                     st.sampled_from([0, -1.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308]))
 IN_TYPE = {
     NUMBER: NUMBERS,
+    POSITIVE: NUMBERS,
+    NON_NEGATIVE: NUMBERS,
     INTEGER: st.integers(-3, 3000),     # grid.n: a larger grid is slow, not wrong
     FLAG: st.booleans(),
     PAIR: st.lists(NUMBERS, min_size=2, max_size=2),

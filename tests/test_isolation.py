@@ -11,6 +11,7 @@ from suscav.isolation import (
     PlatformParams,
     ZPK,
     closed_loop,
+    loop_gain,
 )
 from suscav.scenario import load_scenario
 from suscav.spectra import (
@@ -50,9 +51,14 @@ def shipped_servo(gain=None):
     return servo if gain is None else dataclasses.replace(servo, gain=gain)
 
 
+def default_gain(platform, actuator, gain=None, axis="horizontal"):
+    return loop_gain(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
+                     shipped_servo(gain), axis)
+
+
 def default_loop(platform, actuator, grid, gain=None):
-    return closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
-                       shipped_servo(gain), grid)
+    return closed_loop(default_gain(platform, actuator, gain), platform.passive("horizontal"),
+                       grid)
 
 
 class TestZPK:
@@ -224,32 +230,29 @@ class TestClosedLoop:
             * geophone.zpk() * actuator.zpk()
         servo = ZPK(zeros=rest.poles, poles=rest.zeros, gain=-1.0 / rest.gain)
         with pytest.raises(NumericalError):
-            closed_loop(platform, geophone, actuator, servo, grid_band)
+            closed_loop(loop_gain(platform, geophone, actuator, servo),
+                        platform.passive("horizontal"), grid_band)
 
     def test_default_design_check(self, platform, actuator, grid_band):
         report = default_loop(platform, actuator, grid_band)
-        assert report.gain.feedback_stable()
+        assert default_gain(platform, actuator).feedback_stable()
         assert len(report.unity_gain_hz) == 2
         assert all(pm >= 30.0 for pm in report.phase_margins_deg)
 
-    def test_vertical_axis_loop_stable(self, platform, actuator, grid_band):
-        report = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
-                             shipped_servo(), grid_band, axis="vertical")
-        assert report.gain.feedback_stable()
+    def test_vertical_axis_loop_stable(self, platform, actuator):
+        assert default_gain(platform, actuator, axis="vertical").feedback_stable()
 
-    def test_closed_loop_poles_of_damped_oscillator(self, platform, actuator, grid_band):
+    def test_closed_loop_poles_of_damped_oscillator(self, platform, actuator):
         # sanity for the characteristic-polynomial path: open loop (gain 0)
         # has the platform poles, all in the left half plane
-        poles = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
-                            ZPK(zeros=(), poles=(), gain=0.0), grid_band).gain.feedback_poles()
+        poles = loop_gain(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
+                          ZPK(zeros=(), poles=(), gain=0.0)).feedback_poles()
         assert np.all(np.real(poles) < 0.0)
 
     @pytest.mark.parametrize("axis", ["horizontal", "vertical"])
-    def test_negated_servo_is_unstable(self, platform, actuator, grid_band, axis):
-        servo = shipped_servo(-shipped_servo().gain)
-        result = closed_loop(platform, GeophoneParams(1.0, 276.0, 0.3), actuator,
-                             servo, grid_band, axis=axis)
-        assert result.gain.feedback_stable() is False
+    def test_negated_servo_is_unstable(self, platform, actuator, axis):
+        gain = default_gain(platform, actuator, -shipped_servo().gain, axis)
+        assert gain.feedback_stable() is False
 
     def test_in_loop_suppression_matches_cavity_witness(self, platform, actuator, grid_band):
         # the reduction predicted at the platform equals the reduction seen
@@ -290,16 +293,19 @@ def test_suppression_matches_mpmath_oracle():
     """Both axes of the shipped loop, at both platform resonances and every
     unity-gain crossing, against the loop formed at 40 digits."""
     scenario = load_scenario(resolve_config("paper_default"))
-    args = (scenario.platform, scenario.geophone, scenario.actuator, scenario.servo)
+
+    def loop(axis, grid):
+        return closed_loop(scenario.loop_gain[axis], scenario.passive[axis], grid)
+
     crossings = [f for axis in ("horizontal", "vertical")
-                 for f in closed_loop(*args, scenario.grid, axis=axis).unity_gain_hz]
+                 for f in loop(axis, scenario.grid).unity_gain_hz]
     grid = FrequencyGrid(np.unique(np.concatenate([
         np.geomspace(0.1, 1e4, 30),
         [scenario.platform.horizontal_resonance, scenario.platform.vertical_resonance],
         crossings,
     ])))
     for axis in ("horizontal", "vertical"):
-        supp = closed_loop(*args, grid, axis=axis).suppression
+        supp = loop(axis, grid).suppression
         for i, omega in enumerate(grid.angular):
             exact = complex(_exact_suppression(scenario, axis, omega))
             assert supp[i] == pytest.approx(exact, rel=1e-13, abs=0.0)

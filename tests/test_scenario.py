@@ -244,12 +244,31 @@ def test_suspension_tf_builds_the_model_once(default_scenario, monkeypatch, tmp_
 def test_streamed_budget_builds_the_grid_free_parts_once(config_factory, monkeypatch,
                                                          tmp_path):
     """Counted in both processes of a split budget: the forked writer
-    inherits the models and the loops' stability and builds neither."""
+    inherits the models, their tree plans, the open-loop platforms, the
+    loop gains and the loops' stability and builds none of them."""
+    import suscav.isolation
+    import suscav.scenario
+    import suscav.suspension
+
     n = 100_000
     scenario = Scenario.from_dict(config_factory(), grid_override=make_log_grid(0.1, 1e4, n))
     builds, solves = _counting(monkeypatch, tmp_path)
     roots, find_roots = _Log(tmp_path / "roots.log"), np.roots
     monkeypatch.setattr(np, "roots", lambda p: roots.append(len(p)) or find_roots(p))
+    gains, gain = _Log(tmp_path / "gains.log"), suscav.isolation.loop_gain
+    passives, passive = _Log(tmp_path / "passives.log"), suscav.isolation.PlatformParams.passive
+    plans, plan = _Log(tmp_path / "plans.log"), suscav.suspension._tree_plan
+
+    def counted_gain(platform, geophone, actuator, servo, axis="horizontal"):
+        gains.append(axis)
+        return gain(platform, geophone, actuator, servo, axis)
+
+    for module in (suscav.isolation, suscav.scenario):
+        monkeypatch.setattr(module, "loop_gain", counted_gain)
+    monkeypatch.setattr(suscav.isolation.PlatformParams, "passive",
+                        lambda platform, axis: passives.append(axis) or passive(platform, axis))
+    monkeypatch.setattr(suscav.suspension, "_tree_plan",
+                        lambda model, *key: plans.append([model.axis, *key]) or plan(model, *key))
     forks = _forking(monkeypatch, cpus={0, 1})
     run_budget(scenario, tmp_path / "b")
     assert len(forks) == 2      # one writer for each of the two CSV files
@@ -260,8 +279,17 @@ def test_streamed_budget_builds_the_grid_free_parts_once(config_factory, monkeyp
     assemble_budget(scenario, FrequencyGrid(scenario.grid.values[::7]))
     assemble_budget(scenario, make_log_grid(2.0, 3.0, 5))
     run_suspension_tf(scenario, tmp_path / "s")
+    run_isolation(scenario, tmp_path / "i")
     assert sorted(builds.read()) == ["horizontal", "vertical"]
     assert len(roots.read()) == 2      # each isolation loop's stability, once
+    assert sorted(gains.read()) == ["horizontal", "vertical"]
+    assert sorted(passives.read()) == ["horizontal", "vertical"]
+    # one plan per model, root, output and leaves: the differential and the
+    # force responses of the horizontal model, the mirror's of the vertical
+    a, b = scenario.horizontal_model.mirror_a, scenario.horizontal_model.mirror_b
+    assert sorted(plans.read()) == [("horizontal", -1, a - 1, [a, b]),
+                                    ("horizontal", a, a, []),
+                                    ("vertical", -1, scenario.vertical_model.mirror_a, [])]
 
 
 def test_budget_never_finds_loop_crossings(default_scenario, monkeypatch, tmp_path):
