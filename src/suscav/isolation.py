@@ -109,7 +109,8 @@ def _resonance_poles(w0, q):
 
     Under-damped roots are built as one root and its exact conjugate.
     Over-damped roots take the large root without cancellation and the
-    small one from the product of the roots, w0^2.
+    small one from the product of the roots, w0^2.  The large root is zero
+    only when w0/q and w0^2 both underflow; both roots are zero then.
     """
     a = -w0 / (2.0 * q)
     disc = a * a - w0 * w0
@@ -117,7 +118,7 @@ def _resonance_poles(w0, q):
         p = complex(a, math.sqrt(-disc))
         return (p, p.conjugate())
     p1 = a - math.sqrt(disc)
-    return (p1, w0 * w0 / p1)
+    return (p1, w0 * w0 / p1 if p1 else p1)
 
 
 @dataclass(frozen=True)

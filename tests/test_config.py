@@ -399,6 +399,20 @@ def test_python_scalar_overflow_is_a_numerical_error(tmp_path, capsys, config_fa
     assert not (tmp_path / "o").exists()
 
 
+# A resonance so low that w0/q and w0^2 underflow gave a ZeroDivisionError
+# traceback; both poles of such a resonance are zero.
+@pytest.mark.parametrize("key", ["isolation.platform.vertical_resonance_hz",
+                                 "isolation.platform.horizontal_resonance_hz"])
+@pytest.mark.parametrize("command", ["budget", "isolation"])
+def test_underflowing_resonance_runs(tmp_path, capsys, config_factory, key, command):
+    cfg = config_factory()
+    _set(cfg, key, 5e-324)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FreeMassValidityWarning)
+        code, err = run_cli(tmp_path, capsys, cfg, "--grid", "0.1,1e4,60", command=command)
+    assert code == 0, err
+
+
 def _refuse(constant):
     raise ValueError(f"{constant} in a JSON output")
 
