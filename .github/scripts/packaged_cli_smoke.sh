@@ -21,8 +21,10 @@
 # unstable loop and no output directory, and run `isolation`, which reports
 # the loop unstable, a
 # default `quantum` must print one stderr line, the free-mass warning, and
-# one on a grid whose noise overflows must exit 2 and print only its
-# numerical error, `quantum --config paper_default --out paper_default` must
+# one on a grid whose noise overflows, and one on a copy whose cavity is so
+# short (cavity.length_m 1e-80) that its kappa = 1 frequency overflows, must
+# each exit 2, print only its numerical error and leave no output directory,
+# `quantum --config paper_default --out paper_default` must
 # run twice (a directory named like a config is not a config), `quantum` on a
 # grid above 100 Hz must give the default run's 100 Hz SQL text, `isolation`
 # on a grid above 0.5 Hz must write no 0.5-50 Hz RMS, and
@@ -207,14 +209,28 @@ if [ "$(wc -l <quantum.err)" -ne 1 ] || ! grep -qxF "suscav: warning: grid exten
   cat quantum.err >&2
   exit 1
 fi
-code=0
-suscav quantum --grid 0.1,1e308,100 --out quantum-failed 2>quantum-failed.err || code=$?
-if [ "$code" != 2 ] || [ "$(wc -l <quantum-failed.err)" -ne 1 ] \
-    || ! grep -q "^suscav: numerical error: " quantum-failed.err; then
-  echo "overflowing quantum: want exit 2 and one numerical error line, got exit $code:" >&2
-  cat quantum-failed.err >&2
-  exit 1
-fi
+python - short.json <<'PY'
+import json, sys
+from importlib.resources import files
+cfg = json.loads(files("suscav").joinpath("configs", "paper_default.json").read_text())
+cfg["cavity"]["length_m"] = 1e-80
+with open(sys.argv[1], "w") as fh:
+    json.dump(cfg, fh)
+PY
+for run in grid short; do
+  code=0
+  case $run in
+    grid) suscav quantum --grid 0.1,1e308,100 --out quantum-failed 2>quantum-failed.err || code=$? ;;
+    short) suscav quantum --config short.json --out quantum-failed 2>quantum-failed.err || code=$? ;;
+  esac
+  if [ "$code" != 2 ] || [ "$(wc -l <quantum-failed.err)" -ne 1 ] \
+      || ! grep -q "^suscav: numerical error: " quantum-failed.err || [ -e quantum-failed ]; then
+    echo "overflowing quantum ($run): want exit 2, one numerical error line and no" \
+      "output directory, got exit $code:" >&2
+    cat quantum-failed.err >&2
+    exit 1
+  fi
+done
 # the output directory of one run, named like the config, is not read as the
 # config by the next
 for run in 1 2; do

@@ -66,7 +66,6 @@ from .suspension import (
     build_model,
     eigenmodes,
     mirror_force_susceptibility,
-    seismic_to_cavity,
     tf_suspoint_to_differential,
     tf_suspoint_to_mirror,
 )

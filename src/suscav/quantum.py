@@ -18,7 +18,7 @@ import numpy as np
 
 from .cavity import CavityParams
 from .constants import C_LIGHT, HBAR
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .spectra import UNIT_DISPLACEMENT, NoiseBudget, Spectrum
 
 # The idealised model takes the cavity pole from the input coupler alone
@@ -96,17 +96,22 @@ def power_for_sql(cavity, f_target, pole_model=POLE_INPUT):
 
 
 def kappa_unity_frequency(config):
-    """Frequency [Hz] where kappa crosses 1, closed form."""
+    """Frequency [Hz] where kappa crosses 1, closed form; NumericalError if
+    the form overflows (the pole's fourth power, for a very short cavity)."""
     cav = config.cavity
     if config.circulating_power <= 0.0:
         raise ConfigError("kappa never reaches 1 without circulating power")
     gamma = _cavity_pole(cav, config.pole_model)
-    a = (
-        cav.omega0 * cav.input_transmission * config.circulating_power
-        / (cav.mirror_mass * np.float64(cav.length) ** 2)
-    )
-    omega_sq = 0.5 * (-gamma ** 2 + np.sqrt(gamma ** 4 + 4.0 * a))
-    return float(np.sqrt(omega_sq) / (2.0 * np.pi))
+    with np.errstate(all="ignore"):     # refused below
+        a = (
+            cav.omega0 * cav.input_transmission * config.circulating_power
+            / (cav.mirror_mass * np.float64(cav.length) ** 2)
+        )
+        omega_sq = 0.5 * (-gamma ** 2 + np.sqrt(gamma ** 4 + 4.0 * a))
+        f = np.sqrt(omega_sq) / (2.0 * np.pi)
+    if not np.isfinite(f):
+        raise NumericalError("the kappa = 1 frequency overflows")
+    return float(f)
 
 
 def quantum_noise_psd(config, grid):

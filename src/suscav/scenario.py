@@ -75,7 +75,6 @@ from .suspension import (
     build_model,
     eigenmodes,
     mirror_force_susceptibility,
-    seismic_to_cavity,
     tf_suspoint_to_differential,
     tf_suspoint_to_mirror,
     write_mode_table,
@@ -102,15 +101,12 @@ def _platform_suppression(s, grid, axis):
 
 
 class _Shared:
-    """What terms share on one grid: the ground spectrum and responses,
-    each computed on first use."""
+    """What two terms share on one grid, computed on first use: the mirror's
+    force susceptibility (thermal and intensity) and the intensity
+    radiation-pressure displacement (both intensity columns)."""
 
     def __init__(self, scenario, grid):
         self.scenario, self.grid = scenario, grid
-
-    @cached_property
-    def ground(self):
-        return Spectrum(self.grid, self.scenario.ground.asd(self.grid), UNIT_DISPLACEMENT)
 
     @cached_property
     def chi(self):
@@ -124,11 +120,16 @@ class _Shared:
 
 
 def _seismic(s, grid, shared):
-    horiz = seismic_to_cavity(s.horizontal_model, shared.ground,
-                              _platform_suppression(s, grid, HORIZONTAL), grid)
+    # ground motion through each axis's platform and suspension; the
+    # horizontal axis reaches the cavity through the stage mismatch
+    ground = s.ground.asd(grid)
+    plat = _platform_suppression(s, grid, HORIZONTAL)
+    # named, so numpy cannot elide it and swap the complex product's operands
+    h = tf_suspoint_to_differential(s.horizontal_model, grid)
+    horiz = Spectrum(grid, np.abs(plat * h) * ground, UNIT_DISPLACEMENT)
     vert_tf = tf_suspoint_to_mirror(s.vertical_model, grid)
     vert_plat = _platform_suppression(s, grid, VERTICAL)
-    vert_asd = np.abs(vert_plat * vert_tf) * s.chain.vertical_coupling * shared.ground.asd
+    vert_asd = np.abs(vert_plat * vert_tf) * s.chain.vertical_coupling * ground
     return Spectrum.from_psd(grid, 2.0 * (horiz.psd + vert_asd ** 2), UNIT_DISPLACEMENT)
 
 
@@ -146,7 +147,7 @@ def _intensity_iss_on(s, grid, shared):
     # the ISS divides the shared radiation-pressure displacement in its band
     iss = s.config["intensity"]["iss"]
     suppression = iss_profile(grid, iss["peak_suppression"], iss["band_hz"])
-    return Spectrum(grid, shared.intensity.asd / suppression, UNIT_DISPLACEMENT).scaled(ROOT2)
+    return Spectrum(grid, shared.intensity.asd / suppression * ROOT2, UNIT_DISPLACEMENT)
 
 
 class Term(NamedTuple):
@@ -168,8 +169,9 @@ class Term(NamedTuple):
 # stage mismatch and neglected.  Row order is column order.
 TERMS = (
     Term("seismic", "seismic", _seismic),
-    Term("suspension_thermal", "thermal", lambda s, grid, shared: thermal_displacement(
-        s.thermal, shared.chi, grid).scaled(ROOT2).scaled(ROOT2)),
+    Term("suspension_thermal", "thermal", lambda s, grid, shared: Spectrum(
+        grid, thermal_displacement(s.thermal, shared.chi, grid).asd * ROOT2 * ROOT2,
+        UNIT_DISPLACEMENT)),
     Term("intensity_rp_iss_on", "intensity", _intensity_iss_on, _iss_on),
     Term("intensity_rp_iss_off", "intensity",
          lambda s, grid, shared: shared.intensity.scaled(ROOT2), lambda s: not _iss_on(s)),
@@ -537,13 +539,13 @@ def assemble_budget(scenario, grid=None):
     response."""
     grid = scenario.grid if grid is None else grid
     shared = _Shared(scenario, grid)
-    zeros = zero_spectrum(grid, UNIT_DISPLACEMENT)
     include = scenario.config["budget"]["include"]
     components, references = {}, {}
     for term in TERMS:
         on = term.switch is None or include[term.switch]
         target = components if term.in_total(scenario) else references
-        target[term.column] = term.calc(scenario, grid, shared) if on else zeros
+        target[term.column] = (term.calc(scenario, grid, shared) if on
+                               else zero_spectrum(grid, UNIT_DISPLACEMENT))
     return NoiseBudget.from_components(components, references=references)
 
 
@@ -821,10 +823,11 @@ def run_quantum_design(scenario, outdir):
         raise ConfigError("quantum design needs a positive circulating power")
     budget = qn.quantum_noise_psd(config, grid)
     sql_at_100 = qn.sql_psd(config.cavity.mirror_mass, FrequencyGrid([100.0])).asd[0]
+    kappa_unity = qn.kappa_unity_frequency(config)
     below = _below_floor(scenario)
     summary = {
         "circulating_power_w": config.circulating_power,
-        "kappa_unity_hz": qn.kappa_unity_frequency(config),
+        "kappa_unity_hz": kappa_unity,
         "free_mass_floor_hz": config.validity_floor_hz,
         "grid_extends_below_floor": below,
         "sql_asd_at_100_hz_m_rthz": float(sql_at_100),

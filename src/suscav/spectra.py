@@ -278,10 +278,6 @@ class NoiseBudget:
     def grid(self):
         return self.total.grid
 
-    @property
-    def unit(self):
-        return self.total.unit
-
 
 class _KernelTables(NamedTuple):
     pow_hi: np.ndarray        # 10**e rounded to a double, e = 16 - k

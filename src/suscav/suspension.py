@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import G_STD
-from .errors import ConfigError, GridError, NumericalError, UnitError
-from .spectra import UNIT_DISPLACEMENT, Spectrum, write_csv
+from .errors import ConfigError, NumericalError
+from .spectra import write_csv
 
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
@@ -408,22 +408,6 @@ def mirror_force_susceptibility(model, grid):
     a = model.mirror_a
     x, _ = _tree_solve(model, grid, a, force_at=a)
     return _finite(x, grid)
-
-
-def seismic_to_cavity(model, ground, platform_tf, grid):
-    """Ground ASD through platform and differential suspension TFs [m/rtHz].
-
-    `model` is the horizontal model of the chain.
-    """
-    if ground.unit != UNIT_DISPLACEMENT:
-        raise UnitError(f"ground spectrum must be {UNIT_DISPLACEMENT!r}")
-    if not ground.grid.same_as(grid):
-        raise GridError("ground spectrum grid does not match the analysis grid")
-    platform_tf = np.asarray(platform_tf)
-    if platform_tf.shape != grid.values.shape:
-        raise GridError("platform transfer function does not match the grid")
-    h = tf_suspoint_to_differential(model, grid)
-    return Spectrum(grid, np.abs(platform_tf * h) * ground.asd, UNIT_DISPLACEMENT)
 
 
 def write_mode_table(path, modes):

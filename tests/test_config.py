@@ -399,6 +399,18 @@ def test_python_scalar_overflow_is_a_numerical_error(tmp_path, capsys, config_fa
     assert not (tmp_path / "o").exists()
 
 
+def test_overflowing_kappa_unity_frequency_is_a_numerical_error(tmp_path, capsys,
+                                                                config_factory):
+    """A cavity so short that the pole's fourth power overflows wrote
+    `"kappa_unity_hz": Infinity` (not JSON) and exited 0; the default grid
+    starts below the free-mass floor, so the command's warning is left out."""
+    cfg = config_factory()
+    cfg["cavity"]["length_m"] = 1e-80
+    code, err = run_cli(tmp_path, capsys, cfg, command="quantum")
+    assert code == 2 and err == ["suscav: numerical error: the kappa = 1 frequency overflows"]
+    assert not (tmp_path / "o").exists()
+
+
 # A resonance so low that w0/q and w0^2 underflow gave a ZeroDivisionError
 # traceback; both poles of such a resonance are zero.
 @pytest.mark.parametrize("key", ["isolation.platform.vertical_resonance_hz",

@@ -21,7 +21,7 @@ from suscav.spectra import (
     band_rms,
     make_log_grid,
 )
-from suscav.suspension import build_model, seismic_to_cavity
+from suscav.suspension import build_model, tf_suspoint_to_differential
 from test_suspension import default_chain
 
 ACTUATOR_DC = 0.04106280193236715      # 1.7 / 41.4 [N/V]
@@ -259,9 +259,10 @@ class TestClosedLoop:
         # in the cavity-coupled seismic spectrum at every frequency
         result = default_loop(platform, actuator, grid_band)
         ground = ground_model(grid_band)
-        model = build_model(default_chain(), "horizontal")
-        active = seismic_to_cavity(model, ground, result.suppression, grid_band)
-        passive = seismic_to_cavity(model, ground, result.passive, grid_band)
+        h = tf_suspoint_to_differential(build_model(default_chain(), "horizontal"), grid_band)
+        active = Spectrum(grid_band, np.abs(result.suppression * h) * ground.asd,
+                          UNIT_DISPLACEMENT)
+        passive = Spectrum(grid_band, np.abs(result.passive * h) * ground.asd, UNIT_DISPLACEMENT)
         predicted = np.abs(result.suppression) / np.abs(result.passive)
         witnessed = np.where(passive.asd > 0.0, active.asd / passive.asd, 0.0)
         ok = passive.asd > 0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from suscav.cli import main
-from suscav.errors import ConfigError
+from suscav.errors import ConfigError, NumericalError
 from suscav.quantum import (
     FreeMassValidityWarning,
     QuantumConfig,
@@ -107,6 +107,14 @@ class TestPowerForSql:
         assert kappa_unity_frequency(config(paper_cavity, pc)) == pytest.approx(
             250.0, rel=1e-9
         )
+
+
+    @pytest.mark.parametrize("length", [1e-80, 1e-300])
+    def test_overflowing_kappa_unity_frequency_is_numerical_error(self, paper_cavity, length):
+        import dataclasses
+        short = dataclasses.replace(paper_cavity, length=length)
+        with pytest.raises(NumericalError, match="kappa = 1 frequency overflows"):
+            kappa_unity_frequency(config(short, 1.0))
 
 
 class TestQuantumNoise:

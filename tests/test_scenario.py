@@ -37,7 +37,6 @@ from suscav.spectra import (
     read_budget_csv,
 )
 from suscav.suspension import (
-    seismic_to_cavity,
     tf_suspoint_to_differential,
     tf_suspoint_to_mirror,
 )
@@ -233,6 +232,25 @@ def test_budget_builds_and_solves_each_response_once(default_scenario, monkeypat
         ("horizontal", False), ("horizontal", True), ("vertical", False)]
 
 
+def test_budget_makes_each_spectrum_once(default_scenario, monkeypatch):
+    """Every term on and the ISS on: one spectrum per column and the total,
+    and what each term builds on the way (the RIN, the one-mirror thermal
+    and the shared intensity displacements, the horizontal seismic ASD and
+    the three quantum traces); the ground is evaluated once."""
+    import suscav.scenario
+
+    assert all(default_scenario.config["budget"]["include"].values())
+    assert default_scenario.config["intensity"]["iss"]["enabled"]
+    made, post_init = [], Spectrum.__post_init__
+    monkeypatch.setattr(Spectrum, "__post_init__", lambda s: made.append(1) or post_init(s))
+    grounds, ground_asd = [], suscav.scenario.CornerAsd.asd
+    monkeypatch.setattr(suscav.scenario.CornerAsd, "asd",
+                        lambda source, grid: grounds.append(1) or ground_asd(source, grid))
+    assemble_budget(default_scenario)
+    assert len(made) == 17
+    assert len(grounds) == 1
+
+
 def test_suspension_tf_builds_the_model_once(default_scenario, monkeypatch, tmp_path):
     builds, solves = _counting(monkeypatch, tmp_path)
     run_suspension_tf(default_scenario, tmp_path)
@@ -388,13 +406,14 @@ def test_passive_isolation_budget_uses_the_passive_platform(config_factory):
     active = assemble_budget(Scenario.from_dict(cfg, grid_override=grid))
     cfg["isolation"]["active"] = False
     s = Scenario.from_dict(cfg, grid_override=grid)
-    ground = Spectrum(grid, s.ground.asd(grid), UNIT_DISPLACEMENT)
-    horiz = seismic_to_cavity(s.horizontal_model, ground,
-                              s.platform.passive("horizontal").evaluate(grid), grid)
+    ground = s.ground.asd(grid)
+    horiz_plat = s.platform.passive("horizontal").evaluate(grid)
+    horiz_tf = tf_suspoint_to_differential(s.horizontal_model, grid)
+    horiz = np.abs(horiz_plat * horiz_tf) * ground
     vert_tf = s.platform.passive("vertical").evaluate(grid) * tf_suspoint_to_mirror(
         s.vertical_model, grid)
-    vert = np.abs(vert_tf) * s.chain.vertical_coupling * ground.asd
-    expected = Spectrum.from_psd(grid, 2.0 * (horiz.psd + vert ** 2), UNIT_DISPLACEMENT)
+    vert = np.abs(vert_tf) * s.chain.vertical_coupling * ground
+    expected = Spectrum.from_psd(grid, 2.0 * (horiz ** 2 + vert ** 2), UNIT_DISPLACEMENT)
     seismic = assemble_budget(s).components["seismic"].asd
     assert seismic.tobytes() == expected.asd.tobytes()
     assert not np.array_equal(seismic, active.components["seismic"].asd)

@@ -5,16 +5,15 @@ import pytest
 
 from suscav.cli import resolve_config
 from suscav.constants import G_STD
-from suscav.errors import ConfigError, GridError, NumericalError
+from suscav.errors import ConfigError, NumericalError
 from suscav.spectra import (
     UNIT_DISPLACEMENT,
     FrequencyGrid,
     Spectrum,
     cumulative_rms,
     make_log_grid,
-    zero_spectrum,
 )
-from suscav.scenario import load_scenario
+from suscav.scenario import Scenario, assemble_budget, load_scenario
 from suscav.suspension import (
     LinearModel,
     SpringElement,
@@ -23,7 +22,6 @@ from suscav.suspension import (
     build_model,
     eigenmodes,
     mirror_force_susceptibility,
-    seismic_to_cavity,
     tf_suspoint_to_differential,
     tf_suspoint_to_mirror,
     write_mode_table,
@@ -306,31 +304,25 @@ class TestDifferentialTransferFunction:
 
 
 class TestSeismicToCavity:
-    def test_zero_ground_zero_output(self, grid_band):
-        out = seismic_to_cavity(
-            build_model(default_chain(), "horizontal"), zero_spectrum(grid_band, UNIT_DISPLACEMENT),
-            np.ones(len(grid_band)), grid_band,
-        )
+    """Ground motion reaching the cavity: the budget's seismic column, and
+    the differential transfer function that carries its horizontal part."""
+
+    def test_zero_ground_zero_output(self, config_factory):
+        cfg = config_factory()
+        cfg["isolation"]["ground"] = {"level_m_rthz": 0.0}
+        out = assemble_budget(Scenario.from_dict(cfg)).components["seismic"]
         assert np.all(out.asd == 0.0)
 
-    def test_symmetric_chain_zero_output(self, grid_band):
-        ground = Spectrum(grid_band, np.full(len(grid_band), 1e-7), UNIT_DISPLACEMENT)
-        out = seismic_to_cavity(build_model(default_chain(eps=0.0), "horizontal"), ground,
-                                np.ones(len(grid_band)), grid_band)
+    def test_symmetric_chain_zero_output(self, config_factory):
+        # equal final stages and no vertical coupling: nothing reaches the cavity
+        cfg = config_factory()
+        cfg["suspension"].update(stiffness_mismatch=0.0, vertical_coupling=0.0)
+        out = assemble_budget(Scenario.from_dict(cfg)).components["seismic"]
         assert np.all(out.asd == 0.0)
-
-    def test_grid_mismatch_rejected(self, grid_band):
-        other = make_log_grid(0.1, 1e4, 999)
-        ground = zero_spectrum(other, UNIT_DISPLACEMENT)
-        with pytest.raises(GridError):
-            seismic_to_cavity(build_model(default_chain(), "horizontal"), ground, np.ones(999),
-                              grid_band)
 
     def test_rms_dominated_by_low_frequency_resonances(self, grid_band):
-        ground = Spectrum(grid_band, np.full(len(grid_band), 1e-7), UNIT_DISPLACEMENT)
-        out = seismic_to_cavity(build_model(default_chain(), "horizontal"), ground,
-                                np.ones(len(grid_band)), grid_band)
-        rms = cumulative_rms(out)
+        h = tf_suspoint_to_differential(build_model(default_chain(), "horizontal"), grid_band)
+        rms = cumulative_rms(Spectrum(grid_band, np.abs(h) * 1e-7, UNIT_DISPLACEMENT))
         i10 = np.searchsorted(grid_band.values, 10.0)
         assert rms.asd[i10] < 0.01 * rms.asd[0]
 
