@@ -21,9 +21,12 @@
 # unstable loop and no output directory, and run `isolation`, which reports
 # the loop unstable, a
 # default `quantum` must print one stderr line, the free-mass warning, and
-# one on a grid whose noise overflows, and one on a copy whose cavity is so
-# short (cavity.length_m 1e-80) that its kappa = 1 frequency overflows, must
-# each exit 2, print only its numerical error and leave no output directory,
+# one on a grid whose noise overflows, and one on a copy whose kappa = 1
+# frequency overflows (quantum.circulating_power_w 1e296, on a grid from
+# 100 Hz where its noise is finite), must each exit 2, print only its
+# numerical error and leave no output directory, a copy whose cavity is
+# short (cavity.length_m 1e-80) must give its kappa = 1 frequency, whose
+# closed form once cancelled to nothing,
 # `quantum --config paper_default --out paper_default` must
 # run twice (a directory named like a config is not a config), `quantum` on a
 # grid above 100 Hz must give the default run's 100 Hz SQL text, `isolation`
@@ -209,19 +212,21 @@ if [ "$(wc -l <quantum.err)" -ne 1 ] || ! grep -qxF "suscav: warning: grid exten
   cat quantum.err >&2
   exit 1
 fi
-python - short.json <<'PY'
-import json, sys
+python - <<'PY'
+import json
 from importlib.resources import files
 cfg = json.loads(files("suscav").joinpath("configs", "paper_default.json").read_text())
-cfg["cavity"]["length_m"] = 1e-80
-with open(sys.argv[1], "w") as fh:
-    json.dump(cfg, fh)
+for name, section, key, value in (("short", "cavity", "length_m", 1e-80),
+                                  ("powerful", "quantum", "circulating_power_w", 1e296)):
+    with open(f"{name}.json", "w") as fh:
+        json.dump(dict(cfg, **{section: dict(cfg[section], **{key: value})}), fh)
 PY
-for run in grid short; do
+for run in grid powerful; do
   code=0
   case $run in
     grid) suscav quantum --grid 0.1,1e308,100 --out quantum-failed 2>quantum-failed.err || code=$? ;;
-    short) suscav quantum --config short.json --out quantum-failed 2>quantum-failed.err || code=$? ;;
+    powerful) suscav quantum --config powerful.json --grid 100,1e4,10 --out quantum-failed \
+      2>quantum-failed.err || code=$? ;;
   esac
   if [ "$code" != 2 ] || [ "$(wc -l <quantum-failed.err)" -ne 1 ] \
       || ! grep -q "^suscav: numerical error: " quantum-failed.err || [ -e quantum-failed ]; then
@@ -231,6 +236,12 @@ for run in grid short; do
     exit 1
   fi
 done
+suscav quantum --config short.json --out quantum-short
+if ! grep -q '"kappa_unity_hz": 1046\.90880979' quantum-short/quantum_summary.json; then
+  echo "short cavity: want kappa_unity_hz 1046.90880979..., got:" >&2
+  cat quantum-short/quantum_summary.json >&2
+  exit 1
+fi
 # the output directory of one run, named like the config, is not read as the
 # config by the next
 for run in 1 2; do
@@ -303,6 +314,7 @@ echo "packaged CLI smoke test: $(find run1 -type f | wc -l) files, identical acr
   "and listed by their manifests; a misspelled key exits 1 with a hint" \
   "and a retired key with its reason; an unstable loop fails budget alone;" \
   "100 Hz values are the same on any grid and band values absent off the band;" \
-  "a failing command writes nothing and warns of nothing; an absent input file" \
+  "a failing command writes nothing and warns of nothing; a short cavity has its" \
+  "kappa = 1 frequency; an absent input file" \
   "fails only the command that reads it; LF and CRLF ground files give the same" \
   "isolation output"

@@ -96,8 +96,9 @@ def power_for_sql(cavity, f_target, pole_model=POLE_INPUT):
 
 
 def kappa_unity_frequency(config):
-    """Frequency [Hz] where kappa crosses 1, closed form; NumericalError if
-    the form overflows (the pole's fourth power, for a very short cavity)."""
+    """Frequency [Hz] where kappa crosses 1; NumericalError if not finite.
+    omega**2 solves omega**4 + gamma**2 omega**2 = a, as 2u / (1 + sqrt(1 +
+    4u/gamma**2)) with u = a/gamma**2: nothing cancels when a << gamma**4."""
     cav = config.cavity
     if config.circulating_power <= 0.0:
         raise ConfigError("kappa never reaches 1 without circulating power")
@@ -107,11 +108,24 @@ def kappa_unity_frequency(config):
             cav.omega0 * cav.input_transmission * config.circulating_power
             / (cav.mirror_mass * np.float64(cav.length) ** 2)
         )
-        omega_sq = 0.5 * (-gamma ** 2 + np.sqrt(gamma ** 4 + 4.0 * a))
+        u = a / gamma ** 2
+        omega_sq = 2.0 * u / (1.0 + np.sqrt(1.0 + 4.0 * u / gamma ** 2))
         f = np.sqrt(omega_sq) / (2.0 * np.pi)
     if not np.isfinite(f):
         raise NumericalError("the kappa = 1 frequency overflows")
     return float(f)
+
+
+def quantum_noise_asd(config, sql):
+    """Shot-noise, radiation-pressure and total ASD arrays [m/rtHz] on the
+    grid of the SQL spectrum `sql`; the total sums the two as
+    `sum_uncorrelated` does, the one composition `budget` and `quantum` use."""
+    if config.circulating_power <= 0.0:
+        raise ConfigError("circulating power must be positive (shot noise diverges)")
+    k = kappa(config, sql.grid)
+    shot = np.sqrt(sql.psd / (2.0 * k))
+    rp = np.sqrt(sql.psd * k / 2.0)
+    return shot, rp, np.sqrt(shot ** 2 + rp ** 2)
 
 
 def quantum_noise_psd(config, grid):
@@ -121,13 +135,11 @@ def quantum_noise_psd(config, grid):
     total quantum noise; the SQL curve rides along as a reference that is
     not part of the total.
     """
-    if config.circulating_power <= 0.0:
-        raise ConfigError("circulating power must be positive (shot noise diverges)")
     sql = sql_psd(config.cavity.mirror_mass, grid)
-    k = kappa(config, grid)
-    qsn = Spectrum.from_psd(grid, sql.psd / (2.0 * k), UNIT_DISPLACEMENT)
-    qrpn = Spectrum.from_psd(grid, sql.psd * k / 2.0, UNIT_DISPLACEMENT)
-    return NoiseBudget.from_components(
-        {"shot_noise": qsn, "radiation_pressure": qrpn},
+    shot, rp, total = quantum_noise_asd(config, sql)
+    return NoiseBudget(
+        components={"shot_noise": Spectrum(grid, shot, UNIT_DISPLACEMENT),
+                    "radiation_pressure": Spectrum(grid, rp, UNIT_DISPLACEMENT)},
+        total=Spectrum(grid, total, UNIT_DISPLACEMENT),
         references={"sql": sql},
     )

@@ -102,8 +102,9 @@ def _platform_suppression(s, grid, axis):
 
 class _Shared:
     """What two terms share on one grid, computed on first use: the mirror's
-    force susceptibility (thermal and intensity) and the intensity
-    radiation-pressure displacement (both intensity columns)."""
+    force susceptibility (thermal and intensity), the intensity
+    radiation-pressure displacement (both intensity columns) and the SQL
+    (its own column and the quantum total)."""
 
     def __init__(self, scenario, grid):
         self.scenario, self.grid = scenario, grid
@@ -117,6 +118,10 @@ class _Shared:
         s, grid = self.scenario, self.grid
         return intensity_rp_displacement(Spectrum(grid, s.rin.asd(grid), UNIT_RELATIVE),
                                          s.quantum.circulating_power, self.chi, grid)
+
+    @cached_property
+    def sql(self):
+        return qn.sql_psd(self.scenario.cavity.mirror_mass, self.grid)
 
 
 def _seismic(s, grid, shared):
@@ -135,7 +140,7 @@ def _seismic(s, grid, shared):
 
 def _quantum_total(s, grid, shared):
     if s.quantum.circulating_power > 0.0:
-        return qn.quantum_noise_psd(s.quantum, grid).total
+        return Spectrum(grid, qn.quantum_noise_asd(s.quantum, shared.sql)[2], UNIT_DISPLACEMENT)
     return zero_spectrum(grid, UNIT_DISPLACEMENT)
 
 
@@ -179,7 +184,7 @@ TERMS = (
     Term("pll", "pll", lambda s, grid, shared: pll_noise_asd(s.readout, s.cavity, grid)),
     Term("acoustic", "acoustic", lambda s, grid, shared: acoustic_peaks(s.acoustic, grid)),
     Term("quantum_total", "quantum", _quantum_total),
-    Term("sql", None, lambda s, grid, shared: qn.sql_psd(s.cavity.mirror_mass, grid)),
+    Term("sql", None, lambda s, grid, shared: shared.sql),
 )
 BUDGET_PARTS = tuple(dict.fromkeys(t.switch for t in TERMS if t.switch))
 

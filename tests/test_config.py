@@ -401,12 +401,14 @@ def test_python_scalar_overflow_is_a_numerical_error(tmp_path, capsys, config_fa
 
 def test_overflowing_kappa_unity_frequency_is_a_numerical_error(tmp_path, capsys,
                                                                 config_factory):
-    """A cavity so short that the pole's fourth power overflows wrote
-    `"kappa_unity_hz": Infinity` (not JSON) and exited 0; the default grid
-    starts below the free-mass floor, so the command's warning is left out."""
+    """A kappa = 1 frequency that overflows once wrote `"kappa_unity_hz":
+    Infinity` (not JSON) and exited 0.  At 1e296 W the constant term of the
+    kappa = 1 equation overflows, while the noise on a grid from 100 Hz stays
+    finite; the grid starts above the free-mass floor, so no warning precedes
+    the error."""
     cfg = config_factory()
-    cfg["cavity"]["length_m"] = 1e-80
-    code, err = run_cli(tmp_path, capsys, cfg, command="quantum")
+    cfg["quantum"]["circulating_power_w"] = 1e296
+    code, err = run_cli(tmp_path, capsys, cfg, "--grid", "100,1e4,10", command="quantum")
     assert code == 2 and err == ["suscav: numerical error: the kappa = 1 frequency overflows"]
     assert not (tmp_path / "o").exists()
 

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from suscav.cli import main
+from suscav.constants import C_LIGHT
 from suscav.errors import ConfigError, NumericalError
 from suscav.quantum import (
+    POLE_INPUT,
+    POLE_TOTAL,
     FreeMassValidityWarning,
     QuantumConfig,
     kappa,
@@ -108,13 +111,47 @@ class TestPowerForSql:
             250.0, rel=1e-9
         )
 
+    @pytest.mark.parametrize("pole_model", [POLE_INPUT, POLE_TOTAL])
+    @pytest.mark.parametrize("power", [1e-30, 1e-3, 1.0, 1e20])
+    @pytest.mark.parametrize("length", [1e-80, 1e-40, 1e-10, 1e-6, 0.095, 1e3, 1e12])
+    def test_kappa_unity_frequency_matches_mpmath(self, paper_cavity, length, power,
+                                                  pole_model):
+        """The root of omega**4 + gamma**2 omega**2 = a, taken as
+        (sqrt(gamma**4 + 4a) - gamma**2)/2 in enough digits to hold what the
+        subtraction cancels: a short cavity's pole dwarfs a, and on paper_default
+        copies the same form in doubles gave 0 Hz at 1e-10 m and was off by
+        3e-8 at 1e-6 m."""
+        import dataclasses
+        mpmath = pytest.importorskip("mpmath")
+        cav = dataclasses.replace(paper_cavity, length=length)
+        cfg = QuantumConfig(cavity=cav, circulating_power=power, pole_model=pole_model)
+        loss = cav.input_transmission if pole_model == POLE_INPUT else cav.round_trip_loss
+        with mpmath.workdps(60):
+            gamma = mpmath.mpf(loss) * C_LIGHT / (4 * mpmath.mpf(length))
+            a = (mpmath.mpf(cav.omega0) * cav.input_transmission * power
+                 / (mpmath.mpf(cav.mirror_mass) * mpmath.mpf(length) ** 2))
+            cancelled = max(0, int(mpmath.log10(gamma ** 4 / a)))
+        with mpmath.workdps(60 + cancelled):
+            omega_sq = (mpmath.sqrt(gamma ** 4 + 4 * a) - gamma ** 2) / 2
+            want = mpmath.sqrt(omega_sq) / (2 * mpmath.pi)
+        assert kappa_unity_frequency(cfg) == pytest.approx(float(want), rel=5e-16, abs=0.0)
 
-    @pytest.mark.parametrize("length", [1e-80, 1e-300])
+    @pytest.mark.parametrize("length", [1e-300])
     def test_overflowing_kappa_unity_frequency_is_numerical_error(self, paper_cavity, length):
         import dataclasses
         short = dataclasses.replace(paper_cavity, length=length)
         with pytest.raises(NumericalError, match="kappa = 1 frequency overflows"):
             kappa_unity_frequency(config(short, 1.0))
+
+    def test_sql_design_puts_kappa_unity_at_its_target(self, tmp_path):
+        """The shipped design solves the power for kappa = 1 at 100 Hz, and
+        the report gives that frequency back to the last bit."""
+        out = tmp_path / "q"
+        assert main(["quantum", "--config", "sql_design", "--grid", "10,1e4,10",
+                     "--out", str(out)]) == 0
+        summary = json.loads((out / "quantum_summary.json").read_text())
+        assert summary["sql_target_hz"] == 100.0
+        assert summary["kappa_unity_hz"] == 100.0
 
 
 class TestQuantumNoise:

@@ -235,8 +235,9 @@ def test_budget_builds_and_solves_each_response_once(default_scenario, monkeypat
 def test_budget_makes_each_spectrum_once(default_scenario, monkeypatch):
     """Every term on and the ISS on: one spectrum per column and the total,
     and what each term builds on the way (the RIN, the one-mirror thermal
-    and the shared intensity displacements, the horizontal seismic ASD and
-    the three quantum traces); the ground is evaluated once."""
+    and the shared intensity displacements and the horizontal seismic ASD);
+    the ground is evaluated once, and so is the SQL, which its own column
+    and the quantum total share."""
     import suscav.scenario
 
     assert all(default_scenario.config["budget"]["include"].values())
@@ -246,9 +247,13 @@ def test_budget_makes_each_spectrum_once(default_scenario, monkeypatch):
     grounds, ground_asd = [], suscav.scenario.CornerAsd.asd
     monkeypatch.setattr(suscav.scenario.CornerAsd, "asd",
                         lambda source, grid: grounds.append(1) or ground_asd(source, grid))
+    sqls, sql_psd = [], suscav.scenario.qn.sql_psd
+    monkeypatch.setattr(suscav.scenario.qn, "sql_psd",
+                        lambda mass, grid: sqls.append(1) or sql_psd(mass, grid))
     assemble_budget(default_scenario)
-    assert len(made) == 17
+    assert len(made) == 14
     assert len(grounds) == 1
+    assert len(sqls) == 1
 
 
 def test_suspension_tf_builds_the_model_once(default_scenario, monkeypatch, tmp_path):
@@ -445,6 +450,27 @@ def test_quantum_design_self_consistency(config_factory, tmp_path):
     assert summary["free_mass_floor_hz"] == 10.0
     assert summary["grid_extends_below_floor"] is True
     assert summary["power_for_sql_w"] == pytest.approx(0.1384, rel=1e-3)
+
+
+@pytest.mark.parametrize("grid", [None, "0.1,1e4,20001"])
+@pytest.mark.parametrize("name", ["paper_default", "cryo_projection", "sql_design"])
+def test_budget_and_quantum_write_the_same_quantum_noise(tmp_path, name, grid):
+    """Both commands compose the quantum noise in one way: the budget's sql
+    and quantum_total columns are the quantum report's sql and total as
+    written, on the shipped grid and on one of several budget blocks."""
+    columns = {}
+    for command in ("budget", "quantum"):
+        out = tmp_path / command
+        assert main([command, "--config", name, "--out", str(out),
+                     *(["--grid", grid] if grid else [])]) == 0
+        with open(out / f"{command}.csv") as fh:
+            header = next(fh).rstrip("\n").split(",")
+            rows = [line.rstrip("\n").split(",") for line in fh]
+        columns[command] = dict(zip(header, zip(*rows)))
+    budget, quantum = columns["budget"], columns["quantum"]
+    assert budget["frequency_hz"] == quantum["frequency_hz"]
+    assert budget["sql"] == quantum["sql"]
+    assert budget["quantum_total"] == quantum["total"]
 
 
 def test_ground_csv_ingestion(config_factory, tmp_path):
