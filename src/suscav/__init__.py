@@ -55,8 +55,6 @@ from .spectra import (
     default_grid,
     make_log_grid,
     read_budget_csv,
-    sum_uncorrelated,
-    write_budget_csv,
 )
 from .suspension import (
     LinearModel,

@@ -63,7 +63,7 @@ def sql_psd(mirror_mass, grid):
     if mirror_mass <= 0.0:
         raise ConfigError("mirror mass must be positive")
     omega = grid.angular
-    return Spectrum(grid, np.sqrt(8.0 * HBAR / mirror_mass) / omega, UNIT_DISPLACEMENT)
+    return np.sqrt(8.0 * HBAR / mirror_mass) / omega
 
 
 def kappa(config, grid):
@@ -116,15 +116,17 @@ def kappa_unity_frequency(config):
     return float(f)
 
 
-def quantum_noise_asd(config, sql):
-    """Shot-noise, radiation-pressure and total ASD arrays [m/rtHz] on the
-    grid of the SQL spectrum `sql`; the total sums the two as
-    `sum_uncorrelated` does, the one composition `budget` and `quantum` use."""
+def quantum_noise_asd(config, sql, grid):
+    """Shot-noise, radiation-pressure and total ASD arrays [m/rtHz] on `grid`,
+    from the SQL ASD `sql` on it; the total is the root-sum-square of the
+    two, added in PSD from zero as the budget's total is, the one
+    composition `budget` and `quantum` use."""
     if config.circulating_power <= 0.0:
         raise ConfigError("circulating power must be positive (shot noise diverges)")
-    k = kappa(config, sql.grid)
-    shot = np.sqrt(sql.psd / (2.0 * k))
-    rp = np.sqrt(sql.psd * k / 2.0)
+    k = kappa(config, grid)
+    psd = sql ** 2
+    shot = np.sqrt(psd / (2.0 * k))
+    rp = np.sqrt(psd * k / 2.0)
     return shot, rp, np.sqrt(shot ** 2 + rp ** 2)
 
 
@@ -136,10 +138,11 @@ def quantum_noise_psd(config, grid):
     not part of the total.
     """
     sql = sql_psd(config.cavity.mirror_mass, grid)
-    shot, rp, total = quantum_noise_asd(config, sql)
+    reference = Spectrum(grid, sql, UNIT_DISPLACEMENT)
+    shot, rp, total = quantum_noise_asd(config, sql, grid)
     return NoiseBudget(
         components={"shot_noise": Spectrum(grid, shot, UNIT_DISPLACEMENT),
                     "radiation_pressure": Spectrum(grid, rp, UNIT_DISPLACEMENT)},
         total=Spectrum(grid, total, UNIT_DISPLACEMENT),
-        references={"sql": sql},
+        references={"sql": reference},
     )

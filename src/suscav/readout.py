@@ -21,11 +21,7 @@ import numpy as np
 from .cavity import disp_per_hz
 from .constants import C_LIGHT
 from .errors import ConfigError, GridError, NumericalError, UnitError
-from .spectra import (
-    UNIT_DISPLACEMENT,
-    UNIT_RELATIVE,
-    Spectrum,
-)
+from .spectra import UNIT_DISPLACEMENT
 
 
 class SaturationWarning(UserWarning):
@@ -69,31 +65,26 @@ def adc_noise_asd(config, cav, grid):
     volts = lsb / np.sqrt(12.0 * config.sample_rate / 2.0)
     whitening = np.abs(config.whitening.evaluate(grid))
     hz = volts / whitening * config.volts_to_hz
-    return Spectrum(grid, hz * disp_per_hz(cav), UNIT_DISPLACEMENT)
+    return hz * disp_per_hz(cav)
 
 
 def pll_noise_asd(config, cav, grid):
     """Flat PLL frequency-noise floor as displacement [m/rtHz]."""
     level = config.pll_noise_floor * disp_per_hz(cav)
-    return Spectrum(grid, np.full(len(grid), level), UNIT_DISPLACEMENT)
+    return np.full(len(grid), level)
 
 
-def intensity_rp_displacement(rin, circulating_power, susceptibility, grid):
-    """Classical radiation-pressure displacement from intensity noise, without
-    the ISS (`iss_profile` gives the factor the ISS divides it by).
+def intensity_rp_displacement(rin, circulating_power, susceptibility):
+    """Classical radiation-pressure displacement ASD [m/rtHz] from intensity
+    noise, without the ISS (`iss_profile` gives the factor the ISS divides
+    it by).
 
-    Force ASD = 2 * P_c * RIN / c on the mirror, times the mirror's
-    mechanical susceptibility `susceptibility` [m/N] on the grid.
+    Force ASD = 2 * P_c * RIN / c on the mirror, for the RIN ASD `rin`
+    [1/rtHz], times the mirror's mechanical susceptibility `susceptibility`
+    [m/N], both on one grid.
     """
-    if rin.unit != UNIT_RELATIVE:
-        raise UnitError(f"RIN spectrum must be {UNIT_RELATIVE!r}")
-    if not rin.grid.same_as(grid):
-        raise GridError("RIN spectrum grid does not match the analysis grid")
-    chi = np.asarray(susceptibility)
-    if chi.shape != grid.values.shape:
-        raise GridError("susceptibility does not match the grid")
-    force = 2.0 * circulating_power * rin.asd / C_LIGHT
-    return Spectrum(grid, np.abs(chi) * force, UNIT_DISPLACEMENT)
+    force = 2.0 * circulating_power * rin / C_LIGHT
+    return np.abs(susceptibility) * force
 
 
 def iss_profile(grid, peak=5.0, band=(30.0, 100.0)):
@@ -131,7 +122,7 @@ def acoustic_peaks(peaks, grid):
     for p in peaks:
         half = np.float64(0.5 * p.width)
         psd += np.float64(p.height) ** 2 * half ** 2 / ((f - p.center) ** 2 + half ** 2)
-    return Spectrum(grid, np.sqrt(psd), UNIT_DISPLACEMENT)
+    return np.sqrt(psd)
 
 
 @dataclass(frozen=True)

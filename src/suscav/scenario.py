@@ -53,19 +53,18 @@ from .readout import (
 from .spectra import (
     CSV_BLOCK_ROWS,
     UNIT_DISPLACEMENT,
-    UNIT_RELATIVE,
     FrequencyGrid,
     NoiseBudget,
     Spectrum,
+    _write_csv_blocks,
     band_rms,
+    check_asd,
     check_log_grid,
     cumulative_rms,
     interp_loglog,
     make_log_grid,
     read_asd_csv,
-    write_budget_csv,
     write_csv,
-    zero_spectrum,
 )
 from .suspension import (
     HORIZONTAL,
@@ -101,10 +100,10 @@ def _platform_suppression(s, grid, axis):
 
 
 class _Shared:
-    """What two terms share on one grid, computed on first use: the mirror's
-    force susceptibility (thermal and intensity), the intensity
-    radiation-pressure displacement (both intensity columns) and the SQL
-    (its own column and the quantum total)."""
+    """What two terms share on one grid, computed on first use, as arrays:
+    the mirror's force susceptibility (thermal and intensity), the intensity
+    radiation-pressure displacement ASD (both intensity columns) and the
+    SQL ASD (its own column and the quantum total)."""
 
     def __init__(self, scenario, grid):
         self.scenario, self.grid = scenario, grid
@@ -115,9 +114,9 @@ class _Shared:
 
     @cached_property
     def intensity(self):
-        s, grid = self.scenario, self.grid
-        return intensity_rp_displacement(Spectrum(grid, s.rin.asd(grid), UNIT_RELATIVE),
-                                         s.quantum.circulating_power, self.chi, grid)
+        s = self.scenario
+        return intensity_rp_displacement(s.rin.asd(self.grid), s.quantum.circulating_power,
+                                         self.chi)
 
     @cached_property
     def sql(self):
@@ -126,22 +125,24 @@ class _Shared:
 
 def _seismic(s, grid, shared):
     # ground motion through each axis's platform and suspension; the
-    # horizontal axis reaches the cavity through the stage mismatch
+    # horizontal axis reaches the cavity through the stage mismatch, and is
+    # refused non-finite before the vertical axis is solved
     ground = s.ground.asd(grid)
     plat = _platform_suppression(s, grid, HORIZONTAL)
     # named, so numpy cannot elide it and swap the complex product's operands
     h = tf_suspoint_to_differential(s.horizontal_model, grid)
-    horiz = Spectrum(grid, np.abs(plat * h) * ground, UNIT_DISPLACEMENT)
+    horiz = np.abs(plat * h) * ground
+    check_asd(horiz, grid, "the horizontal seismic ASD")
     vert_tf = tf_suspoint_to_mirror(s.vertical_model, grid)
     vert_plat = _platform_suppression(s, grid, VERTICAL)
     vert_asd = np.abs(vert_plat * vert_tf) * s.chain.vertical_coupling * ground
-    return Spectrum.from_psd(grid, 2.0 * (horiz.psd + vert_asd ** 2), UNIT_DISPLACEMENT)
+    return np.sqrt(2.0 * (horiz ** 2 + vert_asd ** 2))
 
 
 def _quantum_total(s, grid, shared):
     if s.quantum.circulating_power > 0.0:
-        return Spectrum(grid, qn.quantum_noise_asd(s.quantum, shared.sql)[2], UNIT_DISPLACEMENT)
-    return zero_spectrum(grid, UNIT_DISPLACEMENT)
+        return qn.quantum_noise_asd(s.quantum, shared.sql, grid)[2]
+    return np.zeros(len(grid))
 
 
 def _iss_on(s):
@@ -152,13 +153,13 @@ def _intensity_iss_on(s, grid, shared):
     # the ISS divides the shared radiation-pressure displacement in its band
     iss = s.config["intensity"]["iss"]
     suppression = iss_profile(grid, iss["peak_suppression"], iss["band_hz"])
-    return Spectrum(grid, shared.intensity.asd / suppression * ROOT2, UNIT_DISPLACEMENT)
+    return shared.intensity / suppression * ROOT2
 
 
 class Term(NamedTuple):
-    """One budget column, like a pygwinc `nb.Noise` node: `calc` gives its ASD,
-    `switch` is its `budget.include` key (None: always on), `in_total` puts
-    it in the total, else among the references."""
+    """One budget column, like a pygwinc `nb.Noise` node: `calc` gives its ASD
+    array [m/rtHz], `switch` is its `budget.include` key (None: always on),
+    `in_total` puts it in the total, else among the references."""
 
     column: str
     switch: str | None
@@ -174,12 +175,11 @@ class Term(NamedTuple):
 # stage mismatch and neglected.  Row order is column order.
 TERMS = (
     Term("seismic", "seismic", _seismic),
-    Term("suspension_thermal", "thermal", lambda s, grid, shared: Spectrum(
-        grid, thermal_displacement(s.thermal, shared.chi, grid).asd * ROOT2 * ROOT2,
-        UNIT_DISPLACEMENT)),
+    Term("suspension_thermal", "thermal",
+         lambda s, grid, shared: thermal_displacement(s.thermal, shared.chi, grid) * ROOT2 * ROOT2),
     Term("intensity_rp_iss_on", "intensity", _intensity_iss_on, _iss_on),
     Term("intensity_rp_iss_off", "intensity",
-         lambda s, grid, shared: shared.intensity.scaled(ROOT2), lambda s: not _iss_on(s)),
+         lambda s, grid, shared: shared.intensity * ROOT2, lambda s: not _iss_on(s)),
     Term("adc", "adc", lambda s, grid, shared: adc_noise_asd(s.readout, s.cavity, grid)),
     Term("pll", "pll", lambda s, grid, shared: pll_noise_asd(s.readout, s.cavity, grid)),
     Term("acoustic", "acoustic", lambda s, grid, shared: acoustic_peaks(s.acoustic, grid)),
@@ -536,22 +536,43 @@ def load_scenario(path, grid_override=None):
     return Scenario.from_dict(load_config(path), grid_override=grid_override)
 
 
-def assemble_budget(scenario, grid=None):
-    """Displacement budget of the beat readout, one column per term, on
-    `grid` (the scenario's grid by default).  Every term is pointwise in
-    frequency, so each value has the same bits on any grid that holds its
-    frequency.  A switched-off term is zeros and computes no shared
-    response."""
-    grid = scenario.grid if grid is None else grid
+def _columns(scenario, grid):
+    """The budget's ASD arrays on `grid`: each TERMS column in TERMS order,
+    then the total, the root-sum-square of the in-total columns.  Each is
+    refused non-finite by `check_asd`, naming it, as it is made.  Every term
+    is pointwise in frequency, so each value has the same bits on any grid
+    that holds its frequency.  A switched-off term is zeros and computes no
+    shared response."""
     shared = _Shared(scenario, grid)
     include = scenario.config["budget"]["include"]
-    components, references = {}, {}
+    columns = []
     for term in TERMS:
-        on = term.switch is None or include[term.switch]
+        if term.switch is None or include[term.switch]:
+            asd = term.calc(scenario, grid, shared)
+            check_asd(asd, grid, f"budget column {term.column!r}")
+        else:
+            asd = np.zeros(len(grid))
+        columns.append(asd)
+    # summed once every term is made, so no PSD is held through their solves
+    psd = np.zeros(len(grid))
+    for term, asd in zip(TERMS, columns):
+        if term.in_total(scenario):
+            psd += asd ** 2
+    total = np.sqrt(psd)
+    check_asd(total, grid, "budget column 'total'")
+    return columns + [total]
+
+
+def assemble_budget(scenario, grid=None):
+    """Displacement budget of the beat readout, one `Spectrum` per column,
+    on `grid` (the scenario's grid by default); see `_columns`."""
+    grid = scenario.grid if grid is None else grid
+    *columns, total = _columns(scenario, grid)
+    components, references = {}, {}
+    for term, asd in zip(TERMS, columns):
         target = components if term.in_total(scenario) else references
-        target[term.column] = (term.calc(scenario, grid, shared) if on
-                               else zero_spectrum(grid, UNIT_DISPLACEMENT))
-    return NoiseBudget.from_components(components, references=references)
+        target[term.column] = Spectrum(grid, asd, UNIT_DISPLACEMENT)
+    return NoiseBudget(components, Spectrum(grid, total, UNIT_DISPLACEMENT), references)
 
 
 # Warnings are decided here, by each command once its results are computed.
@@ -696,7 +717,8 @@ def run_budget(scenario, outdir):
     (`_write_split`), which assembles the upper blocks and puts their
     total in the shared buffer.  `assemble_budget(scenario)` gives the
     whole budget.  A grid too high for the summary is refused before the
-    first block.
+    first block.  `budget.csv` holds the in-total columns, then the
+    references, each set in TERMS order, then the total.
     """
     grid = scenario.grid
     check_saturation_grid(grid)
@@ -704,20 +726,25 @@ def run_budget(scenario, outdir):
     # shared with a forked writer, so its rows of the total come back
     total = np.frombuffer(mmap.mmap(-1, 8 * n), float)
     summary = {}
+    # `_columns` indices in file order; sorted is stable
+    order = [*sorted(range(len(TERMS)), key=lambda i: not TERMS[i].in_total(scenario)),
+             len(TERMS)]
+    traces = [{"column": TERMS[i].column, "in_total": TERMS[i].in_total(scenario)}
+              for i in order[:-1]] + [{"column": "total", "in_total": False}]
 
     def budget_rows(path, lo, hi):
         def blocks():
             for start in range(lo, hi, BUDGET_BLOCK_ROWS):
                 rows = slice(start, min(start + BUDGET_BLOCK_ROWS, hi))
-                block = (first.pop() if start == 0 else
-                         assemble_budget(scenario, FrequencyGrid(grid.values[rows])))
-                total[rows] = block.total.asd
-                yield block
-        write_budget_csv(path, blocks())
+                columns = (first.pop() if start == 0 else
+                           _columns(scenario, FrequencyGrid(grid.values[rows])))
+                total[rows] = columns[-1]
+                yield [grid.values[rows], *(columns[i] for i in order)]
+        _write_csv_blocks(path, ["frequency_hz", *(t["column"] for t in traces)], blocks())
 
     def write_rms(path):
         total.setflags(write=False)
-        at_100 = assemble_budget(scenario, FrequencyGrid([100.0])).total.asd[0]
+        at_100 = _columns(scenario, FrequencyGrid([100.0]))[-1][0]
         rms = cumulative_rms(Spectrum(grid, total, UNIT_DISPLACEMENT))
         report = saturation_margin(rms, scenario.readout, scenario.cavity)
         if (scenario.config["budget"]["include"]["quantum"]
@@ -744,14 +771,11 @@ def run_budget(scenario, outdir):
     # block 0 first, here: what the budget needs and no grid enters (the
     # suspension models and their tree plans, the platform and loop ZPKs, the
     # loops' stability, an input CSV) is made once, before a forked writer inherits it
-    first = [assemble_budget(scenario, FrequencyGrid(grid.values[:BUDGET_BLOCK_ROWS]))]
-    in_total = [t.column for t in TERMS if t.in_total(scenario)]
-    references = [t.column for t in TERMS if not t.in_total(scenario)]
+    first = [_columns(scenario, FrequencyGrid(grid.values[:BUDGET_BLOCK_ROWS]))]
     _emit(outdir, "budget", {
         "budget": ("budget.csv", _write_split, n, budget_rows),
         "cumulative_rms": ("budget_rms.csv", write_rms),
-    }, summary, [{"column": name, "in_total": True} for name in in_total]
-        + [{"column": name, "in_total": False} for name in (*references, "total")])
+    }, summary, traces)
     return summary
 
 
@@ -827,7 +851,7 @@ def run_quantum_design(scenario, outdir):
     if config.circulating_power <= 0.0:
         raise ConfigError("quantum design needs a positive circulating power")
     budget = qn.quantum_noise_psd(config, grid)
-    sql_at_100 = qn.sql_psd(config.cavity.mirror_mass, FrequencyGrid([100.0])).asd[0]
+    sql_at_100 = qn.sql_psd(config.cavity.mirror_mass, FrequencyGrid([100.0]))[0]
     kappa_unity = qn.kappa_unity_frequency(config)
     below = _below_floor(scenario)
     summary = {

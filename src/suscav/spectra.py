@@ -5,18 +5,18 @@ Conventions used throughout the package:
 * all spectral densities are one-sided,
 * a `Spectrum` carries the amplitude spectral density (ASD); the power
   spectral density is ASD**2 by definition,
-* every spectrum carries an explicit unit tag and operations refuse to
-  combine spectra with mismatched units or grids — silently adding a
-  relative intensity noise (1/rtHz) to a displacement (m/rtHz) is the
-  main bug class this guards against.  Frequency noise (ADC, PLL) is
-  converted to displacement before it becomes a spectrum.
+* computation works on plain ASD arrays; a `Spectrum` is what the library
+  hands out: an ASD array checked finite and non-negative by `check_asd`,
+  frozen, on its grid and tagged with its unit.  No operation combines
+  spectra.  Frequency noise (ADC, PLL) is converted to displacement
+  before it becomes a budget column.
 """
 
 from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -102,9 +102,6 @@ class FrequencyGrid:
         """Whether the grid spans the whole band [fmin, fmax]."""
         return self.fmin <= fmin and fmax <= self.fmax
 
-    def same_as(self, other):
-        return self is other or np.array_equal(self.values, other.values)
-
     @property
     def angular(self):
         """2*pi*f [rad/s]."""
@@ -156,16 +153,7 @@ class Spectrum:
         arr = _frozen_array(self.asd)
         if arr.shape != self.grid.values.shape:
             raise GridError("asd length does not match grid length")
-        # NaN and inf show in the extremes, so a valid array costs no mask.
-        # Every input ASD is refused non-finite where it is read, so a
-        # non-finite one here was computed
-        if not (np.isfinite(arr.max()) and arr.min() >= 0.0):
-            finite = np.isfinite(arr)
-            if not finite.all():
-                i = np.argmin(finite)
-                raise NumericalError(f"asd contains non-finite values: {arr[i]} {self.unit}",
-                                     frequency_hz=float(self.grid.values[i]))
-            raise ConfigError("asd must be non-negative")
+        check_asd(arr, self.grid, "asd", self.unit)
         object.__setattr__(self, "asd", arr)
 
     @property
@@ -173,34 +161,21 @@ class Spectrum:
         """Power spectral density, ASD**2."""
         return self.asd ** 2
 
-    @classmethod
-    def from_psd(cls, grid, psd, unit):
-        return cls(grid, np.sqrt(np.asarray(psd, dtype=float)), unit)
 
-    def scaled(self, factor):
-        """Pointwise multiply by a scalar or array."""
-        return Spectrum(self.grid, self.asd * factor, self.unit)
-
-
-def zero_spectrum(grid, unit):
-    return Spectrum(grid, np.zeros(len(grid)), unit)
-
-
-def sum_uncorrelated(components):
-    """Root-sum-square of spectra sharing one grid and unit."""
-    components = list(components)
-    if not components:
-        raise ConfigError("cannot sum an empty list of spectra")
-    first = components[0]
-    for s in components[1:]:
-        if s.unit != first.unit:
-            raise UnitError(f"unit mismatch: {s.unit!r} vs {first.unit!r}")
-        if not s.grid.same_as(first.grid):
-            raise GridError("grid mismatch in uncorrelated sum")
-    psd = np.zeros(len(first.grid))
-    for s in components:
-        psd += s.psd
-    return Spectrum.from_psd(first.grid, psd, first.unit)
+def check_asd(asd, grid, name, unit=UNIT_DISPLACEMENT):
+    """Refuse an ASD array on `grid` that is not finite and non-negative: a
+    NumericalError naming `name`, the first non-finite value and its
+    frequency, else a ConfigError."""
+    # NaN and inf show in the extremes, so a valid array costs no mask.
+    # Every input ASD is refused non-finite where it is read, so a
+    # non-finite one here was computed
+    if not (np.isfinite(asd.max()) and asd.min() >= 0.0):
+        finite = np.isfinite(asd)
+        if not finite.all():
+            i = np.argmin(finite)
+            raise NumericalError(f"{name} contains non-finite values: {asd[i]} {unit}",
+                                 frequency_hz=float(grid.values[i]))
+        raise ConfigError(f"{name} must be non-negative")
 
 
 def cumulative_rms(spectrum):
@@ -260,19 +235,7 @@ class NoiseBudget:
 
     components: dict
     total: Spectrum
-    references: dict = field(default_factory=dict)
-
-    @classmethod
-    def from_components(cls, components, references=None):
-        components = dict(components)
-        references = dict(references or {})
-        total = sum_uncorrelated(list(components.values()))
-        for name, s in references.items():
-            if s.unit != total.unit:
-                raise UnitError(f"reference {name!r} has unit {s.unit!r}")
-            if not s.grid.same_as(total.grid):
-                raise GridError(f"reference {name!r} is on a different grid")
-        return cls(components=components, total=total, references=references)
+    references: dict
 
     @property
     def grid(self):
@@ -569,20 +532,6 @@ def _put_columns(cells, at, words):
         cells[:, j:j + m] = words[:, i:i + m]
 
 
-def write_budget_csv(path, budget):
-    """CSV with header `frequency_hz,<component>...,total`, full precision.
-
-    `budget` is one NoiseBudget, or an iterable of budgets on consecutive
-    pieces of one grid, written one after another as they come.
-    """
-    blocks = iter([budget] if isinstance(budget, NoiseBudget) else budget)
-    first = next(blocks)
-    names = list(first.components) + list(first.references)
-    _write_csv_blocks(path, ["frequency_hz"] + names + ["total"], (
-        [b.grid.values] + [(b.components.get(n) or b.references[n]).asd for n in names]
-        + [b.total.asd] for b in itertools.chain([first], blocks)))
-
-
 # Bytes of whole lines that `_read_csv` converts at a time.  A chunk's
 # working arrays come to about eight times its size.
 CSV_READ_CHUNK = 1 << 17
@@ -833,7 +782,7 @@ def _read_csv_loadtxt(path, usecols):
 
 
 def read_budget_csv(path):
-    """Inverse of `write_budget_csv`: (grid, {name: asd array})."""
+    """A `budget.csv` as `run_budget` writes it -> (grid, {name: asd array})."""
     header, data = _read_csv(path)
     if header[0] != "frequency_hz":
         raise ConfigError(f"{path}: expected a frequency_hz leading column")

@@ -14,7 +14,6 @@ import numpy as np
 
 from .constants import K_B
 from .errors import ConfigError, GridError
-from .spectra import UNIT_DISPLACEMENT, Spectrum
 
 
 @dataclass(frozen=True)
@@ -39,4 +38,4 @@ def thermal_displacement(config, chi, grid):
     omega = grid.angular
     re_y = np.real(1j * omega * chi)
     psd = 4.0 * K_B * config.temperature * re_y / omega ** 2
-    return Spectrum(grid, np.sqrt(psd), UNIT_DISPLACEMENT)
+    return np.sqrt(psd)

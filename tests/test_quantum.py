@@ -39,17 +39,17 @@ class TestSqlPsd:
     def test_reference_point(self, audio_grid):
         grid = FrequencyGrid(np.array([50.0, 100.0, 200.0]))
         sql = sql_psd(0.01, grid)
-        assert sql.asd[1] == pytest.approx(SQL_100HZ_10G, rel=1e-12)
+        assert sql[1] == pytest.approx(SQL_100HZ_10G, rel=1e-12)
 
     def test_frequency_scaling(self, audio_grid):
         grid = FrequencyGrid(np.array([100.0, 200.0]))
         sql = sql_psd(0.01, grid)
-        assert sql.asd[1] == pytest.approx(sql.asd[0] / 2.0, rel=1e-12)
+        assert sql[1] == pytest.approx(sql[0] / 2.0, rel=1e-12)
 
     def test_mass_scaling(self):
         grid = FrequencyGrid(np.array([100.0]))
-        assert sql_psd(0.04, grid).asd[0] == pytest.approx(
-            sql_psd(0.01, grid).asd[0] / 2.0, rel=1e-12
+        assert sql_psd(0.04, grid)[0] == pytest.approx(
+            sql_psd(0.01, grid)[0] / 2.0, rel=1e-12
         )
 
     def test_nonpositive_mass_rejected(self, audio_grid):
@@ -194,7 +194,7 @@ class TestQuantumNoise:
         # must bottom out on the SQL, attained at kappa = 1
         f0 = 37.0
         grid = FrequencyGrid(np.array([f0]))
-        sql = sql_psd(0.01, grid).psd[0]
+        sql = sql_psd(0.01, grid)[0] ** 2
 
         def total(pc):
             return quantum_noise_psd(config(paper_cavity, pc), grid).total.psd[0]

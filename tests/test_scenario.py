@@ -17,6 +17,7 @@ from suscav.errors import ConfigError
 from suscav.quantum import FreeMassValidityWarning, sql_psd
 from suscav.scenario import (
     BUDGET_BLOCK_ROWS,
+    TERMS,
     Scenario,
     _split_row,
     _write_split,
@@ -30,7 +31,6 @@ from suscav.scenario import (
 )
 from suscav.spectra import (
     MAX_GRID_POINTS,
-    UNIT_DISPLACEMENT,
     FrequencyGrid,
     Spectrum,
     make_log_grid,
@@ -232,16 +232,19 @@ def test_budget_builds_and_solves_each_response_once(default_scenario, monkeypat
         ("horizontal", False), ("horizontal", True), ("vertical", False)]
 
 
-def test_budget_makes_each_spectrum_once(default_scenario, monkeypatch):
-    """Every term on and the ISS on: one spectrum per column and the total,
-    and what each term builds on the way (the RIN, the one-mirror thermal
-    and the shared intensity displacements and the horizontal seismic ASD);
-    the ground is evaluated once, and so is the SQL, which its own column
-    and the quantum total share."""
+def test_budget_makes_each_spectrum_once(config_factory, monkeypatch, tmp_path):
+    """Every term on and the ISS on: the budget's arrays come from `_columns`,
+    which makes no spectrum; `assemble_budget` makes one per column and one
+    for the total, and `run_budget` in one process makes the same number on
+    any grid (the total and its cumulative RMS).  Each call evaluates the
+    ground once, and the SQL once: its own column and the quantum total
+    share it."""
     import suscav.scenario
 
-    assert all(default_scenario.config["budget"]["include"].values())
-    assert default_scenario.config["intensity"]["iss"]["enabled"]
+    cfg = config_factory()
+    scenario = Scenario.from_dict(cfg)
+    assert all(scenario.config["budget"]["include"].values())
+    assert scenario.config["intensity"]["iss"]["enabled"]
     made, post_init = [], Spectrum.__post_init__
     monkeypatch.setattr(Spectrum, "__post_init__", lambda s: made.append(1) or post_init(s))
     grounds, ground_asd = [], suscav.scenario.CornerAsd.asd
@@ -250,10 +253,18 @@ def test_budget_makes_each_spectrum_once(default_scenario, monkeypatch):
     sqls, sql_psd = [], suscav.scenario.qn.sql_psd
     monkeypatch.setattr(suscav.scenario.qn, "sql_psd",
                         lambda mass, grid: sqls.append(1) or sql_psd(mass, grid))
-    assemble_budget(default_scenario)
-    assert len(made) == 14
-    assert len(grounds) == 1
-    assert len(sqls) == 1
+    suscav.scenario._columns(scenario, scenario.grid)
+    assert (len(made), len(grounds), len(sqls)) == (0, 1, 1)
+    assemble_budget(scenario)
+    assert (len(made), len(grounds), len(sqls)) == (len(TERMS) + 1, 2, 2) == (10, 2, 2)
+    _forking(monkeypatch, cpus={0})
+    counts = []
+    for n in (1000, 100_000):
+        made.clear()
+        run_budget(Scenario.from_dict(cfg, grid_override=make_log_grid(0.1, 1e4, n)),
+                   tmp_path / str(n))
+        counts.append(len(made))
+    assert counts == [2, 2]
 
 
 def test_suspension_tf_builds_the_model_once(default_scenario, monkeypatch, tmp_path):
@@ -418,9 +429,9 @@ def test_passive_isolation_budget_uses_the_passive_platform(config_factory):
     vert_tf = s.platform.passive("vertical").evaluate(grid) * tf_suspoint_to_mirror(
         s.vertical_model, grid)
     vert = np.abs(vert_tf) * s.chain.vertical_coupling * ground
-    expected = Spectrum.from_psd(grid, 2.0 * (horiz ** 2 + vert ** 2), UNIT_DISPLACEMENT)
+    expected = np.sqrt(2.0 * (horiz ** 2 + vert ** 2))
     seismic = assemble_budget(s).components["seismic"].asd
-    assert seismic.tobytes() == expected.asd.tobytes()
+    assert seismic.tobytes() == expected.tobytes()
     assert not np.array_equal(seismic, active.components["seismic"].asd)
 
 
@@ -999,7 +1010,7 @@ class TestCli:
         if command == "budget":
             direct = float(assemble_budget(s, at_100).total.asd[0])
         elif command == "quantum":
-            direct = float(sql_psd(s.cavity.mirror_mass, at_100).asd[0])
+            direct = float(sql_psd(s.cavity.mirror_mass, at_100)[0])
         else:
             ends = FrequencyGrid([0.1, 0.25])
             log_mag = np.log10(np.abs(tf_suspoint_to_differential(s.horizontal_model, ends)))
@@ -1330,9 +1341,26 @@ class TestCli:
         assert warnings.formatwarning is formatwarning
         assert [w.category for w in caught] == [FreeMassValidityWarning]
 
-    def test_non_finite_spectrum_names_frequency_and_unit(self, tmp_path, capsys):
-        code = main(["budget", "--grid", "1e-320,1e4,100", "--out", str(tmp_path / "o")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("suscav: numerical error: ") and err.count("\n") == 1
-        assert f"m/rtHz (at {1e-320:.6g} Hz)" in err
+    def test_non_finite_spectrum_names_frequency_and_unit(self, config_factory, tmp_path,
+                                                         capsys):
+        """The line names the array: the horizontal seismic ASD, refused
+        before the vertical axis is solved, else the first budget column in
+        TERMS order, then the total."""
+        ground, power = config_factory(), config_factory()
+        ground["isolation"]["ground"]["level_m_rthz"] = 1e300
+        power["quantum"]["circulating_power_w"] = 1e296
+        for cfg, argv, subject, frequency in [
+            (None, ["--grid", "1e-320,1e4,100"], "the horizontal seismic ASD", 1e-320),
+            (ground, [], "budget column 'seismic'", 0.1),
+            (power, [], "budget column 'total'", 0.1),
+        ]:
+            if cfg is not None:
+                path = tmp_path / "config.json"
+                path.write_text(json.dumps(cfg))
+                argv = [*argv, "--config", str(path)]
+            code = main(["budget", *argv, "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"suscav: numerical error: {subject} contains non-finite "
+                                  "values: ") and err.count("\n") == 1
+            assert f"m/rtHz (at {frequency:.6g} Hz)" in err

@@ -1,21 +1,23 @@
 import decimal
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import suscav.scenario
 import suscav.spectra
+from suscav.cli import resolve_config
 from suscav.errors import ConfigError, GridError, NumericalError, UnitError
 from suscav.spectra import (
     UNIT_DISPLACEMENT,
-    UNIT_RELATIVE,
     CSV_BLOCK_CELLS,
     CSV_BLOCK_ROWS,
     CSV_FORMAT,
     CSV_READ_CHUNK,
     FrequencyGrid,
-    NoiseBudget,
     Spectrum,
     band_rms,
     cumulative_rms,
@@ -24,11 +26,9 @@ from suscav.spectra import (
     make_log_grid,
     read_asd_csv,
     read_budget_csv,
-    sum_uncorrelated,
-    write_budget_csv,
     write_csv,
-    zero_spectrum,
 )
+from suscav.scenario import Scenario, Term, _columns, load_config
 from suscav.spectra import _kernel_tables, _parse_lines
 
 
@@ -103,7 +103,7 @@ class TestSpectrum:
     def test_asd_psd_roundtrip(self, grid_band):
         rng = np.random.default_rng(7)
         s = Spectrum(grid_band, rng.uniform(1e-20, 1e-10, len(grid_band)), UNIT_DISPLACEMENT)
-        back = Spectrum.from_psd(grid_band, s.psd, s.unit)
+        back = Spectrum(grid_band, np.sqrt(s.psd), s.unit)
         assert np.allclose(back.asd, s.asd, rtol=1e-15, atol=0)
 
     def test_rejects_negative(self, grid_band):
@@ -150,49 +150,58 @@ class TestSpectrum:
             Spectrum(grid_band, np.ones(len(grid_band)), "Hz/rtHz")
 
 
+def budget_columns(grid, levels, references=()):
+    """`_columns` of paper_default with TERMS replaced by flat terms at
+    `levels` in the total and at `references` out of it."""
+    def term(name, level, in_total):
+        return Term(name, None, lambda s, g, shared: np.full(len(g), float(level)),
+                    lambda s: in_total)
+
+    terms = ([term(f"c{i}", v, True) for i, v in enumerate(levels)]
+             + [term(f"r{i}", v, False) for i, v in enumerate(references)])
+    with mock.patch.object(suscav.scenario, "TERMS", tuple(terms)):
+        return _columns(_paper_default(), grid)
+
+
+@functools.cache
+def _paper_default():
+    return Scenario.from_dict(load_config(resolve_config("paper_default")))
+
+
+def budget_total(grid, levels):
+    return budget_columns(grid, levels)[-1]
+
+
 class TestSumUncorrelated:
+    """The budget total: the root-sum-square of its in-total columns."""
+
     def test_zero_component_is_identity(self, grid_band):
-        a = flat(grid_band, 2.5)
-        out = sum_uncorrelated([a, zero_spectrum(grid_band, UNIT_DISPLACEMENT)])
-        assert np.allclose(out.asd, a.asd, rtol=1e-15)
+        out = budget_total(grid_band, [2.5, 0.0])
+        assert np.allclose(out, 2.5, rtol=1e-15)
 
     def test_three_four_five(self, grid_band):
-        out = sum_uncorrelated([flat(grid_band, 3.0), flat(grid_band, 4.0)])
-        assert np.allclose(out.asd, 5.0, rtol=1e-15)
+        out = budget_total(grid_band, [3.0, 4.0])
+        assert np.allclose(out, 5.0, rtol=1e-15)
 
     def test_equal_components(self, grid_band):
-        a = flat(grid_band, 1.7)
-        out = sum_uncorrelated([a, a])
-        assert np.allclose(out.asd, 1.7 * np.sqrt(2.0), rtol=1e-15)
-
-    def test_unit_mismatch_rejected(self, grid_band):
-        with pytest.raises(UnitError):
-            sum_uncorrelated([flat(grid_band, 1), flat(grid_band, 1, UNIT_RELATIVE)])
-
-    def test_grid_mismatch_rejected(self, grid_band):
-        other = make_log_grid(0.1, 1e4, 999)
-        with pytest.raises(GridError):
-            sum_uncorrelated([flat(grid_band, 1), flat(other, 1)])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigError):
-            sum_uncorrelated([])
+        out = budget_total(grid_band, [1.7, 1.7])
+        assert np.allclose(out, 1.7 * np.sqrt(2.0), rtol=1e-15)
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=6), st.randoms())
     def test_permutation_invariant(self, levels, rnd):
         grid = make_log_grid(1, 100, 32)
-        comps = [flat(grid, lv) for lv in levels]
-        ref = sum_uncorrelated(comps)
-        shuffled = list(comps)
+        ref = budget_total(grid, levels)
+        shuffled = list(levels)
         rnd.shuffle(shuffled)
-        assert np.allclose(sum_uncorrelated(shuffled).asd, ref.asd, rtol=1e-12)
+        assert np.allclose(budget_total(grid, shuffled), ref, rtol=1e-12)
 
     def test_associative(self, grid_band):
-        a, b, c = flat(grid_band, 1.0), flat(grid_band, 2.0), flat(grid_band, 3.0)
-        left = sum_uncorrelated([sum_uncorrelated([a, b]), c])
-        right = sum_uncorrelated([a, sum_uncorrelated([b, c])])
-        assert np.allclose(left.asd, right.asd, rtol=1e-12)
+        ab = budget_total(grid_band, [1.0, 2.0])[0]
+        bc = budget_total(grid_band, [2.0, 3.0])[0]
+        left = budget_total(grid_band, [ab, 3.0])
+        right = budget_total(grid_band, [1.0, bc])
+        assert np.allclose(left, right, rtol=1e-12)
 
 
 class TestCumulativeRms:
@@ -205,7 +214,7 @@ class TestCumulativeRms:
         assert rms.asd[-1] == 0.0
 
     def test_zero_spectrum(self, grid_band):
-        rms = cumulative_rms(zero_spectrum(grid_band, UNIT_DISPLACEMENT))
+        rms = cumulative_rms(Spectrum(grid_band, np.zeros(len(grid_band)), UNIT_DISPLACEMENT))
         assert np.all(rms.asd == 0.0)
 
     def test_single_bin_peak_trapezoid_oracle(self):
@@ -258,33 +267,12 @@ class TestBandRms:
 
 class TestNoiseBudget:
     def test_total_is_rss(self, grid_band):
-        budget = NoiseBudget.from_components(
-            {"a": flat(grid_band, 3.0), "b": flat(grid_band, 4.0)}
-        )
-        assert np.allclose(budget.total.asd, 5.0, rtol=1e-15)
+        columns = budget_columns(grid_band, [3.0, 4.0])
+        assert np.allclose(columns[-1], 5.0, rtol=1e-15)
 
     def test_reference_not_in_total(self, grid_band):
-        budget = NoiseBudget.from_components(
-            {"a": flat(grid_band, 3.0)}, references={"r": flat(grid_band, 100.0)}
-        )
-        assert np.allclose(budget.total.asd, 3.0, rtol=1e-15)
-
-    def test_csv_roundtrip_exact(self, tmp_path, grid_band):
-        rng = np.random.default_rng(3)
-        budget = NoiseBudget.from_components(
-            {
-                "alpha": Spectrum(grid_band, rng.uniform(0, 1e-12, len(grid_band)), UNIT_DISPLACEMENT),
-                "beta": Spectrum(grid_band, rng.uniform(0, 1e-12, len(grid_band)), UNIT_DISPLACEMENT),
-            },
-            references={"gamma": flat(grid_band, 1e-13)},
-        )
-        path = tmp_path / "budget.csv"
-        write_budget_csv(path, budget)
-        grid, columns = read_budget_csv(path)
-        assert np.array_equal(grid.values, grid_band.values)
-        assert set(columns) == {"alpha", "beta", "gamma", "total"}
-        assert np.array_equal(columns["alpha"], budget.components["alpha"].asd)
-        assert np.array_equal(columns["total"], budget.total.asd)
+        columns = budget_columns(grid_band, [3.0], references=[100.0])
+        assert np.allclose(columns[-1], 3.0, rtol=1e-15)
 
 
 def written_tokens(path, values):

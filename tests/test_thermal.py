@@ -76,7 +76,7 @@ class TestThermalDisplacement:
         grid = make_log_grid(5.0 / 1000.0, 5.0 * 1000.0, 40000)
         cfg = ThermalConfig(temperature=293.0)
         s = thermal_displacement(cfg, mirror_force_susceptibility(model, grid), grid)
-        integral = np.trapezoid(s.psd, grid.values)
+        integral = np.trapezoid(s ** 2, grid.values)
         assert integral == pytest.approx(K_B * 293.0 / k, rel=0.05)
 
     def test_temperature_scaling(self):
@@ -86,7 +86,7 @@ class TestThermalDisplacement:
         chi = mirror_force_susceptibility(model, grid)
         s1 = thermal_displacement(ThermalConfig(73.25), chi, grid)
         s4 = thermal_displacement(ThermalConfig(293.0), chi, grid)
-        assert np.allclose(s4.asd, 2.0 * s1.asd, rtol=1e-12)
+        assert np.allclose(s4, 2.0 * s1, rtol=1e-12)
 
     def test_room_to_cryo_ratio(self):
         m, k = oscillator_params()
@@ -95,7 +95,7 @@ class TestThermalDisplacement:
         chi = mirror_force_susceptibility(model, grid)
         warm = thermal_displacement(ThermalConfig(293.0), chi, grid)
         cold = thermal_displacement(ThermalConfig(10.0), chi, grid)
-        assert np.allclose(warm.asd, np.sqrt(29.3) * cold.asd, rtol=1e-12)
+        assert np.allclose(warm, np.sqrt(29.3) * cold, rtol=1e-12)
 
     def test_structural_high_frequency_slope(self):
         # structural damping, f >> f0: ASD ~ f**(-5/2)
@@ -104,7 +104,7 @@ class TestThermalDisplacement:
         grid = make_log_grid(50.0, 500.0, 100)
         chi = mirror_force_susceptibility(model, grid)
         s = thermal_displacement(ThermalConfig(293.0), chi, grid)
-        slope = np.polyfit(np.log10(grid.values), np.log10(s.asd), 1)[0]
+        slope = np.polyfit(np.log10(grid.values), np.log10(s), 1)[0]
         assert slope == pytest.approx(-2.5, abs=0.05)
 
     def test_differential_sqrt2(self, default_scenario):
@@ -115,7 +115,7 @@ class TestThermalDisplacement:
         single = thermal_displacement(default_scenario.thermal,
                                       mirror_force_susceptibility(model, grid), grid)
         term = assemble_budget(default_scenario, grid).components["suspension_thermal"]
-        assert np.allclose(term.asd, 2.0 * single.asd, rtol=1e-12)
+        assert np.allclose(term.asd, 2.0 * single, rtol=1e-12)
 
     def test_point_local_evaluation(self):
         # value at one frequency is independent of the rest of the grid
@@ -125,9 +125,9 @@ class TestThermalDisplacement:
         fine, one = make_log_grid(1.0, 100.0, 91), FrequencyGrid(np.array([10.0]))
         full = thermal_displacement(cfg, mirror_force_susceptibility(model, fine), fine)
         lone = thermal_displacement(cfg, mirror_force_susceptibility(model, one), one)
-        i = np.argmin(np.abs(full.grid.values - 10.0))
-        assert full.grid.values[i] == pytest.approx(10.0, rel=1e-12)
-        assert full.asd[i] == pytest.approx(lone.asd[0], rel=1e-12)
+        i = np.argmin(np.abs(fine.values - 10.0))
+        assert fine.values[i] == pytest.approx(10.0, rel=1e-12)
+        assert full[i] == pytest.approx(lone[0], rel=1e-12)
 
     def test_susceptibility_on_another_grid_rejected(self):
         m, k = oscillator_params()
