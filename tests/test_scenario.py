@@ -976,11 +976,6 @@ MISTYPED = [
 
 
 class TestCli:
-    def test_quantum_command(self, tmp_path, capsys):
-        code = main(["quantum", "--out", str(tmp_path / "q")])
-        assert code == 0
-        assert (tmp_path / "q" / "quantum.csv").exists()
-
     def test_grid_override(self, tmp_path):
         code = main(["quantum", "--out", str(tmp_path / "q"),
                      "--grid", "10,1000,16"])
