@@ -19,7 +19,7 @@ import numpy as np
 from .cavity import CavityParams
 from .constants import C_LIGHT, HBAR
 from .errors import ConfigError, NumericalError
-from .spectra import UNIT_DISPLACEMENT, NoiseBudget, Spectrum
+from .spectra import UNIT_DISPLACEMENT, NoiseBudget, Spectrum, check_asd
 
 # The idealised model takes the cavity pole from the input coupler alone
 # (lossless, zero end-mirror transmission); "total_loss" instead uses the
@@ -135,11 +135,15 @@ def quantum_noise_psd(config, grid):
 
     Components "shot_noise" and "radiation_pressure" sum (in PSD) to the
     total quantum noise; the SQL curve rides along as a reference that is
-    not part of the total.
+    not part of the total.  Each array is refused non-finite as it is made,
+    named as its column of the `quantum` command's `quantum.csv`.
     """
     sql = sql_psd(config.cavity.mirror_mass, grid)
+    check_asd(sql, grid, "quantum column 'sql'")
     reference = Spectrum(grid, sql, UNIT_DISPLACEMENT)
     shot, rp, total = quantum_noise_asd(config, sql, grid)
+    for name, asd in (("shot_noise", shot), ("radiation_pressure", rp), ("total", total)):
+        check_asd(asd, grid, f"quantum column {name!r}")
     return NoiseBudget(
         components={"shot_noise": Spectrum(grid, shot, UNIT_DISPLACEMENT),
                     "radiation_pressure": Spectrum(grid, rp, UNIT_DISPLACEMENT)},

@@ -22,7 +22,7 @@ import threading
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -575,16 +575,114 @@ def assemble_budget(scenario, grid=None):
     return NoiseBudget(components, Spectrum(grid, total, UNIT_DISPLACEMENT), references)
 
 
-# Warnings are decided here, by each command once its results are computed.
 def _below_floor(s):
     """Whether the grid starts below the free-mass validity floor of the
-    quantum model; warns if it does."""
-    below = s.grid.fmin < s.quantum.validity_floor_hz
-    if below:
-        warnings.warn(f"grid extends to {s.grid.fmin:.3g} Hz, below the free-mass validity "
-                      f"floor of {s.quantum.validity_floor_hz:.3g} Hz; results there are "
-                      "indicative only", qn.FreeMassValidityWarning, stacklevel=2)
-    return below
+    quantum model."""
+    return s.grid.fmin < s.quantum.validity_floor_hz
+
+
+# Warnings are decided here, by each command once its results are computed.
+def _warn_below_floor(s):
+    warnings.warn(f"grid extends to {s.grid.fmin:.3g} Hz, below the free-mass validity "
+                  f"floor of {s.quantum.validity_floor_hz:.3g} Hz; results there are "
+                  "indicative only", qn.FreeMassValidityWarning, stacklevel=2)
+
+
+CONFIG, MODEL, AT, BAND, GRID = "config", "model", "at", "band", "grid"
+OMIT = object()     # what a source gives for a value it does not write
+
+
+class Value(NamedTuple):
+    """A summary key; its kind, which says where the value is taken from;
+    and its source, which says how:
+    - CONFIG: the resolved config at the dotted key `source`, unless unset;
+    - MODEL: `source(s, r)`, which no grid enters;
+    - AT: `source(s, grid)` on FrequencyGrid(`freqs`), the same on any grid;
+    - BAND: `source(s, r, *freqs)` over the band `freqs`, only when the
+      grid covers it;
+    - GRID: `source(s, r)`, read off the command's grid.
+    `r` holds the command's results and the values taken before."""
+
+    key: str
+    kind: str
+    source: str | Callable
+    freqs: tuple = ()
+
+
+def _band_min(s, r, lo, hi):
+    # over the grid points in the band, of which a sparse grid may have none
+    f = s.grid.values
+    band = r["total"][np.searchsorted(f, lo, side="left"):np.searchsorted(f, hi, side="right")]
+    return float(np.min(band)) if band.size else OMIT
+
+
+def _slope(s, grid):
+    # of log |H| against log f; None where H is zero, as at stiffness mismatch 0
+    mag = np.abs(tf_suspoint_to_differential(s.horizontal_model, grid))
+    if np.all(mag > 0.0):
+        return float(np.diff(np.log10(mag))[0] / np.diff(np.log10(grid.values))[0])
+    return None
+
+
+# Each command's summary values, in the order they are taken; README's
+# table of summary values lists them by kind.
+SUMMARY = {
+    "budget": (
+        Value("iss_enabled", CONFIG, "intensity.iss.enabled"),
+        Value("asd_at_100_hz_m_rthz", AT, lambda s, f: float(_columns(s, f)[-1][0]), (100.0,)),
+        Value("rms_m", GRID, lambda s, r: r["report"].rms_m),
+        Value("rms_hz", GRID, lambda s, r: r["report"].rms_hz),
+        Value("vco_margin_ratio", GRID, lambda s, r: r["report"].margin_ratio
+              if np.isfinite(r["report"].margin_ratio) else "unbounded"),
+        Value("min_asd_100_1000_hz_m_rthz", BAND, _band_min, (100.0, 1000.0)),
+    ),
+    "suspension-tf": (
+        Value("eigenfrequencies_hz", MODEL, lambda s, r: [m.frequency_hz for m in r["modes"]]),
+        Value("low_frequency_slope", AT, _slope, (0.1, 0.25)),
+        Value("stiffness_mismatch", CONFIG, "suspension.stiffness_mismatch"),
+    ),
+    "isolation": (
+        Value("rms_passive_m_0p5_50hz", BAND, lambda s, r, *f: band_rms(r["passive"], *f),
+              (0.5, 50.0)),
+        Value("rms_active_m_0p5_50hz", BAND, lambda s, r, *f: band_rms(r["active"], *f),
+              (0.5, 50.0)),
+        Value("rms_reduction_ratio", BAND, lambda s, r, *f: r["rms_passive_m_0p5_50hz"]
+              / r["rms_active_m_0p5_50hz"] if r["rms_active_m_0p5_50hz"] > 0.0 else "unbounded",
+              (0.5, 50.0)),
+        Value("unity_gain_hz", GRID, lambda s, r: list(r["loop"].unity_gain_hz)),
+        Value("phase_margins_deg", GRID, lambda s, r: list(r["loop"].phase_margins_deg)),
+        Value("closed_loop_stable", MODEL, lambda s, r: s.loop_stable[HORIZONTAL]),
+    ),
+    "quantum": (
+        Value("circulating_power_w", MODEL, lambda s, r: s.quantum.circulating_power),
+        Value("sql_asd_at_100_hz_m_rthz", AT,
+              lambda s, f: float(qn.sql_psd(s.cavity.mirror_mass, f)[0]), (100.0,)),
+        Value("kappa_unity_hz", MODEL, lambda s, r: qn.kappa_unity_frequency(s.quantum)),
+        Value("free_mass_floor_hz", CONFIG, "quantum.validity_floor_hz"),
+        Value("grid_extends_below_floor", GRID, lambda s, r: _below_floor(s)),
+        Value("sql_target_hz", CONFIG, "quantum.power_for_sql_at_hz"),
+        Value("power_for_sql_w", MODEL,
+              lambda s, r: r["circulating_power_w"] if "sql_target_hz" in r else OMIT),
+    ),
+}
+
+
+def _summary(s, command, r):
+    """`command`'s summary: each of its SUMMARY values taken by the rule of
+    its kind, on the scenario's grid, with the command's results `r`."""
+    summary = {}
+    for v in SUMMARY[command]:
+        value = OMIT
+        if v.kind == CONFIG:
+            value = reduce(dict.__getitem__, v.source.split("."), s.config)
+            value = OMIT if value is None else value
+        elif v.kind == AT:
+            value = v.source(s, FrequencyGrid(v.freqs))
+        elif v.kind != BAND or s.grid.covers(*v.freqs):
+            value = v.source(s, r, *v.freqs)
+        if value is not OMIT:
+            summary[v.key] = r[v.key] = value
+    return summary
 
 
 def _emit(outdir, command, files, summary, traces, unit=UNIT_DISPLACEMENT):
@@ -612,7 +710,10 @@ def _emit(outdir, command, files, summary, traces, unit=UNIT_DISPLACEMENT):
     near = os.path.abspath(outdir)
     while not os.path.isdir(near):
         near = os.path.dirname(near)
-    stage = tempfile.mkdtemp(prefix=".suscav-staging-", dir=near)
+    try:
+        stage = tempfile.mkdtemp(prefix=".suscav-staging-", dir=near)
+    except OSError as exc:      # named by the path the user gave, not the random one
+        raise OSError(exc.errno, exc.strerror, outdir) from exc
     try:
         for name, writer, *args in files.values():
             writer(os.path.join(stage, name), *args)
@@ -711,8 +812,8 @@ def run_budget(scenario, outdir):
 
     The budget is assembled and written a block of BUDGET_BLOCK_ROWS grid
     points at a time, holding only the total ASD from block to block; the
-    cumulative RMS, the summary (but its 100 Hz value, assembled at 100 Hz)
-    and the warnings come from it once the last block is written.  Each
+    cumulative RMS, the summary values read off the grid and the warnings
+    come from it once the last block is written.  Each
     CSV file may be split between this process and a forked one
     (`_write_split`), which assembles the upper blocks and puts their
     total in the shared buffer.  `assemble_budget(scenario)` gives the
@@ -744,27 +845,15 @@ def run_budget(scenario, outdir):
 
     def write_rms(path):
         total.setflags(write=False)
-        at_100 = _columns(scenario, FrequencyGrid([100.0]))[-1][0]
-        rms = cumulative_rms(Spectrum(grid, total, UNIT_DISPLACEMENT))
+        rms = cumulative_rms(Spectrum(grid, total, UNIT_DISPLACEMENT), "budget column 'rms_m'")
         report = saturation_margin(rms, scenario.readout, scenario.cavity)
+        summary.update(_summary(scenario, "budget", {"total": total, "report": report}))
         if (scenario.config["budget"]["include"]["quantum"]
-                and scenario.quantum.circulating_power > 0.0):
-            _below_floor(scenario)
+                and scenario.quantum.circulating_power > 0.0 and _below_floor(scenario)):
+            _warn_below_floor(scenario)
         if report.saturated:
             warnings.warn(f"predicted beat RMS {report.rms_hz:.3g} Hz exceeds the VCO range "
                           f"{scenario.readout.vco_range:.3g} Hz", SaturationWarning, stacklevel=2)
-        summary.update({
-            "rms_m": report.rms_m,
-            "rms_hz": report.rms_hz,
-            "vco_margin_ratio": (report.margin_ratio if np.isfinite(report.margin_ratio)
-                                 else "unbounded"),
-            "iss_enabled": _iss_on(scenario),
-            "asd_at_100_hz_m_rthz": float(at_100),
-        })
-        lo = np.searchsorted(grid.values, 100.0, side="left")
-        hi = np.searchsorted(grid.values, 1000.0, side="right")
-        if grid.covers(100.0, 1000.0) and hi > lo:
-            summary["min_asd_100_1000_hz_m_rthz"] = float(np.min(total[lo:hi]))
         _write_split(path, n, lambda part, lo, hi: write_csv(
             part, ["frequency_hz", "rms_m"], [grid.values[lo:hi], rms.asd[lo:hi]]))
 
@@ -792,23 +881,14 @@ def run_suspension_tf(scenario, outdir):
         header.append("magnitude_normalized")
         columns.append(mag / peak if peak > 0.0 else mag)
     modes = eigenmodes(scenario.horizontal_model)
-
-    ends = FrequencyGrid([0.1, 0.25])
-    mag_ends = np.abs(tf_suspoint_to_differential(scenario.horizontal_model, ends))
-    slope = None
-    if np.all(mag_ends > 0.0):
-        slope = float(np.diff(np.log10(mag_ends))[0] / np.diff(np.log10(ends.values))[0])
+    summary = _summary(scenario, "suspension-tf", {"modes": modes})
     if scenario.chain.stiffness_mismatch == 0.0:
         warnings.warn("stiffness mismatch is zero: the differential transfer "
                       "function vanishes identically", UserWarning, stacklevel=2)
     _emit(outdir, "suspension-tf", {
         "transfer_function": ("suspension_tf.csv", write_csv, header, columns),
         "modes": ("modes.csv", write_mode_table, modes),
-    }, {
-        "eigenfrequencies_hz": [m.frequency_hz for m in modes],
-        "low_frequency_slope": slope,
-        "stiffness_mismatch": scenario.chain.stiffness_mismatch,
-    }, [{"column": "magnitude"}, {"column": "phase_deg", "unit": "deg"}], unit="m/m")
+    }, summary, [{"column": "magnitude"}, {"column": "phase_deg", "unit": "deg"}], unit="m/m")
     return h
 
 
@@ -817,29 +897,22 @@ def run_isolation(scenario, outdir):
     grid = scenario.grid
     ground = scenario.ground.asd(grid)
     result = closed_loop(scenario.loop_gain[HORIZONTAL], scenario.passive[HORIZONTAL], grid)
-    passive = Spectrum(grid, np.abs(result.passive) * ground, UNIT_DISPLACEMENT)
-    active = Spectrum(grid, np.abs(result.suppression) * ground, UNIT_DISPLACEMENT)
-    summary = {}
-    if grid.covers(0.5, 50.0):
-        rms_passive, rms_active = band_rms(passive, 0.5, 50.0), band_rms(active, 0.5, 50.0)
-        summary = {
-            "rms_passive_m_0p5_50hz": rms_passive,
-            "rms_active_m_0p5_50hz": rms_active,
-            "rms_reduction_ratio": rms_passive / rms_active if rms_active > 0.0 else "unbounded",
-        }
-    summary.update({
-        "unity_gain_hz": list(result.unity_gain_hz),
-        "phase_margins_deg": list(result.phase_margins_deg),
-        "closed_loop_stable": scenario.loop_stable[HORIZONTAL],
-    })
+    # checked by name as they are made: a Spectrum calls every array "asd"
+    passive, active = np.abs(result.passive) * ground, np.abs(result.suppression) * ground
+    check_asd(passive, grid, "isolation column 'payload_passive'")
+    check_asd(active, grid, "isolation column 'payload_active'")
+    passive, active = (Spectrum(grid, asd, UNIT_DISPLACEMENT) for asd in (passive, active))
+    summary = _summary(scenario, "isolation", {"passive": passive, "active": active,
+                                               "loop": result})
     del result      # its three complex arrays are not written
+    rms = [cumulative_rms(passive, "isolation column 'rms_passive_m'").asd,
+           cumulative_rms(active, "isolation column 'rms_active_m'").asd]
     spectra = ["ground", "payload_passive", "payload_active"]
     _emit(outdir, "isolation", {
         "spectra": ("isolation.csv", write_csv, ["frequency_hz", *spectra],
                     [grid.values, ground, passive.asd, active.asd]),
         "cumulative_rms": ("isolation_rms.csv", write_csv,
-                           ["frequency_hz", "rms_passive_m", "rms_active_m"],
-                           [grid.values, cumulative_rms(passive).asd, cumulative_rms(active).asd]),
+                           ["frequency_hz", "rms_passive_m", "rms_active_m"], [grid.values, *rms]),
     }, summary, [{"column": name} for name in spectra])
     return summary
 
@@ -851,20 +924,9 @@ def run_quantum_design(scenario, outdir):
     if config.circulating_power <= 0.0:
         raise ConfigError("quantum design needs a positive circulating power")
     budget = qn.quantum_noise_psd(config, grid)
-    sql_at_100 = qn.sql_psd(config.cavity.mirror_mass, FrequencyGrid([100.0]))[0]
-    kappa_unity = qn.kappa_unity_frequency(config)
-    below = _below_floor(scenario)
-    summary = {
-        "circulating_power_w": config.circulating_power,
-        "kappa_unity_hz": kappa_unity,
-        "free_mass_floor_hz": config.validity_floor_hz,
-        "grid_extends_below_floor": below,
-        "sql_asd_at_100_hz_m_rthz": float(sql_at_100),
-    }
-    target = scenario.config["quantum"]["power_for_sql_at_hz"]
-    if target is not None:
-        summary["sql_target_hz"] = target
-        summary["power_for_sql_w"] = config.circulating_power
+    summary = _summary(scenario, "quantum", {})
+    if summary["grid_extends_below_floor"]:
+        _warn_below_floor(scenario)
     curves = {**budget.components, **budget.references, "total": budget.total}
     _emit(outdir, "quantum", {"spectra": ("quantum.csv", write_csv, ["frequency_hz", *curves],
                                           [grid.values, *(c.asd for c in curves.values())])},

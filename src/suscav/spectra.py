@@ -178,8 +178,9 @@ def check_asd(asd, grid, name, unit=UNIT_DISPLACEMENT):
         raise ConfigError(f"{name} must be non-negative")
 
 
-def cumulative_rms(spectrum):
-    """RMS(f) = sqrt(integral of ASD**2 from f to fmax), trapezoidal.
+def cumulative_rms(spectrum, name="the cumulative RMS"):
+    """RMS(f) = sqrt(integral of ASD**2 from f to fmax), trapezoidal;
+    refused non-finite by `check_asd` under `name`.
 
     Integrated from high to low frequency, so the curve is monotonically
     non-increasing and reaches zero at the top of the grid.  The result
@@ -202,6 +203,7 @@ def cumulative_rms(spectrum):
         tail = np.cumsum(segments)
         carry = tail[-1]
         rms[lo:hi] = np.sqrt(tail[::-1])
+    check_asd(rms, spectrum.grid, name, spectrum.unit)
     rms.setflags(write=False)
     return Spectrum(spectrum.grid, rms, spectrum.unit)
 

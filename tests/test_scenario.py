@@ -1,9 +1,13 @@
 import filecmp
 import functools
+import itertools
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 
@@ -16,7 +20,13 @@ from suscav.cli import COMMANDS, main, parse_grid, resolve_config
 from suscav.errors import ConfigError
 from suscav.quantum import FreeMassValidityWarning, sql_psd
 from suscav.scenario import (
+    AT,
+    BAND,
     BUDGET_BLOCK_ROWS,
+    CONFIG,
+    GRID,
+    MODEL,
+    SUMMARY,
     TERMS,
     Scenario,
     _split_row,
@@ -975,6 +985,119 @@ MISTYPED = [
 ]
 
 
+# Every command's summary table is walked on these grids (None: the
+# config's own), then on grids of its own that stop short of a named
+# frequency or cover only part of a band.
+WALK_GRIDS = (None, "0.1,1e4,300", "0.1,1e4,1001", "0.1,1e4,10000")
+OWN_GRIDS = {"budget": ("0.1,50,200", "0.1,150,1000"), "suspension-tf": ("0.01,0.2,100",),
+             "isolation": ("10,1e4,1000", "60,1e4,100"), "quantum": ("200,1e4,50",)}
+
+
+def _direct_slope(s):
+    ends = FrequencyGrid([0.1, 0.25])
+    log_mag = np.log10(np.abs(tf_suspoint_to_differential(s.horizontal_model, ends)))
+    return float((log_mag[1] - log_mag[0]) / np.diff(np.log10(ends.values))[0])
+
+
+# Each value at named frequencies, evaluated there directly, not by its source.
+DIRECT = {
+    "asd_at_100_hz_m_rthz":
+        lambda s: float(assemble_budget(s, FrequencyGrid([100.0])).total.asd[0]),
+    "sql_asd_at_100_hz_m_rthz":
+        lambda s: float(sql_psd(s.cavity.mirror_mass, FrequencyGrid([100.0]))[0]),
+    "low_frequency_slope": _direct_slope,
+}
+
+
+@functools.cache
+def _walked(command, config):
+    """(scenario, {grid: the summary `command` writes on it})."""
+    summaries = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for grid in (*WALK_GRIDS, *OWN_GRIDS[command]):
+            out = os.path.join(tmp, str(len(summaries)))
+            assert main([command, "--config", config, "--out", out,
+                         *(["--grid", grid] if grid else [])]) == 0
+            with open(os.path.join(out, f"{command.split('-')[0]}_summary.json")) as fh:
+                summaries[grid] = json.load(fh)
+    return load_scenario(resolve_config(config)), summaries
+
+
+def _check_by_kind(table, scenario, summaries):
+    """Each key of a summary table, in the summaries a command wrote on
+    several grids, checked by its declared kind."""
+    grids = {text: parse_grid(text) if text else scenario.grid for text in summaries}
+    kinds = {v.key: v.kind for v in table}
+    bits = {v.key: {json.dumps(summary.get(v.key)) for summary in summaries.values()}
+            for v in table}
+    assert all(set(summary) <= set(kinds) for summary in summaries.values())
+    # one key set on every grid, apart from the band values
+    assert len({frozenset(key for key in summary if kinds[key] != BAND)
+                for summary in summaries.values()}) == 1
+    for v in table:
+        if v.kind == BAND:
+            assert ({text: v.key in summary for text, summary in summaries.items()}
+                    == {text: grids[text].covers(*v.freqs) for text in summaries}), v.key
+        if v.kind in (CONFIG, MODEL, AT):
+            assert len(bits[v.key]) == 1, v.key
+        if v.kind == AT:
+            assert bits[v.key] == {json.dumps(DIRECT[v.key](scenario))}, v.key
+
+
+@pytest.mark.parametrize("config", ["paper_default", "sql_design"])
+@pytest.mark.parametrize("command", sorted(SUMMARY))
+def test_summary_values_are_taken_by_their_kind(command, config):
+    """A value named for a frequency is computed there, not read off the
+    grid: every grid, including one that stops short of it, gives the bits
+    of a direct evaluation there.  A band value is written exactly when the
+    grid covers its band, since a band clipped by the grid would give
+    another band's value.  Config echoes and model values keep their bits
+    on every grid."""
+    _check_by_kind(SUMMARY[command], *_walked(command, config))
+
+
+WRONG_KINDS = [
+    ("asd_at_100_hz_m_rthz", BAND, (100.0, 1000.0)),
+    ("min_asd_100_1000_hz_m_rthz", AT, (100.0,)),
+    ("min_asd_100_1000_hz_m_rthz", BAND, (100.0, 1e5)),    # the wrong band
+    ("rms_m", MODEL, ()),
+    ("iss_enabled", BAND, (100.0, 1000.0)),
+    ("rms_passive_m_0p5_50hz", MODEL, ()),
+    ("unity_gain_hz", MODEL, ()),
+    ("grid_extends_below_floor", CONFIG, ()),
+]
+
+
+@pytest.mark.parametrize("key, kind, freqs", WRONG_KINDS,
+                         ids=[f"{key}-as-{kind}" for key, kind, _ in WRONG_KINDS])
+def test_a_kind_declared_wrongly_fails_the_walk(key, kind, freqs):
+    command = next(name for name, table in SUMMARY.items() if key in [v.key for v in table])
+    table = [v._replace(kind=kind, freqs=freqs) if v.key == key else v
+             for v in SUMMARY[command]]
+    with pytest.raises(AssertionError):
+        _check_by_kind(table, *_walked(command, "paper_default"))
+
+
+# README's table of summary values: its columns, and the kinds each lists
+README_COLUMNS = {"at its frequency, on any grid": {AT},
+                  "over its band, when the grid covers it": {BAND},
+                  "from the grid": {GRID}, "no grid enters": {CONFIG, MODEL}}
+
+
+def test_readme_lists_each_summary_value_under_its_kind():
+    lines = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| command | " + " | ".join(README_COLUMNS) + " |")
+    listed = {}
+    for line in itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:]):
+        command, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+        for column, cell in zip(README_COLUMNS, cells, strict=True):
+            listed.update({(command.strip("`"), key): column
+                           for key in re.findall(r"`(\w+)`", cell)})
+    assert listed == {(command, v.key): column for command, table in SUMMARY.items()
+                      for v in table for column, kinds in README_COLUMNS.items()
+                      if v.kind in kinds}
+
+
 class TestCli:
     def test_grid_override(self, tmp_path):
         code = main(["quantum", "--out", str(tmp_path / "q"),
@@ -1000,19 +1123,21 @@ class TestCli:
             assert main([command, "--out", str(out), "--grid", grid]) == 0
             name = "suspension" if command == "suspension-tf" else command
             summaries.append(json.loads((out / f"{name}_summary.json").read_text()))
-        s = load_scenario(resolve_config("paper_default"))
-        at_100 = FrequencyGrid([100.0])
-        if command == "budget":
-            direct = float(assemble_budget(s, at_100).total.asd[0])
-        elif command == "quantum":
-            direct = float(sql_psd(s.cavity.mirror_mass, at_100)[0])
-        else:
-            ends = FrequencyGrid([0.1, 0.25])
-            log_mag = np.log10(np.abs(tf_suspoint_to_differential(s.horizontal_model, ends)))
-            direct = float((log_mag[1] - log_mag[0]) / np.diff(np.log10(ends.values))[0])
+        direct = DIRECT[key](load_scenario(resolve_config("paper_default")))
         assert [summary[key] for summary in summaries] == [direct] * 4
         band = {"min_asd_100_1000_hz_m_rthz"}
         assert len({frozenset(set(summary) - band) for summary in summaries}) == 1
+
+    def test_staging_error_names_the_out_directory(self, tmp_path, monkeypatch, capsys):
+        """Not the staging directory's random name, which the user never gave."""
+        def refuse(prefix, dir):
+            raise PermissionError(13, "Permission denied", os.path.join(dir, prefix + "q7x2"))
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        out = str(tmp_path / "q")
+        assert main(["quantum", "--out", out, "--grid", "10,100,5"]) == 1
+        assert (capsys.readouterr().err
+                == f"suscav: I/O error: [Errno 13] Permission denied: {out!r}\n")
+        assert os.listdir(tmp_path) == []
 
     def test_directory_named_like_a_config_is_not_a_config(self, tmp_path, monkeypatch):
         """`--config NAME` skips a directory called NAME, such as the
