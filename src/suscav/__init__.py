@@ -7,7 +7,7 @@ from .cavity import (
     fsr,
     fwhm,
 )
-from .errors import ConfigError, GridError, NumericalError, UnitError
+from .errors import ConfigError, GridError, NumericalError
 from .isolation import (
     ActuatorParams,
     GeophoneParams,

@@ -8,11 +8,7 @@ exit code 1 and the latter to exit code 2.
 
 
 class ConfigError(ValueError):
-    """Invalid parameter, unit, grid or configuration input."""
-
-
-class UnitError(ConfigError):
-    """Operation applied to a spectrum with the wrong unit tag."""
+    """Invalid parameter, grid or configuration input."""
 
 
 class GridError(ConfigError):

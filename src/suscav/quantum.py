@@ -19,7 +19,7 @@ import numpy as np
 from .cavity import CavityParams
 from .constants import C_LIGHT, HBAR
 from .errors import ConfigError, NumericalError
-from .spectra import UNIT_DISPLACEMENT, NoiseBudget, Spectrum, check_asd
+from .spectra import NoiseBudget, Spectrum, check_asd
 
 # The idealised model takes the cavity pole from the input coupler alone
 # (lossless, zero end-mirror transmission); "total_loss" instead uses the
@@ -140,13 +140,13 @@ def quantum_noise_psd(config, grid):
     """
     sql = sql_psd(config.cavity.mirror_mass, grid)
     check_asd(sql, grid, "quantum column 'sql'")
-    reference = Spectrum(grid, sql, UNIT_DISPLACEMENT)
+    reference = Spectrum(grid, sql)
     shot, rp, total = quantum_noise_asd(config, sql, grid)
     for name, asd in (("shot_noise", shot), ("radiation_pressure", rp), ("total", total)):
         check_asd(asd, grid, f"quantum column {name!r}")
     return NoiseBudget(
-        components={"shot_noise": Spectrum(grid, shot, UNIT_DISPLACEMENT),
-                    "radiation_pressure": Spectrum(grid, rp, UNIT_DISPLACEMENT)},
-        total=Spectrum(grid, total, UNIT_DISPLACEMENT),
+        components={"shot_noise": Spectrum(grid, shot),
+                    "radiation_pressure": Spectrum(grid, rp)},
+        total=Spectrum(grid, total),
         references={"sql": reference},
     )

@@ -20,8 +20,7 @@ import numpy as np
 
 from .cavity import disp_per_hz
 from .constants import C_LIGHT
-from .errors import ConfigError, GridError, NumericalError, UnitError
-from .spectra import UNIT_DISPLACEMENT
+from .errors import ConfigError, GridError, NumericalError
 
 
 class SaturationWarning(UserWarning):
@@ -143,18 +142,16 @@ def check_saturation_grid(grid):
         raise GridError("budget grid must extend down to 0.5 Hz or lower")
 
 
-def saturation_margin(rms, config, cav):
+def saturation_margin(grid, rms, config, cav):
     """Beat-frequency RMS of a displacement budget against the VCO range.
 
-    `rms` is the cumulative RMS of the budget's total (`cumulative_rms`);
-    its value at the bottom of the grid, which must reach at or below
-    0.5 Hz, is the total displacement RMS.  It converts to hertz via the
-    inverse of the frequency-to-displacement relation.
+    `rms` is the cumulative RMS array of the budget's total on `grid`
+    (`cumulative_rms`); its value at the bottom of the grid, which must
+    reach at or below 0.5 Hz, is the total displacement RMS.  It converts
+    to hertz via the inverse of the frequency-to-displacement relation.
     """
-    if rms.unit != UNIT_DISPLACEMENT:
-        raise UnitError("saturation margin needs a displacement budget")
-    check_saturation_grid(rms.grid)
-    rms_m = float(rms.asd[0])
+    check_saturation_grid(grid)
+    rms_m = float(rms[0])
     if rms_m == 0.0:
         return SaturationReport(rms_m=0.0, rms_hz=0.0,
                                 margin_ratio=np.inf)

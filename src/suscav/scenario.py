@@ -571,8 +571,8 @@ def assemble_budget(scenario, grid=None):
     components, references = {}, {}
     for term, asd in zip(TERMS, columns):
         target = components if term.in_total(scenario) else references
-        target[term.column] = Spectrum(grid, asd, UNIT_DISPLACEMENT)
-    return NoiseBudget(components, Spectrum(grid, total, UNIT_DISPLACEMENT), references)
+        target[term.column] = Spectrum(grid, asd)
+    return NoiseBudget(components, Spectrum(grid, total), references)
 
 
 def _below_floor(s):
@@ -642,10 +642,10 @@ SUMMARY = {
         Value("stiffness_mismatch", CONFIG, "suspension.stiffness_mismatch"),
     ),
     "isolation": (
-        Value("rms_passive_m_0p5_50hz", BAND, lambda s, r, *f: band_rms(r["passive"], *f),
-              (0.5, 50.0)),
-        Value("rms_active_m_0p5_50hz", BAND, lambda s, r, *f: band_rms(r["active"], *f),
-              (0.5, 50.0)),
+        Value("rms_passive_m_0p5_50hz", BAND,
+              lambda s, r, *f: band_rms(s.grid, r["passive"], *f), (0.5, 50.0)),
+        Value("rms_active_m_0p5_50hz", BAND,
+              lambda s, r, *f: band_rms(s.grid, r["active"], *f), (0.5, 50.0)),
         Value("rms_reduction_ratio", BAND, lambda s, r, *f: r["rms_passive_m_0p5_50hz"]
               / r["rms_active_m_0p5_50hz"] if r["rms_active_m_0p5_50hz"] > 0.0 else "unbounded",
               (0.5, 50.0)),
@@ -844,9 +844,8 @@ def run_budget(scenario, outdir):
         _write_csv_blocks(path, ["frequency_hz", *(t["column"] for t in traces)], blocks())
 
     def write_rms(path):
-        total.setflags(write=False)
-        rms = cumulative_rms(Spectrum(grid, total, UNIT_DISPLACEMENT), "budget column 'rms_m'")
-        report = saturation_margin(rms, scenario.readout, scenario.cavity)
+        rms = cumulative_rms(grid, total, "budget column 'rms_m'")
+        report = saturation_margin(grid, rms, scenario.readout, scenario.cavity)
         summary.update(_summary(scenario, "budget", {"total": total, "report": report}))
         if (scenario.config["budget"]["include"]["quantum"]
                 and scenario.quantum.circulating_power > 0.0 and _below_floor(scenario)):
@@ -855,7 +854,7 @@ def run_budget(scenario, outdir):
             warnings.warn(f"predicted beat RMS {report.rms_hz:.3g} Hz exceeds the VCO range "
                           f"{scenario.readout.vco_range:.3g} Hz", SaturationWarning, stacklevel=2)
         _write_split(path, n, lambda part, lo, hi: write_csv(
-            part, ["frequency_hz", "rms_m"], [grid.values[lo:hi], rms.asd[lo:hi]]))
+            part, ["frequency_hz", "rms_m"], [grid.values[lo:hi], rms[lo:hi]]))
 
     # block 0 first, here: what the budget needs and no grid enters (the
     # suspension models and their tree plans, the platform and loop ZPKs, the
@@ -897,20 +896,19 @@ def run_isolation(scenario, outdir):
     grid = scenario.grid
     ground = scenario.ground.asd(grid)
     result = closed_loop(scenario.loop_gain[HORIZONTAL], scenario.passive[HORIZONTAL], grid)
-    # checked by name as they are made: a Spectrum calls every array "asd"
     passive, active = np.abs(result.passive) * ground, np.abs(result.suppression) * ground
     check_asd(passive, grid, "isolation column 'payload_passive'")
     check_asd(active, grid, "isolation column 'payload_active'")
-    passive, active = (Spectrum(grid, asd, UNIT_DISPLACEMENT) for asd in (passive, active))
+    # before the band values, so that an overflow is named by its column
+    rms = [cumulative_rms(grid, passive, "isolation column 'rms_passive_m'"),
+           cumulative_rms(grid, active, "isolation column 'rms_active_m'")]
     summary = _summary(scenario, "isolation", {"passive": passive, "active": active,
                                                "loop": result})
     del result      # its three complex arrays are not written
-    rms = [cumulative_rms(passive, "isolation column 'rms_passive_m'").asd,
-           cumulative_rms(active, "isolation column 'rms_active_m'").asd]
     spectra = ["ground", "payload_passive", "payload_active"]
     _emit(outdir, "isolation", {
         "spectra": ("isolation.csv", write_csv, ["frequency_hz", *spectra],
-                    [grid.values, ground, passive.asd, active.asd]),
+                    [grid.values, ground, passive, active]),
         "cumulative_rms": ("isolation_rms.csv", write_csv,
                            ["frequency_hz", "rms_passive_m", "rms_active_m"], [grid.values, *rms]),
     }, summary, [{"column": name} for name in spectra])

@@ -5,11 +5,13 @@ Conventions used throughout the package:
 * all spectral densities are one-sided,
 * a `Spectrum` carries the amplitude spectral density (ASD); the power
   spectral density is ASD**2 by definition,
-* computation works on plain ASD arrays; a `Spectrum` is what the library
-  hands out: an ASD array checked finite and non-negative by `check_asd`,
-  frozen, on its grid and tagged with its unit.  No operation combines
-  spectra.  Frequency noise (ADC, PLL) is converted to displacement
-  before it becomes a budget column.
+* every ASD is a displacement in m/rtHz ("rtHz" = square root of hertz);
+  frequency noise (ADC, PLL) is converted to displacement before it
+  becomes a budget column,
+* computation, the RMS integrators included, works on plain ASD arrays; a
+  `Spectrum` is what the library hands out (`assemble_budget`,
+  `quantum_noise_psd`): an ASD array checked finite and non-negative by
+  `check_asd`, frozen and on its grid.  No operation combines spectra.
 """
 
 from __future__ import annotations
@@ -22,16 +24,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, GridError, NumericalError, UnitError
+from .errors import ConfigError, GridError, NumericalError
 
-# Recognised ASD unit tags ("rtHz" = square root of hertz).
+# The unit of every ASD the library computes.
 UNIT_DISPLACEMENT = "m/rtHz"
-UNIT_RELATIVE = "1/rtHz"
-
-UNITS = frozenset({
-    UNIT_DISPLACEMENT,
-    UNIT_RELATIVE,
-})
 
 # 17 significant digits round-trip any IEEE double exactly.  This is the
 # definition of every number written to CSV: `write_csv` produces the same
@@ -145,24 +141,21 @@ class Spectrum:
 
     grid: FrequencyGrid
     asd: np.ndarray
-    unit: str
 
     def __post_init__(self):
-        if self.unit not in UNITS:
-            raise UnitError(f"unknown unit tag {self.unit!r}")
         arr = _frozen_array(self.asd)
         if arr.shape != self.grid.values.shape:
             raise GridError("asd length does not match grid length")
-        check_asd(arr, self.grid, "asd", self.unit)
+        check_asd(arr, self.grid, "asd")
         object.__setattr__(self, "asd", arr)
 
     @property
     def psd(self):
-        """Power spectral density, ASD**2."""
+        """Power spectral density, ASD**2 (perfbench's budget check reads it)."""
         return self.asd ** 2
 
 
-def check_asd(asd, grid, name, unit=UNIT_DISPLACEMENT):
+def check_asd(asd, grid, name):
     """Refuse an ASD array on `grid` that is not finite and non-negative: a
     NumericalError naming `name`, the first non-finite value and its
     frequency, else a ConfigError."""
@@ -173,57 +166,65 @@ def check_asd(asd, grid, name, unit=UNIT_DISPLACEMENT):
         finite = np.isfinite(asd)
         if not finite.all():
             i = np.argmin(finite)
-            raise NumericalError(f"{name} contains non-finite values: {asd[i]} {unit}",
-                                 frequency_hz=float(grid.values[i]))
+            raise NumericalError(
+                f"{name} contains non-finite values: {asd[i]} {UNIT_DISPLACEMENT}",
+                frequency_hz=float(grid.values[i]))
         raise ConfigError(f"{name} must be non-negative")
 
 
-def cumulative_rms(spectrum, name="the cumulative RMS"):
-    """RMS(f) = sqrt(integral of ASD**2 from f to fmax), trapezoidal;
-    refused non-finite by `check_asd` under `name`.
+def cumulative_rms(grid, asd, name):
+    """RMS(f) = sqrt(integral of asd**2 from f to fmax) on `grid`,
+    trapezoidal, as a read-only array; refused non-finite by `check_asd`
+    under `name`.
 
     Integrated from high to low frequency, so the curve is monotonically
-    non-increasing and reaches zero at the top of the grid.  The result
-    keeps the input unit tag; values are in the unit's numerator (the
-    usual convention when an RMS curve is overlaid on an ASD plot).
+    non-increasing and reaches zero at the top of the grid.  Values are in
+    metres (the usual convention when an RMS curve is overlaid on an ASD
+    plot).
 
     The segments are summed top-down in blocks of CSV_BLOCK_ROWS, each
     block's cumulative sum seeded with the sum above it: the additions of
     one sequential sum, in its order, with O(block) working arrays.
     """
-    f, asd = spectrum.grid.values, spectrum.asd
+    f = grid.values
     rms = np.empty(f.size)
     rms[-1] = 0.0
     carry = 0.0
-    for hi in range(f.size - 1, 0, -CSV_BLOCK_ROWS):
-        lo = max(hi - CSV_BLOCK_ROWS, 0)
-        psd = asd[lo:hi + 1] ** 2
-        segments = (0.5 * (psd[1:] + psd[:-1]) * np.diff(f[lo:hi + 1]))[::-1]
-        segments[0] += carry
-        tail = np.cumsum(segments)
-        carry = tail[-1]
-        rms[lo:hi] = np.sqrt(tail[::-1])
-    check_asd(rms, spectrum.grid, name, spectrum.unit)
+    with np.errstate(all="ignore"):     # refused below
+        for hi in range(f.size - 1, 0, -CSV_BLOCK_ROWS):
+            lo = max(hi - CSV_BLOCK_ROWS, 0)
+            psd = asd[lo:hi + 1] ** 2
+            segments = (0.5 * (psd[1:] + psd[:-1]) * np.diff(f[lo:hi + 1]))[::-1]
+            segments[0] += carry
+            tail = np.cumsum(segments)
+            carry = tail[-1]
+            rms[lo:hi] = np.sqrt(tail[::-1])
+    check_asd(rms, grid, name)
     rms.setflags(write=False)
-    return Spectrum(spectrum.grid, rms, spectrum.unit)
+    return rms
 
 
-def band_rms(spectrum, fmin, fmax):
-    """RMS over [fmin, fmax]; PSD is interpolated linearly at the edges.
-    A band the grid does not cover is refused: its RMS would be another band's."""
+def band_rms(grid, asd, fmin, fmax):
+    """RMS of `asd` on `grid` over [fmin, fmax]; the PSD is interpolated
+    linearly at the edges.  A band the grid does not cover is refused: its
+    RMS would be another band's.  So is a result that overflows."""
     if not (fmin < fmax):
         raise GridError(f"need fmin < fmax, got ({fmin}, {fmax})")
-    grid = spectrum.grid
     if not grid.covers(fmin, fmax):
         raise GridError(f"band {fmin:g}-{fmax:g} Hz is not covered by the grid "
                         f"{grid.fmin:g}-{grid.fmax:g} Hz")
-    f, psd = grid.values, spectrum.psd
+    f = grid.values
     inside = (f > fmin) & (f < fmax)
     fs = np.concatenate([[fmin], f[inside], [fmax]])
-    ps = np.concatenate([
-        [np.interp(fmin, f, psd)], psd[inside], [np.interp(fmax, f, psd)]
-    ])
-    return float(np.sqrt(np.trapezoid(ps, fs)))
+    with np.errstate(all="ignore"):     # refused below
+        psd = asd ** 2
+        ps = np.concatenate([
+            [np.interp(fmin, f, psd)], psd[inside], [np.interp(fmax, f, psd)]
+        ])
+        rms = float(np.sqrt(np.trapezoid(ps, fs)))
+    if not np.isfinite(rms):
+        raise NumericalError(f"RMS over the band {fmin:g}-{fmax:g} Hz is not finite: {rms} m")
+    return rms
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,6 +242,7 @@ class NoiseBudget:
 
     @property
     def grid(self):
+        """The budget's grid (perfbench's budget check reads it)."""
         return self.total.grid
 
 

@@ -32,14 +32,7 @@ from suscav.quantum import (
 )
 from suscav.readout import saturation_margin
 from suscav.scenario import assemble_budget, load_scenario, run_budget
-from suscav.spectra import (
-    UNIT_DISPLACEMENT,
-    FrequencyGrid,
-    Spectrum,
-    band_rms,
-    cumulative_rms,
-    make_log_grid,
-)
+from suscav.spectra import FrequencyGrid, band_rms, cumulative_rms, make_log_grid
 from suscav.suspension import (
     build_model,
     eigenmodes,
@@ -184,11 +177,10 @@ def test_criterion_5_active_isolation():
                      load_scenario(resolve_config("paper_default")).servo)
     result = closed_loop(gain, platform.passive("horizontal"), grid)
 
-    ground = Spectrum(grid, 1e-7 * np.minimum(1.0, (1.0 / grid.values) ** 2),
-                      UNIT_DISPLACEMENT)
-    passive = Spectrum(grid, np.abs(result.passive) * ground.asd, UNIT_DISPLACEMENT)
-    active = Spectrum(grid, np.abs(result.suppression) * ground.asd, UNIT_DISPLACEMENT)
-    ratio = band_rms(passive, 0.5, 50.0) / band_rms(active, 0.5, 50.0)
+    ground = 1e-7 * np.minimum(1.0, (1.0 / grid.values) ** 2)
+    passive = np.abs(result.passive) * ground
+    active = np.abs(result.suppression) * ground
+    ratio = band_rms(grid, passive, 0.5, 50.0) / band_rms(grid, active, 0.5, 50.0)
 
     identity = np.abs(result.passive) / np.abs(result.suppression)
     max_rel = float(np.max(np.abs(identity / np.abs(1.0 + result.loop_gain) - 1.0)))
@@ -208,7 +200,8 @@ def test_criterion_6_range_budget(paper_cavity_module):
 
     scenario = load_scenario(resolve_config("paper_default"))
     budget = assemble_budget(scenario)
-    rep = saturation_margin(cumulative_rms(budget.total), scenario.readout, scenario.cavity)
+    rms = cumulative_rms(scenario.grid, budget.total.asd, "rms")
+    rep = saturation_margin(scenario.grid, rms, scenario.readout, scenario.cavity)
     ok = conv_ok and rep.rms_m < 1e-9 and rep.margin_ratio >= 20.0
     report(6, ok, f"50 MHz <-> {conversion*1e9:.3f} nm (hand {hand*1e9:.3f}, 0.1%), "
                   f"budget rms {rep.rms_m*1e9:.3f} nm (<1), margin x{rep.margin_ratio:.1f} (>=20)")

@@ -14,13 +14,7 @@ from suscav.isolation import (
     loop_gain,
 )
 from suscav.scenario import load_scenario
-from suscav.spectra import (
-    UNIT_DISPLACEMENT,
-    FrequencyGrid,
-    Spectrum,
-    band_rms,
-    make_log_grid,
-)
+from suscav.spectra import FrequencyGrid, band_rms, make_log_grid
 from suscav.suspension import build_model, tf_suspoint_to_differential
 from test_suspension import default_chain
 
@@ -41,8 +35,7 @@ def actuator():
 
 
 def ground_model(grid):
-    asd = 1e-7 * np.minimum(1.0, (1.0 / grid.values) ** 2)
-    return Spectrum(grid, asd, UNIT_DISPLACEMENT)
+    return 1e-7 * np.minimum(1.0, (1.0 / grid.values) ** 2)
 
 
 def shipped_servo(gain=None):
@@ -217,9 +210,9 @@ class TestClosedLoop:
     def test_rms_reduction_order_of_magnitude(self, platform, actuator, grid_band):
         result = default_loop(platform, actuator, grid_band)
         ground = ground_model(grid_band)
-        passive = Spectrum(grid_band, np.abs(result.passive) * ground.asd, UNIT_DISPLACEMENT)
-        active = Spectrum(grid_band, np.abs(result.suppression) * ground.asd, UNIT_DISPLACEMENT)
-        ratio = band_rms(passive, 0.5, 50.0) / band_rms(active, 0.5, 50.0)
+        passive = np.abs(result.passive) * ground
+        active = np.abs(result.suppression) * ground
+        ratio = band_rms(grid_band, passive, 0.5, 50.0) / band_rms(grid_band, active, 0.5, 50.0)
         assert 5.0 <= ratio <= 20.0
 
     def test_conditioning_error_named(self, platform, actuator, grid_band):
@@ -260,12 +253,11 @@ class TestClosedLoop:
         result = default_loop(platform, actuator, grid_band)
         ground = ground_model(grid_band)
         h = tf_suspoint_to_differential(build_model(default_chain(), "horizontal"), grid_band)
-        active = Spectrum(grid_band, np.abs(result.suppression * h) * ground.asd,
-                          UNIT_DISPLACEMENT)
-        passive = Spectrum(grid_band, np.abs(result.passive * h) * ground.asd, UNIT_DISPLACEMENT)
+        active = np.abs(result.suppression * h) * ground
+        passive = np.abs(result.passive * h) * ground
         predicted = np.abs(result.suppression) / np.abs(result.passive)
-        witnessed = np.where(passive.asd > 0.0, active.asd / passive.asd, 0.0)
-        ok = passive.asd > 0.0
+        witnessed = np.where(passive > 0.0, active / passive, 0.0)
+        ok = passive > 0.0
         assert np.allclose(witnessed[ok], predicted[ok], rtol=1e-12)
 
 

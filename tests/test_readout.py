@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from suscav.errors import ConfigError, GridError, UnitError
+from suscav.errors import ConfigError, GridError
 from suscav.isolation import ZPK
 from suscav.readout import (
     AcousticPeak,
@@ -14,14 +14,7 @@ from suscav.readout import (
     saturation_margin,
 )
 from suscav.scenario import assemble_budget
-from suscav.spectra import (
-    UNIT_DISPLACEMENT,
-    UNIT_RELATIVE,
-    FrequencyGrid,
-    Spectrum,
-    cumulative_rms,
-    make_log_grid,
-)
+from suscav.spectra import FrequencyGrid, cumulative_rms, make_log_grid
 
 ADC_V_ASD = 4.924752993529532e-07      # (20/2^16)/sqrt(12*32000) [V/rtHz]
 M_PER_HZ = 4.911731301792789e-16       # 95 mm, 1550 nm cavity
@@ -70,10 +63,6 @@ class TestAdcNoise:
                   for b in (8, 12, 16, 20)]
         for i, b in enumerate((8, 12, 16, 20)):
             assert levels[i] * 2.0 ** b == pytest.approx(levels[0] * 2.0 ** 8, rel=1e-12)
-
-    def test_unit_tagged_displacement(self, default_scenario):
-        # the array is tagged where the budget hands its columns out
-        assert assemble_budget(default_scenario).components["adc"].unit == UNIT_DISPLACEMENT
 
 
 class TestPllNoise:
@@ -156,17 +145,16 @@ class TestAcousticPeaks:
             AcousticPeak(center=100.0, width=0.0, height=1e-15)
 
 
-def flat_total(grid, rms_target):
-    # flat ASD whose band RMS from fmin equals rms_target
+def flat_rms(grid, rms_target):
+    # cumulative RMS of a flat ASD whose band RMS from fmin equals rms_target
     level = rms_target / np.sqrt(grid.fmax - grid.fmin)
-    return Spectrum(grid, np.full(len(grid), level), UNIT_DISPLACEMENT)
+    return cumulative_rms(grid, np.full(len(grid), level), "rms")
 
 
 class TestSaturationMargin:
     def test_one_nanometre_reference(self, paper_cavity):
         grid = FrequencyGrid(np.linspace(0.5, 5000.0, 20000))
-        total = flat_total(grid, 1e-9)
-        report = saturation_margin(cumulative_rms(total), readout_config(), paper_cavity)
+        report = saturation_margin(grid, flat_rms(grid, 1e-9), readout_config(), paper_cavity)
         assert report.rms_hz == pytest.approx(BEAT_RMS_1NM, rel=1e-6)
         assert report.margin_ratio == pytest.approx(MARGIN_1NM, rel=1e-6)
         assert not report.saturated
@@ -174,24 +162,18 @@ class TestSaturationMargin:
     def test_range_edge_saturates(self, paper_cavity):
         # the command warns of it (test_scenario); the report itself is silent
         grid = FrequencyGrid(np.linspace(0.5, 5000.0, 20000))
-        total = flat_total(grid, 24.6e-9)
-        report = saturation_margin(cumulative_rms(total), readout_config(), paper_cavity)
+        report = saturation_margin(grid, flat_rms(grid, 24.6e-9), readout_config(),
+                                   paper_cavity)
         assert report.margin_ratio == pytest.approx(1.0, rel=1e-2)
         assert report.saturated
 
     def test_zero_budget_unbounded(self, paper_cavity, grid_band):
-        total = flat_total(grid_band, 0.0)
-        report = saturation_margin(cumulative_rms(total), readout_config(), paper_cavity)
+        report = saturation_margin(grid_band, flat_rms(grid_band, 0.0), readout_config(),
+                                   paper_cavity)
         assert report.margin_ratio == np.inf
         assert not report.saturated
 
     def test_grid_must_reach_low_frequency(self, paper_cavity):
         grid = make_log_grid(1.0, 1e4, 100)
         with pytest.raises(GridError):
-            saturation_margin(cumulative_rms(flat_total(grid, 1e-9)), readout_config(),
-                              paper_cavity)
-
-    def test_displacement_unit_required(self, paper_cavity, grid_band):
-        s = Spectrum(grid_band, np.ones(len(grid_band)), UNIT_RELATIVE)
-        with pytest.raises(UnitError):
-            saturation_margin(cumulative_rms(s), readout_config(), paper_cavity)
+            saturation_margin(grid, flat_rms(grid, 1e-9), readout_config(), paper_cavity)

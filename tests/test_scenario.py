@@ -245,10 +245,9 @@ def test_budget_builds_and_solves_each_response_once(default_scenario, monkeypat
 def test_budget_makes_each_spectrum_once(config_factory, monkeypatch, tmp_path):
     """Every term on and the ISS on: the budget's arrays come from `_columns`,
     which makes no spectrum; `assemble_budget` makes one per column and one
-    for the total, and `run_budget` in one process makes the same number on
-    any grid (the total and its cumulative RMS).  Each call evaluates the
-    ground once, and the SQL once: its own column and the quantum total
-    share it."""
+    for the total, and `run_budget` and `run_isolation` make none on any
+    grid.  Each call evaluates the ground once, and the SQL once: its own
+    column and the quantum total share it."""
     import suscav.scenario
 
     cfg = config_factory()
@@ -268,13 +267,12 @@ def test_budget_makes_each_spectrum_once(config_factory, monkeypatch, tmp_path):
     assemble_budget(scenario)
     assert (len(made), len(grounds), len(sqls)) == (len(TERMS) + 1, 2, 2) == (10, 2, 2)
     _forking(monkeypatch, cpus={0})
-    counts = []
+    made.clear()
     for n in (1000, 100_000):
-        made.clear()
-        run_budget(Scenario.from_dict(cfg, grid_override=make_log_grid(0.1, 1e4, n)),
-                   tmp_path / str(n))
-        counts.append(len(made))
-    assert counts == [2, 2]
+        scenario = Scenario.from_dict(cfg, grid_override=make_log_grid(0.1, 1e4, n))
+        run_budget(scenario, tmp_path / f"b{n}")
+        run_isolation(scenario, tmp_path / f"i{n}")
+    assert made == []
 
 
 def test_suspension_tf_builds_the_model_once(default_scenario, monkeypatch, tmp_path):
@@ -768,11 +766,21 @@ def test_split_budget_is_byte_identical_to_one_process(monkeypatch, tmp_path, co
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("grid, side", [("0.1,1e100,40000", "forked"),
-                                        ("0.1,1e308,40000", "parent")])
-def test_split_budget_fails_as_one_process_does(monkeypatch, tmp_path, capsys, grid, side):
+@pytest.mark.parametrize("grid, pll, side", [
+    pytest.param("0.1,1e100,40000", 1.0, "forked", id="0.1,1e100,40000-forked"),
+    pytest.param("0.1,1e308,40000", 1.0, "parent", id="0.1,1e308,40000-parent"),
+    # budget.csv is written whole, then the cumulative RMS overflows
+    pytest.param("0.1,1e4,100000", 1e169, "parent", id="pll_1e169-0.1,1e4,100000-parent"),
+])
+def test_split_budget_fails_as_one_process_does(config_factory, monkeypatch, tmp_path, capsys,
+                                                grid, pll, side):
     """The first error in row order, whichever process met it; the previous
-    output stays, and no staging file nor child process is left."""
+    output stays, and no staging file nor child process is left.  `pll` is
+    the PLL noise floor, 1 Hz/rtHz as shipped."""
+    cfg = config_factory()
+    cfg["readout"]["pll_noise_floor_hz_rthz"] = pll
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(cfg))
     out = tmp_path / "o"
     assert main(["budget", "--out", str(out)]) == 0
     before = _files(out)
@@ -780,11 +788,12 @@ def test_split_budget_fails_as_one_process_does(monkeypatch, tmp_path, capsys, g
     for cpus in ({0}, {0, 1}):
         forks = _forking(monkeypatch, cpus)
         capsys.readouterr()
-        assert main(["budget", "--grid", grid, "--out", str(out)]) == 2
+        assert main(["budget", "--config", str(config), "--grid", grid,
+                     "--out", str(out)]) == 2
         errors.append(capsys.readouterr().err)
         assert len(forks) == len(cpus) - 1
         assert _files(out) == before
-        assert os.listdir(tmp_path) == ["o"]
+        assert sorted(os.listdir(tmp_path)) == ["c.json", "o"]
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
     assert errors[0] == errors[1]
@@ -792,7 +801,7 @@ def test_split_budget_fails_as_one_process_does(monkeypatch, tmp_path, capsys, g
     # the failing frequency lies in the rows of the process the case names
     frequency = float(errors[0].rsplit("(at ", 1)[1].split(" Hz)")[0])
     row = np.searchsorted(parse_grid(grid).values, frequency)
-    assert (row >= _split_row(40_000)) == (side == "forked")
+    assert (row >= _split_row(len(parse_grid(grid)))) == (side == "forked")
 
 
 def _rows(fail=(), exit_at=(), sleep_at=()):

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 import suscav.scenario
 import suscav.spectra
 from suscav.cli import resolve_config
-from suscav.errors import ConfigError, GridError, NumericalError, UnitError
+from suscav.errors import ConfigError, GridError, NumericalError
 from suscav.spectra import (
-    UNIT_DISPLACEMENT,
     CSV_BLOCK_CELLS,
     CSV_BLOCK_ROWS,
     CSV_FORMAT,
@@ -32,8 +31,8 @@ from suscav.scenario import Scenario, Term, _columns, load_config
 from suscav.spectra import _kernel_tables, _parse_lines
 
 
-def flat(grid, level, unit=UNIT_DISPLACEMENT):
-    return Spectrum(grid, np.full(len(grid), float(level)), unit)
+def flat(grid, level):
+    return np.full(len(grid), float(level))
 
 
 class TestMakeLogGrid:
@@ -102,15 +101,15 @@ class TestFrequencyGrid:
 class TestSpectrum:
     def test_asd_psd_roundtrip(self, grid_band):
         rng = np.random.default_rng(7)
-        s = Spectrum(grid_band, rng.uniform(1e-20, 1e-10, len(grid_band)), UNIT_DISPLACEMENT)
-        back = Spectrum(grid_band, np.sqrt(s.psd), s.unit)
+        s = Spectrum(grid_band, rng.uniform(1e-20, 1e-10, len(grid_band)))
+        back = Spectrum(grid_band, np.sqrt(s.psd))
         assert np.allclose(back.asd, s.asd, rtol=1e-15, atol=0)
 
     def test_rejects_negative(self, grid_band):
         asd = np.ones(len(grid_band))
         asd[3] = -1.0
         with pytest.raises(ConfigError):
-            Spectrum(grid_band, asd, UNIT_DISPLACEMENT)
+            Spectrum(grid_band, asd)
 
     def test_rejects_nan(self, grid_band):
         """Input ASDs are refused non-finite where they are read, so a
@@ -118,7 +117,7 @@ class TestSpectrum:
         asd = np.ones(len(grid_band))
         asd[3] = np.nan
         with pytest.raises(NumericalError) as info:
-            Spectrum(grid_band, asd, UNIT_DISPLACEMENT)
+            Spectrum(grid_band, asd)
         assert info.value.frequency_hz == grid_band.values[3]
 
     @pytest.mark.parametrize("bad, message", [
@@ -130,24 +129,18 @@ class TestSpectrum:
         asd[3] = bad
         error = ConfigError if np.isfinite(bad) else NumericalError
         with pytest.raises(error, match=message):
-            Spectrum(grid_band, asd, UNIT_DISPLACEMENT)
+            Spectrum(grid_band, asd)
 
     def test_shares_a_read_only_array_and_copies_a_writable_one(self, grid_band):
         writable = np.ones(len(grid_band))
-        copied = Spectrum(grid_band, writable, UNIT_DISPLACEMENT).asd
+        copied = Spectrum(grid_band, writable).asd
         assert copied is not writable and writable.flags.writeable
         assert not copied.flags.writeable
-        assert Spectrum(grid_band, copied, UNIT_DISPLACEMENT).asd is copied
+        assert Spectrum(grid_band, copied).asd is copied
 
     def test_rejects_length_mismatch(self, grid_band):
         with pytest.raises(GridError):
-            Spectrum(grid_band, np.ones(3), UNIT_DISPLACEMENT)
-
-    def test_rejects_unknown_unit(self, grid_band):
-        with pytest.raises(UnitError):
-            Spectrum(grid_band, np.ones(len(grid_band)), "furlong/rtHz")
-        with pytest.raises(UnitError):      # frequency noise is displacement first
-            Spectrum(grid_band, np.ones(len(grid_band)), "Hz/rtHz")
+            Spectrum(grid_band, np.ones(3))
 
 
 def budget_columns(grid, levels, references=()):
@@ -209,29 +202,28 @@ class TestCumulativeRms:
         # flat ASD a over [f1, f2]: RMS(f1) = a*sqrt(f2 - f1)
         grid = FrequencyGrid(np.linspace(2.0, 50.0, 481))
         a = 1.3e-9
-        rms = cumulative_rms(flat(grid, a))
-        assert rms.asd[0] == pytest.approx(a * np.sqrt(48.0), rel=1e-12)
-        assert rms.asd[-1] == 0.0
+        rms = cumulative_rms(grid, flat(grid, a), "rms")
+        assert rms[0] == pytest.approx(a * np.sqrt(48.0), rel=1e-12)
+        assert rms[-1] == 0.0 and not rms.flags.writeable
 
     def test_zero_spectrum(self, grid_band):
-        rms = cumulative_rms(Spectrum(grid_band, np.zeros(len(grid_band)), UNIT_DISPLACEMENT))
-        assert np.all(rms.asd == 0.0)
+        rms = cumulative_rms(grid_band, np.zeros(len(grid_band)), "rms")
+        assert np.all(rms == 0.0)
 
     def test_single_bin_peak_trapezoid_oracle(self):
         # 3-point grid [1,2,3], asd [0,p,0]: trapezoid segments are each
         # p**2/2, so RMS = [p, p/sqrt(2), 0].
         grid = FrequencyGrid(np.array([1.0, 2.0, 3.0]))
         p = 4.0e-12
-        s = Spectrum(grid, np.array([0.0, p, 0.0]), UNIT_DISPLACEMENT)
-        rms = cumulative_rms(s)
-        assert rms.asd == pytest.approx([p, p / np.sqrt(2.0), 0.0], rel=1e-14)
+        rms = cumulative_rms(grid, np.array([0.0, p, 0.0]), "rms")
+        assert rms == pytest.approx([p, p / np.sqrt(2.0), 0.0], rel=1e-14)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0, 1e3), min_size=2, max_size=40))
     def test_monotone_non_increasing(self, values):
         grid = FrequencyGrid(np.linspace(1.0, 10.0, len(values)))
-        rms = cumulative_rms(Spectrum(grid, np.array(values), UNIT_DISPLACEMENT))
-        assert np.all(np.diff(rms.asd) <= 0.0)
+        rms = cumulative_rms(grid, np.array(values), "rms")
+        assert np.all(np.diff(rms) <= 0.0)
 
     @pytest.mark.parametrize("n", sorted({1, 2, 3, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
                                           CSV_BLOCK_ROWS + 2, 3 * CSV_BLOCK_ROWS + 7}))
@@ -242,8 +234,14 @@ class TestCumulativeRms:
         psd, f = asd ** 2, grid.values
         segments = 0.5 * (psd[1:] + psd[:-1]) * np.diff(f)
         tail = np.concatenate([np.cumsum(segments[::-1])[::-1], [0.0]])
-        rms = cumulative_rms(Spectrum(grid, asd, UNIT_DISPLACEMENT))
-        assert rms.asd.tobytes() == np.sqrt(tail).tobytes()
+        rms = cumulative_rms(grid, asd, "rms")
+        assert rms.tobytes() == np.sqrt(tail).tobytes()
+
+    def test_overflow_is_refused_by_name(self):
+        grid = make_log_grid(0.1, 100, 200)
+        with pytest.raises(NumericalError, match=r"^the RMS contains non-finite values: inf "
+                                                 r"m/rtHz \(at 0.1 Hz\)$"):
+            cumulative_rms(grid, flat(grid, 1e200), "the RMS")
 
 
 class TestBandRms:
@@ -251,7 +249,7 @@ class TestBandRms:
         grid = make_log_grid(0.1, 100, 2000)
         a = 2.0e-8
         # exact edges are interpolated, flat PSD makes this analytic
-        assert band_rms(flat(grid, a), 0.5, 50.0) == pytest.approx(
+        assert band_rms(grid, flat(grid, a), 0.5, 50.0) == pytest.approx(
             a * np.sqrt(49.5), rel=1e-6
         )
 
@@ -262,7 +260,13 @@ class TestBandRms:
         grid = make_log_grid(0.1, 10.0, 100)
         with pytest.raises(GridError, match=f"band {fmin:g}-{fmax:g} Hz is not covered "
                                             "by the grid 0.1-10 Hz"):
-            band_rms(flat(grid, 1.0), fmin, fmax)
+            band_rms(grid, flat(grid, 1.0), fmin, fmax)
+
+    def test_overflow_is_refused(self):
+        """A finite ASD whose PSD overflows has no finite RMS to return."""
+        grid = make_log_grid(0.1, 100, 200)
+        with pytest.raises(NumericalError, match="RMS over the band 1-10 Hz is not finite: inf m"):
+            band_rms(grid, flat(grid, 1e200), 1.0, 10.0)
 
 
 class TestNoiseBudget:
@@ -438,10 +442,10 @@ class TestCsvWriter:
         the 0.0 that ends a cumulative RMS curve, lie in the kernel's range:
         over blocks that hold them, each number is scaled once."""
         grid = make_log_grid(0.1, 1e4, 3 * CSV_BLOCK_ROWS + 5)
-        rms = cumulative_rms(Spectrum(grid, 1e-12 / np.sqrt(grid.values), UNIT_DISPLACEMENT))
-        assert rms.asd[-1] == 0.0
+        rms = cumulative_rms(grid, 1e-12 / np.sqrt(grid.values), "rms")
+        assert rms[-1] == 0.0
         sizes = self.scaled_sizes(monkeypatch)
-        header, columns = ["frequency_hz", "rms"], [grid.values, rms.asd]
+        header, columns = ["frequency_hz", "rms"], [grid.values, rms]
         path = tmp_path / "t.csv"
         write_csv(path, header, columns)
         assert path.read_text() == self.reference(header, columns)
@@ -485,12 +489,12 @@ class TestCsvWriter:
 class TestCsvIngestion:
     def test_spectrum_roundtrip(self, tmp_path):
         grid = make_log_grid(1, 100, 64)
-        s = flat(grid, 3.14e-9)
+        asd = flat(grid, 3.14e-9)
         path = tmp_path / "s.csv"
-        write_csv(path, ["frequency_hz", "asd"], [grid.values, s.asd])
+        write_csv(path, ["frequency_hz", "asd"], [grid.values, asd])
         f, a = read_asd_csv(path)
         assert np.array_equal(f, grid.values)
-        assert np.array_equal(a, s.asd)
+        assert np.array_equal(a, asd)
 
     def test_interp_loglog_power_law(self):
         f_src = np.array([1.0, 10.0, 100.0])
