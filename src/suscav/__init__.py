@@ -34,7 +34,6 @@ from .readout import (
     intensity_rp_displacement,
     iss_profile,
     pll_noise_asd,
-    saturation_margin,
 )
 from .scenario import (
     Scenario,

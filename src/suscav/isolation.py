@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .spectra import FrequencyGrid
 from .suspension import HORIZONTAL, VERTICAL
 
 
@@ -190,25 +189,10 @@ class GeophoneParams:
                    gain=self.generator_constant)
 
 
-@dataclass(frozen=True, eq=False)
-class LoopResult:
-    grid: FrequencyGrid
+class LoopResult(NamedTuple):
     loop_gain: np.ndarray
     suppression: np.ndarray        # ground -> payload with the loop closed
     passive: np.ndarray            # ground -> payload with the loop open
-
-    @cached_property
-    def _margins(self):
-        # only the isolation report reads these, so a budget never finds them
-        return _crossings(self.grid, self.loop_gain)
-
-    @property
-    def unity_gain_hz(self):
-        return self._margins[0]
-
-    @property
-    def phase_margins_deg(self):
-        return self._margins[1]
 
 
 def _wrap_deg(angle):
@@ -246,8 +230,8 @@ def closed_loop(gain, passive, grid):
     """Close the loop gain `gain` (a ZPK from `loop_gain`) on `grid` around
     `passive`, the open-loop ZPK of the same axis (`PlatformParams.passive`).
 
-    The loop gain's frequency response gives the suppression and, on
-    first read, the unity-gain frequencies and phase margins.
+    The loop gain's frequency response gives the suppression; the
+    unity-gain frequencies and phase margins are `_crossings` of it.
     """
     loop = gain.evaluate(grid)
     one_plus = 1.0 + loop
@@ -256,4 +240,4 @@ def closed_loop(gain, passive, grid):
         raise NumericalError("closed loop is ill-conditioned (|1+G| < 1e-9)",
                              frequency_hz=grid.values[np.argmax(small)])
     passive = passive.evaluate(grid)
-    return LoopResult(grid=grid, loop_gain=loop, suppression=passive / one_plus, passive=passive)
+    return LoopResult(loop_gain=loop, suppression=passive / one_plus, passive=passive)

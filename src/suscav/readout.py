@@ -124,37 +124,9 @@ def acoustic_peaks(peaks, grid):
     return np.sqrt(psd)
 
 
-@dataclass(frozen=True)
-class SaturationReport:
-    rms_m: float
-    rms_hz: float
-    margin_ratio: float     # inf for a zero budget
-
-    @property
-    def saturated(self):
-        return self.margin_ratio < 1.0
-
-
 def check_saturation_grid(grid):
     """Refuse a grid that stops above 0.5 Hz, too high for the total RMS
-    that `saturation_margin` reads at its bottom."""
+    that the budget summary reads at its bottom."""
     if grid.fmin > 0.5:
         raise GridError("budget grid must extend down to 0.5 Hz or lower")
 
-
-def saturation_margin(grid, rms, config, cav):
-    """Beat-frequency RMS of a displacement budget against the VCO range.
-
-    `rms` is the cumulative RMS array of the budget's total on `grid`
-    (`cumulative_rms`); its value at the bottom of the grid, which must
-    reach at or below 0.5 Hz, is the total displacement RMS.  It converts
-    to hertz via the inverse of the frequency-to-displacement relation.
-    """
-    check_saturation_grid(grid)
-    rms_m = float(rms[0])
-    if rms_m == 0.0:
-        return SaturationReport(rms_m=0.0, rms_hz=0.0,
-                                margin_ratio=np.inf)
-    rms_hz = rms_m / disp_per_hz(cav)
-    return SaturationReport(rms_m=rms_m, rms_hz=rms_hz,
-                            margin_ratio=config.vco_range / rms_hz)

@@ -28,13 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import quantum as qn
-from .cavity import CavityParams
+from .cavity import CavityParams, disp_per_hz
 from .errors import ConfigError, GridError
 from .isolation import (
     ActuatorParams,
     GeophoneParams,
     PlatformParams,
     ZPK,
+    _crossings,
     closed_loop,
     loop_gain,
 )
@@ -48,7 +49,6 @@ from .readout import (
     intensity_rp_displacement,
     iss_profile,
     pll_noise_asd,
-    saturation_margin,
 )
 from .spectra import (
     CSV_BLOCK_ROWS,
@@ -616,6 +616,15 @@ def _band_min(s, r, lo, hi):
     return float(np.min(band)) if band.size else OMIT
 
 
+def _vco_margin(s, r):
+    # the VCO range over the beat RMS; "unbounded" for a zero budget or
+    # where the ratio overflows
+    if r["rms_hz"] == 0.0:
+        return "unbounded"
+    ratio = s.readout.vco_range / r["rms_hz"]
+    return ratio if np.isfinite(ratio) else "unbounded"
+
+
 def _slope(s, grid):
     # of log |H| against log f; None where H is zero, as at stiffness mismatch 0
     mag = np.abs(tf_suspoint_to_differential(s.horizontal_model, grid))
@@ -630,10 +639,9 @@ SUMMARY = {
     "budget": (
         Value("iss_enabled", CONFIG, "intensity.iss.enabled"),
         Value("asd_at_100_hz_m_rthz", AT, lambda s, f: float(_columns(s, f)[-1][0]), (100.0,)),
-        Value("rms_m", GRID, lambda s, r: r["report"].rms_m),
-        Value("rms_hz", GRID, lambda s, r: r["report"].rms_hz),
-        Value("vco_margin_ratio", GRID, lambda s, r: r["report"].margin_ratio
-              if np.isfinite(r["report"].margin_ratio) else "unbounded"),
+        Value("rms_m", GRID, lambda s, r: float(r["rms"][0])),
+        Value("rms_hz", GRID, lambda s, r: r["rms_m"] / disp_per_hz(s.cavity)),
+        Value("vco_margin_ratio", GRID, _vco_margin),
         Value("min_asd_100_1000_hz_m_rthz", BAND, _band_min, (100.0, 1000.0)),
     ),
     "suspension-tf": (
@@ -649,8 +657,8 @@ SUMMARY = {
         Value("rms_reduction_ratio", BAND, lambda s, r, *f: r["rms_passive_m_0p5_50hz"]
               / r["rms_active_m_0p5_50hz"] if r["rms_active_m_0p5_50hz"] > 0.0 else "unbounded",
               (0.5, 50.0)),
-        Value("unity_gain_hz", GRID, lambda s, r: list(r["loop"].unity_gain_hz)),
-        Value("phase_margins_deg", GRID, lambda s, r: list(r["loop"].phase_margins_deg)),
+        Value("unity_gain_hz", GRID, lambda s, r: list(r["crossings"][0])),
+        Value("phase_margins_deg", GRID, lambda s, r: list(r["crossings"][1])),
         Value("closed_loop_stable", MODEL, lambda s, r: s.loop_stable[HORIZONTAL]),
     ),
     "quantum": (
@@ -845,13 +853,13 @@ def run_budget(scenario, outdir):
 
     def write_rms(path):
         rms = cumulative_rms(grid, total, "budget column 'rms_m'")
-        report = saturation_margin(grid, rms, scenario.readout, scenario.cavity)
-        summary.update(_summary(scenario, "budget", {"total": total, "report": report}))
+        summary.update(_summary(scenario, "budget", {"total": total, "rms": rms}))
         if (scenario.config["budget"]["include"]["quantum"]
                 and scenario.quantum.circulating_power > 0.0 and _below_floor(scenario)):
             _warn_below_floor(scenario)
-        if report.saturated:
-            warnings.warn(f"predicted beat RMS {report.rms_hz:.3g} Hz exceeds the VCO range "
+        ratio = summary["vco_margin_ratio"]
+        if ratio != "unbounded" and ratio < 1.0:
+            warnings.warn(f"predicted beat RMS {summary['rms_hz']:.3g} Hz exceeds the VCO range "
                           f"{scenario.readout.vco_range:.3g} Hz", SaturationWarning, stacklevel=2)
         _write_split(path, n, lambda part, lo, hi: write_csv(
             part, ["frequency_hz", "rms_m"], [grid.values[lo:hi], rms[lo:hi]]))
@@ -903,7 +911,7 @@ def run_isolation(scenario, outdir):
     rms = [cumulative_rms(grid, passive, "isolation column 'rms_passive_m'"),
            cumulative_rms(grid, active, "isolation column 'rms_active_m'")]
     summary = _summary(scenario, "isolation", {"passive": passive, "active": active,
-                                               "loop": result})
+                                               "crossings": _crossings(grid, result.loop_gain)})
     del result      # its three complex arrays are not written
     spectra = ["ground", "payload_passive", "payload_active"]
     _emit(outdir, "isolation", {

@@ -248,6 +248,9 @@ def eigenmodes(model):
         lam, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigen-solver failed: {exc}") from exc
+    if not (np.isfinite(lam).all() and np.isfinite(vecs).all()):
+        # as where a subnormal mass overflows the mass-normalised stiffness
+        raise NumericalError("eigen-solver gave non-finite modes")
 
     c_mat = model.c_matrix
     modes = []

@@ -1,19 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from suscav.errors import ConfigError, GridError
+from suscav.errors import ConfigError
 from suscav.isolation import ZPK
 from suscav.readout import (
     AcousticPeak,
     ReadoutConfig,
+    SaturationWarning,
     acoustic_peaks,
     adc_noise_asd,
     intensity_rp_displacement,
     iss_profile,
     pll_noise_asd,
-    saturation_margin,
 )
-from suscav.scenario import assemble_budget
+from suscav.scenario import Scenario, _summary, assemble_budget, run_budget
 from suscav.spectra import FrequencyGrid, cumulative_rms, make_log_grid
 
 ADC_V_ASD = 4.924752993529532e-07      # (20/2^16)/sqrt(12*32000) [V/rtHz]
@@ -145,35 +147,42 @@ class TestAcousticPeaks:
             AcousticPeak(center=100.0, width=0.0, height=1e-15)
 
 
-def flat_rms(grid, rms_target):
-    # cumulative RMS of a flat ASD whose band RMS from fmin equals rms_target
-    level = rms_target / np.sqrt(grid.fmax - grid.fmin)
-    return cumulative_rms(grid, np.full(len(grid), level), "rms")
+def flat_budget_summary(scenario, rms_target):
+    # the budget summary of a flat total ASD whose RMS from the bottom of
+    # the scenario's grid equals rms_target
+    grid = scenario.grid
+    total = np.full(len(grid), rms_target / np.sqrt(grid.fmax - grid.fmin))
+    return _summary(scenario, "budget", {"total": total, "rms": cumulative_rms(grid, total, "rms")})
 
 
 class TestSaturationMargin:
-    def test_one_nanometre_reference(self, paper_cavity):
-        grid = FrequencyGrid(np.linspace(0.5, 5000.0, 20000))
-        report = saturation_margin(grid, flat_rms(grid, 1e-9), readout_config(), paper_cavity)
-        assert report.rms_hz == pytest.approx(BEAT_RMS_1NM, rel=1e-6)
-        assert report.margin_ratio == pytest.approx(MARGIN_1NM, rel=1e-6)
-        assert not report.saturated
+    # paper_default reads 95 mm and 1550 nm, as the hand values, and a 50 MHz VCO range
+    def test_one_nanometre_reference(self, default_scenario):
+        summary = flat_budget_summary(default_scenario, 1e-9)
+        assert summary["rms_m"] == pytest.approx(1e-9, rel=1e-12)
+        assert summary["rms_hz"] == pytest.approx(BEAT_RMS_1NM, rel=1e-6)
+        assert summary["vco_margin_ratio"] == pytest.approx(MARGIN_1NM, rel=1e-6)
 
-    def test_range_edge_saturates(self, paper_cavity):
-        # the command warns of it (test_scenario); the report itself is silent
-        grid = FrequencyGrid(np.linspace(0.5, 5000.0, 20000))
-        report = saturation_margin(grid, flat_rms(grid, 24.6e-9), readout_config(),
-                                   paper_cavity)
-        assert report.margin_ratio == pytest.approx(1.0, rel=1e-2)
-        assert report.saturated
+    def test_range_edge_saturates(self, config_factory, default_scenario, tmp_path):
+        ratio = flat_budget_summary(default_scenario, 24.6e-9)["vco_margin_ratio"]
+        assert ratio == pytest.approx(1.0, rel=1e-2)
+        assert ratio < 1.0
+        # the command warns once the ratio it writes falls below 1
+        def run(scenario, out):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                summary = run_budget(scenario, tmp_path / out)
+            return summary, any(w.category is SaturationWarning for w in caught)
 
-    def test_zero_budget_unbounded(self, paper_cavity, grid_band):
-        report = saturation_margin(grid_band, flat_rms(grid_band, 0.0), readout_config(),
-                                   paper_cavity)
-        assert report.margin_ratio == np.inf
-        assert not report.saturated
+        beat = run(default_scenario, "default")[0]["rms_hz"]
+        for scale, warns in ((1.0 + 1e-9, False), (1.0 - 1e-9, True)):
+            cfg = config_factory()
+            cfg["readout"]["vco_range_hz"] = beat * scale
+            summary, warned = run(Scenario.from_dict(cfg), str(scale))
+            assert warned is warns
+            assert (summary["vco_margin_ratio"] < 1.0) is warns
 
-    def test_grid_must_reach_low_frequency(self, paper_cavity):
-        grid = make_log_grid(1.0, 1e4, 100)
-        with pytest.raises(GridError):
-            saturation_margin(grid, flat_rms(grid, 1e-9), readout_config(), paper_cavity)
+    def test_zero_budget_unbounded(self, default_scenario):
+        summary = flat_budget_summary(default_scenario, 0.0)
+        assert summary["rms_m"] == summary["rms_hz"] == 0.0
+        assert summary["vco_margin_ratio"] == "unbounded"

@@ -335,14 +335,17 @@ def test_streamed_budget_builds_the_grid_free_parts_once(config_factory, monkeyp
 
 
 def test_budget_never_finds_loop_crossings(default_scenario, monkeypatch, tmp_path):
-    import suscav.isolation
-
     def refuse(*args, **kwargs):
         raise AssertionError("unity-gain crossings computed")
-    monkeypatch.setattr(suscav.isolation, "_crossings", refuse)
+    # the name `run_isolation` calls, and the one any call inside the loop module reaches
+    for name in ("suscav.scenario._crossings", "suscav.isolation._crossings"):
+        monkeypatch.setattr(name, refuse)
     assemble_budget(default_scenario)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", FreeMassValidityWarning)
+        run_budget(default_scenario, tmp_path / "budget")
     with pytest.raises(AssertionError, match="crossings"):
-        run_isolation(default_scenario, tmp_path)
+        run_isolation(default_scenario, tmp_path / "isolation")
 
 
 @pytest.mark.parametrize("iss", [True, False])

@@ -152,6 +152,14 @@ class TestEigenmodes:
             modes = eigenmodes(build_model(default_chain(), axis))
             assert all(m.frequency_hz < 10.0 for m in modes)
 
+    def test_subnormal_mass_is_a_numerical_error(self):
+        # the mass-normalised stiffness overflows, which once gave NaN modes
+        chain = default_chain()
+        light = dataclasses.replace(chain, stages=(
+            dataclasses.replace(chain.stages[0], mass=5e-324), *chain.stages[1:]))
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="non-finite modes"):
+            eigenmodes(build_model(light, "horizontal"))
+
     def test_lossless_q_absent(self):
         model = simple_chain_model([Stage(mass=1.0, wire_length=0.19)])
         assert eigenmodes(model)[0].q is None
